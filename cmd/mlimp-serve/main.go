@@ -1,7 +1,7 @@
 // Command mlimp-serve runs a multi-node MLIMP serving fleet under a
 // Poisson-style open arrival stream: heterogeneous nodes (layer mixes
-// and capacity scales) on one shared deterministic engine, fronted by a
-// dispatcher with a pluggable load-balancing policy and admission
+// and capacity scales), each on its own event-engine shard, fronted by
+// a dispatcher with a pluggable load-balancing policy and admission
 // control. Output is byte-for-byte reproducible for a fixed seed.
 //
 // Usage:
@@ -9,16 +9,16 @@
 //	mlimp-serve                              # default 4-node fleet, all policies
 //	mlimp-serve -policy predicted-cost       # one policy
 //	mlimp-serve -nodes "sram,dram,reram/reram@0.5" -mean-gap-ms 2
-//	mlimp-serve -j 4                         # sharded fabric, 4 engine workers
+//	mlimp-serve -j 4                         # 4 engine workers
 //
-// With -j >= 1 the fleet runs on the sharded per-node engine fabric
+// The fleet runs on the sharded per-node engine fabric
 // (internal/event/parsim): each node owns its own event engine and the
 // dispatcher talks to them over latency-bearing mailboxes. The output
 // is identical for every -j >= 1 — the worker count only changes how
-// many shards advance concurrently. -j 0 (the default) keeps the
-// legacy single-engine dispatcher.
+// many shards advance concurrently. -hubs splits the dispatcher into a
+// tree of regional sub-hubs.
 //
-// Open-loop request serving (-open, requires -j >= 1) replaces the
+// Open-loop request serving (-open) replaces the
 // batch stream with the request-level front end of internal/serve:
 // individual requests arrive under a configurable arrival process
 // (-arrival poisson|mmpp|diurnal, -req-gap-us), carry per-request SLO
@@ -28,14 +28,14 @@
 // their deadline; -admission blind sheds only at the dispatcher's
 // admission bound.
 //
-//	mlimp-serve -open -j 2 -arrival mmpp -req-gap-us 50 -slo-ms 2
-//	mlimp-serve -open -j 2 -source gnn -admission predictor
+//	mlimp-serve -open -arrival mmpp -req-gap-us 50 -slo-ms 2
+//	mlimp-serve -open -source gnn -admission predictor
 //
 // Multi-tenant serving tags work round-robin across -tenants tenants
 // and packs each tenant onto disjoint array sets per node under the
 // -packing policy; summaries then carry per-tenant goodput and p99:
 //
-//	mlimp-serve -open -j 2 -tenants 4 -packing weighted-fair
+//	mlimp-serve -open -tenants 4 -packing weighted-fair
 package main
 
 import (
@@ -140,17 +140,17 @@ func main() {
 		"open-breaker cooldown before a half-open probe; 0 means the default")
 	heartbeatMs := flag.Float64("heartbeat-ms", 0, "node heartbeat period; 0 means the default")
 	hubCrash := flag.String("hub-crash", "",
-		"regional hub freeze windows: slash-separated region@at:recover (ms), e.g. 1@2:6 (needs -j >= 1 and -hubs > 1)")
+		"regional hub freeze windows: slash-separated region@at:recover (ms), e.g. 1@2:6 (needs -hubs > 1)")
 	edgeFault := flag.String("edge-fault", "",
-		"fabric edge faults: slash-separated from>to@at:until:drop:delay (ms; until 0 = open), e.g. hub0>hub1@2:6:1:0 (needs -j >= 1)")
+		"fabric edge faults: slash-separated from>to@at:until:drop:delay (ms; until 0 = open), e.g. hub0>hub1@2:6:1:0 (lossy ones need -deadline-ms)")
 	hubs := flag.Int("hubs", 1,
 		"regional sub-hubs the sharded fabric dispatches through (1 = flat single hub; must tile the fleet)")
 	hubFanout := flag.Int("hub-fanout", 0,
 		"nodes per sub-hub (0 = derive from -hubs; hubs x fanout must equal the fleet size)")
-	jobs := flag.Int("j", 0,
-		"engine workers for the sharded per-node fabric; 0 uses the legacy single-engine dispatcher")
+	jobs := flag.Int("j", 1,
+		"engine workers advancing the per-node shards (>= 1; output is identical at every value)")
 	openLoop := flag.Bool("open", false,
-		"run the open-loop request front end (continuous batching + SLO admission); requires -j >= 1")
+		"run the open-loop request front end (continuous batching + SLO admission)")
 	source := flag.String("source", "app", "open-loop request source: app | gnn")
 	arrival := flag.String("arrival", "poisson", "open-loop arrival process: poisson | mmpp | diurnal")
 	reqGapUs := flag.Float64("req-gap-us", 100, "open-loop mean request inter-arrival gap (us)")
@@ -174,11 +174,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mlimp-serve: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *jobs < 0 {
-		fail("-j must be >= 0 (got %d)", *jobs)
-	}
-	if *openLoop && *jobs < 1 {
-		fail("-open needs the sharded fabric: pass -j >= 1 (got %d)", *jobs)
+	if *jobs < 1 {
+		fail("-j must be >= 1 (got %d)", *jobs)
 	}
 	if *batches <= 0 {
 		fail("-batches must be positive (got %d)", *batches)
@@ -276,9 +273,6 @@ func main() {
 	if err != nil {
 		fail("%v (fleet has %d nodes)", err, len(cfgs))
 	}
-	if resolvedHubs > 1 && *jobs < 1 {
-		fail("-hubs > 1 needs the sharded fabric: pass -j >= 1 (got %d)", *jobs)
-	}
 	// Fabric fault flags: parse and structurally validate up front so a
 	// bad spec is a flag error (exit 2), not a mid-run failure.
 	hubCrashes, err := fault.ParseHubCrashes(*hubCrash)
@@ -289,11 +283,8 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if len(hubCrashes) > 0 && (*jobs < 1 || resolvedHubs < 2) {
-		fail("%v: -hub-crash needs -j >= 1 and -hubs > 1", cluster.ErrHubCrashNeedsTree)
-	}
-	if len(edgeFaults) > 0 && *jobs < 1 {
-		fail("%v: -edge-fault needs -j >= 1", cluster.ErrEdgeFaultNeedsFabric)
+	if len(hubCrashes) > 0 && resolvedHubs < 2 {
+		fail("%v: -hub-crash needs -hubs > 1", cluster.ErrHubCrashNeedsTree)
 	}
 	for _, e := range edgeFaults {
 		if e.DropProb > 0 && *deadlineMs <= 0 {
@@ -354,7 +345,20 @@ func main() {
 			fail("%v", err)
 		}
 	}
-	faulty := plan != nil || *deadlineMs > 0
+	// One failure configuration feeds both the open-loop and the batch
+	// path; nil leaves the fleet out of failure-aware mode.
+	var fc *cluster.FaultConfig
+	if plan != nil || *deadlineMs > 0 {
+		fc = &cluster.FaultConfig{
+			Plan:            plan,
+			Deadline:        event.Time(*deadlineMs * float64(event.Millisecond)),
+			MaxRedispatch:   *redispatch,
+			BreakerK:        *breakerK,
+			BreakerCooldown: event.Time(*breakerCooldownMs * float64(event.Millisecond)),
+			Heartbeat:       event.Time(*heartbeatMs * float64(event.Millisecond)),
+		}
+	}
+	sc := cluster.ShardConfig{Workers: *jobs, Hubs: resolvedHubs}
 
 	if *openLoop {
 		fmt.Printf("fleet: %d nodes (%s), open-loop %s arrivals (mean gap %.0fus over %.1fms), "+
@@ -364,18 +368,7 @@ func main() {
 		if plan != nil {
 			fmt.Println(plan)
 		}
-		var fc *cluster.FaultConfig
-		if faulty {
-			fc = &cluster.FaultConfig{
-				Plan:            plan,
-				Deadline:        event.Time(*deadlineMs * float64(event.Millisecond)),
-				MaxRedispatch:   *redispatch,
-				BreakerK:        *breakerK,
-				BreakerCooldown: event.Time(*breakerCooldownMs * float64(event.Millisecond)),
-				Heartbeat:       event.Time(*heartbeatMs * float64(event.Millisecond)),
-			}
-		}
-		runOpenLoop(policies, adm, cfgs, *jobs, resolvedHubs, openParams{
+		runOpenLoop(policies, adm, cfgs, sc, openParams{
 			source: *source, arrival: *arrival,
 			predictorAdmission: *admission == "predictor",
 			reqGap:             event.Time(*reqGapUs * float64(event.Microsecond)),
@@ -395,29 +388,9 @@ func main() {
 	}
 	for _, name := range policies {
 		p, _ := cluster.PolicyByName(name)
-		// Both fabrics satisfy the same Submit/EnableFaults/Run contract;
-		// -j selects which one serves the fleet.
-		var d interface {
-			Submit(*runtime.Batch) error
-			EnableFaults(cluster.FaultConfig) error
-			Run() cluster.Summary
-		}
-		if *jobs >= 1 {
-			d = cluster.NewShardedDispatcher(p, adm,
-				cluster.ShardConfig{Workers: *jobs, Hubs: resolvedHubs}, cfgs...)
-		} else {
-			d = cluster.NewDispatcher(p, adm, cfgs...)
-		}
-		if faulty {
-			err := d.EnableFaults(cluster.FaultConfig{
-				Plan:            plan,
-				Deadline:        event.Time(*deadlineMs * float64(event.Millisecond)),
-				MaxRedispatch:   *redispatch,
-				BreakerK:        *breakerK,
-				BreakerCooldown: event.Time(*breakerCooldownMs * float64(event.Millisecond)),
-				Heartbeat:       event.Time(*heartbeatMs * float64(event.Millisecond)),
-			})
-			if err != nil {
+		d := cluster.NewShardedDispatcher(p, adm, sc, cfgs...)
+		if fc != nil {
+			if err := d.EnableFaults(*fc); err != nil {
 				fmt.Fprintf(os.Stderr, "mlimp-serve: %v\n", err)
 				os.Exit(1)
 			}
@@ -495,10 +468,10 @@ type openParams struct {
 	faultCfg               *cluster.FaultConfig
 }
 
-// runOpenLoop drives the request-level front end once per policy on the
-// sharded fabric, with the request trace held fixed across policies.
+// runOpenLoop drives the request-level front end once per policy, with
+// the request trace held fixed across policies.
 func runOpenLoop(policies []string, adm cluster.Admission, cfgs []cluster.NodeConfig,
-	workers, hubs int, p openParams) {
+	sc cluster.ShardConfig, p openParams) {
 	die := func(err error) {
 		fmt.Fprintf(os.Stderr, "mlimp-serve: %v\n", err)
 		os.Exit(1)
@@ -510,8 +483,7 @@ func runOpenLoop(policies []string, adm cluster.Admission, cfgs []cluster.NodeCo
 	}
 	for _, name := range policies {
 		pol, _ := cluster.PolicyByName(name)
-		d := cluster.NewShardedDispatcher(pol, adm,
-			cluster.ShardConfig{Workers: workers, Hubs: hubs}, cfgs...)
+		d := cluster.NewShardedDispatcher(pol, adm, sc, cfgs...)
 		if p.faultCfg != nil {
 			if err := d.EnableFaults(*p.faultCfg); err != nil {
 				die(err)

@@ -1,14 +1,14 @@
 // Package cluster lifts the single-node serving runtime into a
 // multi-node MLIMP serving fabric: N nodes — possibly heterogeneous in
-// layer mix and capacity — each run a runtime batch executor on one
-// shared event engine, fronted by a dispatcher with pluggable
-// load-balancing policies and admission control (bounded per-node
-// queues with shed-on-overflow and optional bounded retry in simulated
-// time). The paper schedules jobs across the computable-memory layers
-// of one node; this package schedules batches across many such nodes,
-// the shape a production deployment takes once a single node saturates
-// (PyGim parallelises GNN work across independent PIM devices the same
-// way).
+// layer mix and capacity — each run a runtime batch executor on its own
+// event-engine shard, fronted by a hub tree of one or more dispatch
+// regions with pluggable load-balancing policies and admission control
+// (bounded per-node queues with shed-on-overflow and optional bounded
+// retry in simulated time). The paper schedules jobs across the
+// computable-memory layers of one node; this package schedules batches
+// across many such nodes, the shape a production deployment takes once
+// a single node saturates (PyGim parallelises GNN work across
+// independent PIM devices the same way).
 package cluster
 
 import (
@@ -44,14 +44,15 @@ type NodeConfig struct {
 }
 
 // Node is one MLIMP system wrapped in a runtime executor plus the
-// occupancy bookkeeping the dispatcher's policies read.
+// occupancy bookkeeping the dispatcher's policies read. The dispatcher
+// routes against views (see newView): nodes without a runtime that
+// carry the booking ledger.
 type Node struct {
 	Name string
 	Sys  *sched.System
 
 	rt        *runtime.Runtime
-	accepted  int
-	queued    int                // outstanding bookings (dispatcher-side views only)
+	queued    int                // outstanding bookings (views only)
 	busy      event.Time         // sum of batch execution spans
 	predicted event.Time         // sum of cost estimates of outstanding batches
 	estimates map[int]event.Time // batch ID -> estimate while outstanding
@@ -61,7 +62,7 @@ type Node struct {
 
 	// estCache memoizes EstimateCost per batch signature. One admission
 	// costs at least two identical estimates (the policy's Pick plus the
-	// booking in accept), and every retry of a shed-bound arrival
+	// hub-side booking), and every retry of a shed-bound arrival
 	// re-estimates the same batch against the same nodes; the planning
 	// pass behind each estimate is a full Algorithm-2 schedule, by far
 	// the dispatcher's hottest computation. Estimates assume an idle
@@ -70,9 +71,9 @@ type Node struct {
 	estCache           map[string]event.Time
 	estHits, estMisses int64
 
-	// Failure state (see fault.go): ground-truth crash flag, the
-	// monitor's belief, liveness and degradation bookkeeping, and the
-	// per-node circuit breaker.
+	// Failure state (see fault.go). The node shard holds the ground
+	// truth (crash flag, lost arrays); the hub's view holds the belief
+	// (monitor verdict, last pong, failures, circuit breaker).
 	down         bool
 	detectedDown bool
 	lastBeat     event.Time
@@ -80,7 +81,6 @@ type Node struct {
 	failures     int // exec errors + deadline timeouts attributed here
 	crashes      int
 	breaker      *breaker
-	onResult     func(n *Node, res runtime.BatchResult, err error)
 }
 
 // Health is a node's condition as the fabric sees it.
@@ -106,24 +106,13 @@ func (h Health) String() string {
 	return "down"
 }
 
-// Health classifies the node right now.
-func (n *Node) Health() Health {
-	if n.down || n.detectedDown {
-		return DownHealth
-	}
-	if n.arraysLost > 0 || (n.breaker != nil && n.breaker.state != breakerClosed) {
-		return Degraded
-	}
-	return Healthy
-}
-
 // ArraysLost returns the arrays currently lost to injected faults.
 func (n *Node) ArraysLost() int { return n.arraysLost }
 
 // crash halts the node at the current instant: the executing batch
 // loses its work and nothing further starts until revive. Work already
-// admitted strands here until the heartbeat monitor declares the node
-// dead and evicts it.
+// admitted strands here until the hub's monitor declares the node dead
+// and evicts it.
 func (n *Node) crash() {
 	if n.down {
 		return
@@ -134,13 +123,12 @@ func (n *Node) crash() {
 	n.rt.Halt()
 }
 
-// revive restarts a crashed node; heartbeats resume immediately.
-func (n *Node) revive(now event.Time) {
+// revive restarts a crashed node; it answers pings again immediately.
+func (n *Node) revive() {
 	if !n.down {
 		return
 	}
 	n.down = false
-	n.lastBeat = now
 	n.rt.Resume()
 }
 
@@ -196,50 +184,26 @@ func newSystemFor(cfg NodeConfig) *sched.System {
 	return sys
 }
 
-// NewNode builds a node on the shared engine.
+// NewNode builds a node executing on the given engine (its shard's).
 func NewNode(eng *event.Engine, cfg NodeConfig) *Node {
-	sys := newSystemFor(cfg)
+	n := newView(cfg)
 	scheduler := cfg.Scheduler
 	if scheduler == nil {
 		scheduler = sched.NewGlobal()
 	}
-	name := cfg.Name
-	if name == "" {
-		name = fmt.Sprintf("node-%v", cfg.Targets)
-	}
-	rt, err := runtime.NewOn(eng, sys, scheduler)
+	rt, err := runtime.NewOn(eng, n.Sys, scheduler)
 	if err != nil {
 		panic("cluster: " + err.Error()) // all three are non-nil above
 	}
-	n := &Node{
-		Name:      name,
-		Sys:       sys,
-		rt:        rt,
-		estimates: map[int]event.Time{},
-		runningID: -1,
-		estSched:  sched.NewGlobal(),
-		estCache:  map[string]event.Time{},
-	}
-	n.rt.OnStart = func(b *runtime.Batch, at event.Time) {
-		n.runningID, n.runStart = b.ID, at
-	}
-	n.rt.OnComplete = func(res runtime.BatchResult, err error) {
-		n.busy += res.Completed - res.Start
-		n.predicted -= n.estimates[res.ID]
-		delete(n.estimates, res.ID)
-		n.runningID = -1
-		if n.onResult != nil {
-			n.onResult(n, res, err)
-		}
-	}
+	n.rt = rt
 	return n
 }
 
 // newView builds a dispatcher-side proxy of a node: the same scheduling
 // system (so cost estimates agree with the real node) but no runtime.
-// The sharded dispatcher routes against views — mirrors of remote node
-// state it may legally read at hub time — and the policies cannot tell
-// a view from a live node.
+// The dispatcher routes against views — mirrors of remote node state it
+// may legally read at hub time — and the policies cannot tell a view
+// from a live node.
 func newView(cfg NodeConfig) *Node {
 	name := cfg.Name
 	if name == "" {
@@ -344,16 +308,4 @@ func batchKey(jobs []*sched.Job) string {
 		fmt.Fprintf(&sb, "%d:%s|", j.ID, j.Name)
 	}
 	return sb.String()
-}
-
-// accept admits a batch: the estimate is booked against the node and
-// the batch enters the runtime queue at the current simulated time.
-func (n *Node) accept(b *runtime.Batch) {
-	est := n.EstimateCost(b.Jobs)
-	n.estimates[b.ID] = est
-	n.predicted += est
-	n.accepted++
-	if err := n.rt.Enqueue(b); err != nil {
-		panic("cluster: " + err.Error()) // batches are validated at Submit
-	}
 }

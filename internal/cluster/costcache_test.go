@@ -45,7 +45,7 @@ func TestEstimateCacheTransparent(t *testing.T) {
 func TestPredictedCostDeterministicWithCache(t *testing.T) {
 	run := func() string {
 		p, _ := PolicyByName("predicted-cost")
-		d := NewDispatcher(p, Admission{MaxRetries: 3},
+		d := NewShardedDispatcher(p, Admission{MaxRetries: 3}, ShardConfig{},
 			fullNode("full"),
 			NodeConfig{Name: "slow", Targets: isa.Targets, Scale: 0.25})
 		rng := rand.New(rand.NewSource(11))
@@ -59,10 +59,11 @@ func TestPredictedCostDeterministicWithCache(t *testing.T) {
 	if a != b {
 		t.Fatalf("predicted-cost fleet not deterministic:\n%s\nvs\n%s", a, b)
 	}
-	// The admission flow estimates each accepted batch at least twice
-	// (Pick + booking), so a run of this size must see real cache traffic.
+	// The admission flow estimates each accepted batch at least twice on
+	// the hub's views (Pick + booking), so a run of this size must see
+	// real cache traffic.
 	p, _ := PolicyByName("predicted-cost")
-	d := NewDispatcher(p, Admission{},
+	d := NewShardedDispatcher(p, Admission{}, ShardConfig{},
 		fullNode("full"),
 		NodeConfig{Name: "slow", Targets: isa.Targets, Scale: 0.25})
 	rng := rand.New(rand.NewSource(11))
@@ -72,8 +73,8 @@ func TestPredictedCostDeterministicWithCache(t *testing.T) {
 	}
 	d.Run()
 	var hits int64
-	for _, n := range d.Nodes() {
-		h, _ := n.EstCacheStats()
+	for _, v := range d.regions[0].views {
+		h, _ := v.EstCacheStats()
 		hits += h
 	}
 	if hits == 0 {

@@ -106,37 +106,13 @@ type DoneInfo struct {
 // deadline timers armed for superseded bookings.
 type tracker struct {
 	b            *runtime.Batch
-	node         *Node // current booking (a view, for the sharded dispatcher)
-	idx          int   // current booking's node index (sharded dispatcher)
+	node         *Node // current booking's view
+	idx          int   // current booking's view index
 	attempts     int   // times accepted by a node (execution starts)
 	redispatches int   // failure-driven re-dispatches consumed
 	fwds         int   // hub-tree overflow forwards consumed (tree.go)
 	gen          int   // bumped per booking and per re-dispatch
 	done         bool
-}
-
-// Dispatcher fronts a fleet of nodes on one shared engine: arrivals are
-// admitted (or shed), routed by the policy, and drained deterministically.
-type Dispatcher struct {
-	eng    *event.Engine
-	nodes  []*Node
-	policy Policy
-	adm    Admission
-	faults *FaultConfig // nil: failure-aware mode off (see fault.go)
-
-	trk         map[int]*tracker
-	pending     int // submitted batches not yet in a terminal state
-	lastArrival event.Time
-
-	submitted    int
-	completed    int
-	shed         int
-	retries      int
-	redispatches int
-	deadLettered int
-	execErrors   int
-	timeouts     int
-	tenants      map[string]*tenantCounts
 }
 
 // tenantCounts tracks one tenant's batch terminal states plus the
@@ -162,180 +138,6 @@ func bumpTenant(m *map[string]*tenantCounts, tenant string) *tenantCounts {
 		(*m)[tenant] = c
 	}
 	return c
-}
-
-// NewDispatcher builds a fleet from node configs. It owns the shared
-// engine; Run drains it.
-func NewDispatcher(policy Policy, adm Admission, cfgs ...NodeConfig) *Dispatcher {
-	if policy == nil {
-		panic("cluster: nil policy")
-	}
-	if len(cfgs) == 0 {
-		panic("cluster: fleet needs at least one node")
-	}
-	eng := &event.Engine{}
-	d := &Dispatcher{eng: eng, policy: policy, adm: adm, trk: map[int]*tracker{}}
-	for i, cfg := range cfgs {
-		if cfg.Name == "" {
-			cfg.Name = fmt.Sprintf("node%d", i)
-		}
-		n := NewNode(eng, cfg)
-		n.onResult = d.onResult
-		d.nodes = append(d.nodes, n)
-	}
-	return d
-}
-
-// Engine returns the shared engine (for callers that co-schedule their
-// own events, e.g. load generators).
-func (d *Dispatcher) Engine() *event.Engine { return d.eng }
-
-// Nodes returns the fleet in configuration order.
-func (d *Dispatcher) Nodes() []*Node { return d.nodes }
-
-// Submit registers a batch arrival at b.Arrival. Must be called before
-// Run; arrivals may be submitted in any order. A nil or empty batch, or
-// a batch ID already submitted, is rejected — IDs key the exactly-once
-// accounting.
-func (d *Dispatcher) Submit(b *runtime.Batch) error {
-	if b == nil {
-		return runtime.ErrNilBatch
-	}
-	if len(b.Jobs) == 0 {
-		return fmt.Errorf("%w (batch %d)", runtime.ErrEmptyBatch, b.ID)
-	}
-	if _, dup := d.trk[b.ID]; dup {
-		return fmt.Errorf("cluster: duplicate batch ID %d", b.ID)
-	}
-	tr := &tracker{b: b}
-	d.trk[b.ID] = tr
-	d.pending++
-	d.submitted++
-	if c := bumpTenant(&d.tenants, b.Tenant); c != nil {
-		c.submitted++
-	}
-	if b.Arrival > d.lastArrival {
-		d.lastArrival = b.Arrival
-	}
-	d.eng.At(b.Arrival, func() { d.dispatch(b, 0, nil) })
-	return nil
-}
-
-// finish moves a batch to a terminal state exactly once; the caller
-// picks which counter to credit only when finish returns true.
-func (d *Dispatcher) finish(tr *tracker) bool {
-	if tr.done {
-		return false
-	}
-	tr.done = true
-	d.pending--
-	return true
-}
-
-// eligible reports whether a node may be offered this batch right now.
-func (d *Dispatcher) eligible(n *Node, b *runtime.Batch) bool {
-	if n.Outstanding() >= d.adm.queueCap() || !n.CanRun(b.Jobs) {
-		return false
-	}
-	if d.faults != nil {
-		// Routing sees the monitor's belief, not ground truth: a crashed
-		// node stays routable until heartbeats declare it dead, so work
-		// can strand there briefly — the monitor evicts it on detection.
-		if n.detectedDown || !n.breaker.Allow(d.eng.Now()) {
-			return false
-		}
-	}
-	return true
-}
-
-// dispatch routes one arrival: filter to eligible nodes, let the policy
-// pick, and fall back to bounded retry then shed when the whole fleet
-// is at its admission bound. A re-dispatched batch avoids the node it
-// just failed on unless that node is the only eligible one.
-func (d *Dispatcher) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
-	tr := d.trk[b.ID]
-	if tr == nil || tr.done {
-		return
-	}
-	var eligible, fallback []*Node
-	for _, n := range d.nodes {
-		if !d.eligible(n, b) {
-			continue
-		}
-		if n == avoid {
-			fallback = append(fallback, n)
-			continue
-		}
-		eligible = append(eligible, n)
-	}
-	if len(eligible) == 0 {
-		eligible = fallback
-	}
-	if len(eligible) == 0 {
-		if attempt < d.adm.MaxRetries {
-			d.retries++
-			d.eng.After(retryDelay(d.adm.backoff(), attempt), func() { d.dispatch(b, attempt+1, avoid) })
-			return
-		}
-		if d.finish(tr) {
-			d.shed++
-			if c := bumpTenant(&d.tenants, b.Tenant); c != nil {
-				c.shed++
-			}
-		}
-		return
-	}
-	n := d.policy.Pick(eligible, b, d.eng.Now())
-	tr.node = n
-	tr.gen++
-	tr.attempts++
-	if d.faults != nil {
-		n.breaker.OnPick()
-		if dl := d.faults.Deadline; dl > 0 {
-			gen := tr.gen
-			d.eng.After(dl, func() { d.onDeadline(tr, gen) })
-		}
-	}
-	n.accept(b)
-}
-
-// onResult is every node's completion callback: it settles the batch's
-// tracker — success closes the breaker and completes the batch, an
-// execution error counts against the node and sends the batch back
-// through routing.
-func (d *Dispatcher) onResult(n *Node, res runtime.BatchResult, err error) {
-	tr := d.trk[res.ID]
-	if tr == nil || tr.done {
-		return
-	}
-	tr.gen++ // disarm the deadline for this booking
-	if err == nil {
-		if d.faults != nil {
-			n.breaker.OnSuccess()
-		}
-		if d.finish(tr) {
-			d.completed++
-			if c := bumpTenant(&d.tenants, tr.b.Tenant); c != nil {
-				c.completed++
-			}
-		}
-		return
-	}
-	d.execErrors++
-	n.failures++
-	if d.faults == nil {
-		// An execution error without failure-aware mode has no
-		// re-dispatch budget; the batch is lost to the dead letter queue.
-		if d.finish(tr) {
-			d.deadLettered++
-			if c := bumpTenant(&d.tenants, tr.b.Tenant); c != nil {
-				c.deadLettered++
-			}
-		}
-		return
-	}
-	n.breaker.OnFailure(d.eng.Now())
-	d.redispatch(tr, n)
 }
 
 // PoissonArrivals draws n arrival times whose inter-arrival gaps are
@@ -473,10 +275,9 @@ func (s Summary) String() string {
 	return sb.String()
 }
 
-// nodeRollup is one node's contribution to the fleet summary, assembled
-// by whichever dispatcher variant (single-engine or sharded) ran the
-// fleet. The sharded dispatcher splits the sources: execution facts come
-// from the node shard, failure attribution from the hub's view.
+// nodeRollup is one node's contribution to the fleet summary: execution
+// facts come from the node shard, failure attribution from the hub's
+// view.
 type nodeRollup struct {
 	name                          string
 	rt                            runtime.Summary
@@ -560,27 +361,4 @@ func summarize(s Summary, rollups []nodeRollup, tenants map[string]*tenantCounts
 		}
 	}
 	return s
-}
-
-// Run drains the shared engine and aggregates the fleet summary.
-func (d *Dispatcher) Run() Summary {
-	d.eng.Run()
-	s := Summary{Policy: d.policy.Name(), Submitted: d.submitted,
-		Completed: d.completed, Shed: d.shed, Retries: d.retries,
-		Redispatches: d.redispatches, DeadLettered: d.deadLettered,
-		ExecErrors: d.execErrors, Timeouts: d.timeouts,
-	}
-	rollups := make([]nodeRollup, 0, len(d.nodes))
-	for _, n := range d.nodes {
-		r := nodeRollup{
-			name: n.Name, rt: n.rt.Summarize(), busy: n.busy,
-			failures: n.failures, crashes: n.crashes, arraysLost: n.arraysLost,
-			lostByTarget: lostRollup(n.Sys),
-		}
-		if d.faults != nil {
-			r.health = n.Health().String()
-		}
-		rollups = append(rollups, r)
-	}
-	return summarize(s, rollups, d.tenants)
 }

@@ -33,36 +33,8 @@ func conserved(t *testing.T, s Summary) {
 	}
 }
 
-// chaosRun drives a 3-node fleet through a crash-and-revive, a
-// permanent kill, a transient array fault, exec errors, and deadlines.
-func chaosRun(policy Policy) Summary {
-	d := NewDispatcher(policy, Admission{MaxRetries: 6},
-		fullNode("a"), fullNode("b"), fullNode("c"))
-	plan := &fault.Plan{
-		Seed: 99,
-		ArrayFaults: []fault.ArrayFault{
-			// Half of a's SRAM drops out at 500µs and heals at 3ms.
-			{Node: "a", Target: isa.SRAM, Fraction: 0.5, At: 500 * event.Microsecond, Recover: 3 * event.Millisecond},
-		},
-		Crashes: []fault.Crash{
-			{Node: "b", At: event.Millisecond, Recover: 4 * event.Millisecond}, // kill + revive mid-drain
-			{Node: "c", At: 2 * event.Millisecond},                             // permanent kill
-		},
-		ExecErrorProb: 0.15,
-	}
-	if err := d.EnableFaults(FaultConfig{Plan: plan, Deadline: 50 * event.Millisecond}); err != nil {
-		panic(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := d.Submit(mkBatch(i, event.Time(i)*200*event.Microsecond, 4)); err != nil {
-			panic(err)
-		}
-	}
-	return d.Run()
-}
-
 func TestChaosKillReviveMidDrain(t *testing.T) {
-	s := chaosRun(NewRoundRobin())
+	s := chaosSharded(NewRoundRobin(), 1)
 	conserved(t, s)
 	if s.Completed == 0 {
 		t.Fatal("chaos run completed nothing")
@@ -105,7 +77,7 @@ func TestChaosDeterministic(t *testing.T) {
 			pol, _ := PolicyByName(p)
 			return pol
 		}
-		a, b := chaosRun(mk()).String(), chaosRun(mk()).String()
+		a, b := chaosSharded(mk(), 1).String(), chaosSharded(mk(), 1).String()
 		if a != b {
 			t.Errorf("policy %s chaos replay diverged:\n%s\nvs\n%s", p, a, b)
 		}
@@ -118,7 +90,7 @@ func TestChaosConservationGeneratedPlans(t *testing.T) {
 	for _, pname := range PolicyNames() {
 		for seed := int64(1); seed <= 3; seed++ {
 			policy, _ := PolicyByName(pname)
-			d := NewDispatcher(policy, Admission{MaxRetries: 4},
+			d := NewShardedDispatcher(policy, Admission{MaxRetries: 4}, ShardConfig{},
 				fullNode("a"), fullNode("b"), fullNode("c"))
 			plan, err := fault.Generate(seed, fault.GenConfig{
 				Nodes:              []string{"a", "b", "c"},
@@ -148,7 +120,7 @@ func TestChaosConservationGeneratedPlans(t *testing.T) {
 // deadline is aborted and re-dispatched to a faster node, completing
 // there.
 func TestDeadlineRedispatch(t *testing.T) {
-	d := NewDispatcher(pickNamed{"slow"}, Admission{},
+	d := NewShardedDispatcher(pickNamed{"slow"}, Admission{}, ShardConfig{},
 		NodeConfig{Name: "fast", Targets: []isa.Target{isa.SRAM}},
 		NodeConfig{Name: "slow", Targets: []isa.Target{isa.ReRAM}, Scale: 0.001},
 	)
@@ -197,7 +169,7 @@ func TestDeadlineRedispatch(t *testing.T) {
 // node's breaker; after the cooldown a half-open probe succeeds and the
 // node is reinstated.
 func TestCircuitBreakerEjectsAndRecovers(t *testing.T) {
-	d := NewDispatcher(pickNamed{"flaky"}, Admission{},
+	d := NewShardedDispatcher(pickNamed{"flaky"}, Admission{}, ShardConfig{},
 		fullNode("flaky"), fullNode("good"))
 	fc := FaultConfig{
 		// Batches 0-2 fail their first attempt wherever it lands (it
@@ -245,8 +217,9 @@ func TestCircuitBreakerEjectsAndRecovers(t *testing.T) {
 // layer; the node re-plans (capacity-keyed knee memo) and keeps
 // serving, then recovers.
 func TestArrayFaultForcesKneeResearch(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{}, fullNode("solo"))
-	n := d.Nodes()[0]
+	d := NewShardedDispatcher(NewRoundRobin(), Admission{}, ShardConfig{}, fullNode("solo"))
+	r := d.regions[0]
+	n, v := r.sns[0].node, r.views[0]
 	healthy := n.Sys.Layers[isa.SRAM].Capacity()
 	plan := &fault.Plan{ArrayFaults: []fault.ArrayFault{{
 		Node: "solo", Target: isa.SRAM, Fraction: 0.9,
@@ -256,8 +229,10 @@ func TestArrayFaultForcesKneeResearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawDegraded := false
-	d.Engine().At(event.Millisecond, func() {
-		sawDegraded = n.Health() == Degraded
+	// The serial driver (Workers 0) runs every shard on this goroutine,
+	// so the probe may read the hub's view from the node's shard.
+	r.sns[0].shard.Engine().At(event.Millisecond, func() {
+		sawDegraded = mergedHealth(n, v) == Degraded
 		if got := n.Sys.Layers[isa.SRAM].Capacity(); got >= healthy {
 			t.Errorf("capacity %d not degraded at 1ms", got)
 		}
@@ -281,29 +256,41 @@ func TestArrayFaultForcesKneeResearch(t *testing.T) {
 	}
 }
 
-// TestNodeHealthTransitions exercises the Health state machine off the
-// engine: crash → down, revive → healthy, degrade → degraded.
+// TestNodeHealthTransitions exercises the health verdict off the engine:
+// node-side ground truth (crash → down, revive → healthy, degrade →
+// degraded) merged with the hub view's belief (breaker, monitor).
 func TestNodeHealthTransitions(t *testing.T) {
 	n := NewNode(&event.Engine{}, fullNode("h"))
-	n.breaker = newBreaker(3, event.Millisecond)
-	if n.Health() != Healthy {
-		t.Fatalf("fresh node health = %v", n.Health())
+	v := newView(fullNode("h"))
+	v.breaker = newBreaker(3, event.Millisecond)
+	if h := mergedHealth(n, v); h != Healthy {
+		t.Fatalf("fresh node health = %v", h)
 	}
 	n.degrade(isa.DRAM, 100)
-	if n.Health() != Degraded || n.ArraysLost() != 100 {
-		t.Errorf("after degrade: health=%v lost=%d", n.Health(), n.ArraysLost())
+	if h := mergedHealth(n, v); h != Degraded || n.ArraysLost() != 100 {
+		t.Errorf("after degrade: health=%v lost=%d", h, n.ArraysLost())
 	}
 	n.crash()
-	if n.Health() != DownHealth {
-		t.Errorf("after crash: health=%v", n.Health())
+	if h := mergedHealth(n, v); h != DownHealth {
+		t.Errorf("after crash: health=%v", h)
 	}
-	n.revive(0)
-	if n.Health() != Degraded {
-		t.Errorf("after revive with lost arrays: health=%v", n.Health())
+	n.revive()
+	if h := mergedHealth(n, v); h != Degraded {
+		t.Errorf("after revive with lost arrays: health=%v", h)
 	}
 	n.restore(isa.DRAM, 100)
-	if n.Health() != Healthy {
-		t.Errorf("after restore: health=%v", n.Health())
+	if h := mergedHealth(n, v); h != Healthy {
+		t.Errorf("after restore: health=%v", h)
+	}
+	for i := 0; i < 3; i++ {
+		v.breaker.OnFailure(0)
+	}
+	if h := mergedHealth(n, v); h != Degraded {
+		t.Errorf("after breaker trip: health=%v", h)
+	}
+	v.detectedDown = true
+	if h := mergedHealth(n, v); h != DownHealth {
+		t.Errorf("after monitor verdict: health=%v", h)
 	}
 	for _, h := range []Health{Healthy, Degraded, DownHealth} {
 		if h.String() == "" {
@@ -314,7 +301,7 @@ func TestNodeHealthTransitions(t *testing.T) {
 
 // TestEnableFaultsErrors: bad plans and unknown nodes are rejected.
 func TestEnableFaultsErrors(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{}, fullNode("a"))
+	d := NewShardedDispatcher(NewRoundRobin(), Admission{}, ShardConfig{}, fullNode("a"))
 	if err := d.EnableFaults(FaultConfig{Plan: &fault.Plan{ExecErrorProb: 2}}); err == nil {
 		t.Error("invalid plan accepted")
 	}

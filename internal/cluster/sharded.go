@@ -6,32 +6,32 @@ import (
 
 	"mlimp/internal/event"
 	"mlimp/internal/event/parsim"
+	"mlimp/internal/fault"
 	"mlimp/internal/runtime"
 	"mlimp/internal/sched"
 )
 
-// Conservative-parallel fleet serving. ShardedDispatcher is the
-// parallel counterpart of Dispatcher: each node owns a private event
-// engine on its own parsim shard, the dispatcher runs on a hub shard,
-// and every cross-node interaction — dispatch, batch start/completion,
-// heartbeat, eviction, abort — travels through the driver's mailboxes
-// with a fixed network-hop latency. The hop is the fabric's minimum
-// cross-shard latency and therefore the PDES lookahead: shards advance
-// [T, T+hop) windows concurrently, and with a fixed seed the run is
-// byte-identical for any worker count (see event/parsim).
+// Conservative-parallel fleet serving. ShardedDispatcher runs the fleet
+// as a tree of dispatch regions (tree.go): each region is a hub shard
+// over a contiguous slice of the nodes, and each node owns a private
+// event engine on its own parsim shard. Every cross-shard interaction —
+// dispatch, batch start/completion, ping/pong, eviction, abort — travels
+// through the driver's mailboxes with a fixed network-hop latency. The
+// hop is the fabric's minimum cross-shard latency and therefore the PDES
+// lookahead: shards advance [T, T+hop) windows concurrently, and with a
+// fixed seed the run is byte-identical for any worker count (see
+// event/parsim). A flat fleet is simply the one-region tree.
 //
-// The hub never touches live node state. It routes against *views* —
+// A hub never touches live node state. It routes against *views* —
 // per-node proxies holding a mirror scheduling system, the booking
 // ledger (queued count, cost estimates, predicted drain), the circuit
 // breaker, and the liveness belief. Views lag ground truth by up to one
 // hop each way, which models exactly what a real cluster's dispatcher
 // sees: a picture of every node that is one network round-trip stale.
-// Three consequences, all deterministic, differ from the single-engine
-// Dispatcher:
+// Three consequences, all deterministic:
 //
-//   - heartbeats are reactive (hub pings, live nodes pong) rather than
-//     node-initiated, so the liveness limit allows one round-trip of
-//     pong lag on top of the miss budget;
+//   - liveness is reactive (the hub pings, live nodes pong), so the
+//     limit allows one round-trip of pong lag on top of the miss budget;
 //   - a completion can cross a deadline expiry in flight: the hub
 //     counts the timeout and re-dispatches, and the late completion is
 //     discarded by its stale booking token — the batch still reaches
@@ -40,7 +40,34 @@ import (
 //   - deadlines are armed at the dispatch decision, one hop before the
 //     node accepts.
 type ShardedDispatcher struct {
-	drv    *parsim.Driver
+	drv          *parsim.Driver
+	hop          event.Time
+	summaryEvery event.Time
+	policy       Policy // the caller's policy (multi-region trees route through clones)
+	regions      []*region
+	onDone       func(DoneInfo)
+	faults       *FaultConfig // nil until EnableFaults
+	seen         map[int]bool // fleet-wide Submit/Inject batch-ID dedupe
+	spray        int          // round-robin arrival cursor
+
+	// Fabric-fault schedule (multi-region trees only). hubCrashes is the
+	// plan's hub freeze windows — static facts every shard may read
+	// during the run: the spray, relay failover, and inject re-homing all
+	// route against the *planned* liveness of remote hubs, which is what
+	// keeps those decisions deterministic without cross-shard reads of
+	// live state. suspLimit is the beacon-silence bound after which a
+	// ring successor suspects its predecessor: miss*SummaryEvery + 2*hop
+	// (the pong-lag slack, same shape as node liveness); 0 disables
+	// suspicion.
+	hubCrashes []fault.HubCrash
+	suspLimit  event.Time
+}
+
+// region is one dispatch hub and its nodes. Everything here is hub-shard
+// state of this region: only events on its hub touch it.
+type region struct {
+	fleet  *ShardedDispatcher
+	idx    int
 	hub    *parsim.Shard
 	hop    event.Time
 	policy Policy
@@ -50,11 +77,10 @@ type ShardedDispatcher struct {
 	sns      []*shardNode
 	views    []*Node
 	bookings [][]int // per-view outstanding batch IDs in booking order
-	// homeN is how many of sns/views are this hub's own nodes (the
-	// configuration slice it was built over). Region takeover (tree.go)
-	// appends adopted ring-neighbour entries past homeN; summaries and
-	// Nodes() report home nodes only, so every node is reported exactly
-	// once fleet-wide no matter who adopted it.
+	// homeN is how many of sns/views are this region's own nodes. Region
+	// takeover (tree.go) appends adopted ring-neighbour entries past
+	// homeN; summaries and Nodes() report home nodes only, so every node
+	// is reported exactly once fleet-wide no matter who adopted it.
 	homeN int
 	cfgs  []NodeConfig // retained for prebuilding adoptee views (tree.go)
 	// estimating: the policy carries the UsesEstimates marker, so every
@@ -78,13 +104,34 @@ type ShardedDispatcher struct {
 	timeouts     int
 	tenants      map[string]*tenantCounts
 
-	// Hub-tree wiring (tree.go). On the user-facing handle of a
-	// hierarchical fleet, tree holds the regional sub-dispatchers and
-	// hub is nil; on each region, reg holds its place in the tree. Both
-	// nil on the flat single-hub fabric, which takes none of the tree
-	// code paths.
-	tree *hubTree
-	reg  *regionState
+	// Cross-region state (tree.go): beliefs about sibling load, ring
+	// neighbours, overflow counters, and the hub-crash and takeover
+	// bookkeeping. All of it stays idle in a one-region tree.
+	beliefs    []int     // believed outstanding per region; -1 unknown
+	peers      []*region // ring neighbours, cached at prepare
+	lastBeacon int       // last load value beaconed; -1 before the first
+	stolen     int       // batches forwarded away (tests read this)
+	taken      int       // batches received by forwarding
+
+	// down marks the hub frozen: lossy inputs (echoes, pongs, beacons)
+	// are lost, reliable inputs and local routing decisions park and
+	// replay in arrival order at revival.
+	down   bool
+	parked []func()
+
+	// peerLast is the last beacon-receipt instant per region; a ring
+	// predecessor silent past suspLimit is suspected, and this region —
+	// its ring successor — adopts its nodes. Adoption is sticky for the
+	// run: beliefs may heal, but shared routing stays safe because every
+	// booking carries its home (sn.homes).
+	peerLast []event.Time
+	suspect  []bool
+	adopted  []bool
+	adoptees map[int][]adoptee // prebuilt per ring predecessor (prepare)
+
+	hubCrashes int // freeze windows applied to this hub
+	takeovers  int // ring-predecessor regions this hub adopted
+	rehomed    int // relays/injections re-homed through or away from this hub
 }
 
 // shardNode binds one real node to its shard. tokens and attempts are
@@ -105,10 +152,10 @@ type shardNode struct {
 	homes    map[int]echoHome
 }
 
-// echoHome is one booking's return address: the dispatching hub and the
-// batch's view index there.
+// echoHome is one booking's return address: the dispatching region and
+// the batch's view index there.
 type echoHome struct {
-	d   *ShardedDispatcher
+	r   *region
 	idx int
 }
 
@@ -177,15 +224,15 @@ type ShardConfig struct {
 	Hop event.Time
 	// Hubs splits the fleet into that many regional sub-hubs, each
 	// owning a contiguous equal slice of the nodes and making routing
-	// decisions locally (see tree.go). 0 or 1 keeps the flat
-	// single-hub fabric. Hubs must evenly divide the node count.
+	// decisions locally (see tree.go). 0 or 1 is the flat single-hub
+	// fleet. Hubs must evenly divide the node count.
 	Hubs int
 	// HubFanout optionally pins nodes-per-hub; 0 derives it from Hubs.
 	// When both are set, Hubs x HubFanout must equal the node count.
 	HubFanout int
 	// SummaryEvery is the hub-tree beacon period (belief broadcasts and
 	// batched completion echoes). 0 means DefaultSummaryEvery. Ignored
-	// by the flat fabric.
+	// by a one-region fleet.
 	SummaryEvery event.Time
 }
 
@@ -204,12 +251,12 @@ func (sc ShardConfig) summaryEvery() event.Time {
 }
 
 // NewShardedDispatcher builds a fleet with one engine shard per node
-// plus a hub shard for the dispatcher, advanced by a parsim driver with
-// the given worker count. The result is byte-for-byte equivalent across
-// worker counts, including Workers=1. With sc.Hubs > 1 the fleet is a
-// hub tree instead (see tree.go): the returned handle fans Submit out
-// over regional sub-dispatchers, each with its own hub shard over a
-// contiguous slice of the nodes. Invalid topologies panic; use
+// plus one hub shard per region, advanced by a parsim driver with the
+// given worker count. The result is byte-for-byte equivalent across
+// worker counts, including Workers=1. sc.Hubs sets the region count;
+// shard order is regions in index order, hub first then its nodes, so
+// shard IDs — and with them every canonical merge tie-break — are a
+// pure function of the topology. Invalid topologies panic; use
 // ValidateTopology for an error-returning precheck.
 func NewShardedDispatcher(policy Policy, adm Admission, sc ShardConfig, cfgs ...NodeConfig) *ShardedDispatcher {
 	if policy == nil {
@@ -222,8 +269,13 @@ func NewShardedDispatcher(policy Policy, adm Admission, sc ShardConfig, cfgs ...
 	if err != nil {
 		panic(err.Error())
 	}
-	hop := sc.hop()
-	drv := parsim.NewDriver(hop, sc.Workers)
+	d := &ShardedDispatcher{
+		drv:          parsim.NewDriver(sc.hop(), sc.Workers),
+		hop:          sc.hop(),
+		summaryEvery: sc.summaryEvery(),
+		policy:       policy,
+		seen:         map[int]bool{},
+	}
 	// Fill in default node names against the whole fleet before any
 	// region slicing, so "node7" means the same node at every topology.
 	named := make([]NodeConfig, len(cfgs))
@@ -233,28 +285,25 @@ func NewShardedDispatcher(policy Policy, adm Admission, sc ShardConfig, cfgs ...
 		}
 		named[i] = cfg
 	}
-	if hubs <= 1 {
-		return newRegion(drv, policy, adm, hop, named)
+	for r := 0; r < hubs; r++ {
+		p := policy
+		if hubs > 1 {
+			p = clonePolicy(policy)
+		}
+		d.regions = append(d.regions, d.newRegion(r, p, adm, named[r*fanout:(r+1)*fanout]))
 	}
-	return newHubTree(drv, policy, adm, hop, sc.summaryEvery(), hubs, fanout, named)
+	return d
 }
 
-// newRegion builds one hub shard plus its node shards on the shared
-// driver — the whole fleet when flat, one region of the tree otherwise.
-func newRegion(drv *parsim.Driver, policy Policy, adm Admission, hop event.Time, cfgs []NodeConfig) *ShardedDispatcher {
-	d := &ShardedDispatcher{
-		drv:    drv,
-		hub:    drv.AddShard(),
-		hop:    hop,
-		policy: policy,
-		adm:    adm,
-		trk:    map[int]*tracker{},
+// newRegion builds one hub shard plus its node shards on the driver.
+func (d *ShardedDispatcher) newRegion(idx int, policy Policy, adm Admission, cfgs []NodeConfig) *region {
+	r := &region{
+		fleet: d, idx: idx, hub: d.drv.AddShard(), hop: d.hop, policy: policy, adm: adm,
+		homeN: len(cfgs), cfgs: cfgs, estimating: policyUsesEstimates(policy),
+		trk: map[int]*tracker{}, lastBeacon: -1,
 	}
-	d.estimating = policyUsesEstimates(policy)
-	d.homeN = len(cfgs)
-	d.cfgs = cfgs
-	for i, cfg := range cfgs {
-		shard := drv.AddShard()
+	for _, cfg := range cfgs {
+		shard := d.drv.AddShard()
 		sn := &shardNode{
 			node:     NewNode(shard.Engine(), cfg),
 			shard:    shard,
@@ -262,26 +311,25 @@ func newRegion(drv *parsim.Driver, policy Policy, adm Admission, hop event.Time,
 			attempts: map[int]int{},
 			homes:    map[int]echoHome{},
 		}
-		d.sns = append(d.sns, sn)
-		d.views = append(d.views, newView(cfg))
-		d.bookings = append(d.bookings, nil)
-		d.wireNode(i, sn)
+		r.sns = append(r.sns, sn)
+		r.views = append(r.views, newView(cfg))
+		r.bookings = append(r.bookings, nil)
+		wireNode(sn)
 	}
-	return d
+	return r
 }
 
-// wireNode replaces the node's runtime hooks (installed by NewNode for
-// the same-engine fabric) with mailbox-sending ones. The hooks run on
-// the node's shard and only touch node-shard state; everything bound
-// for a hub crosses through Send. Echoes route to the booking's home —
-// the hub that dispatched the batch, recorded per batch in sn.homes —
-// which is always this node's own region until a takeover books
-// foreign work here.
-func (d *ShardedDispatcher) wireNode(idx int, sn *shardNode) {
+// wireNode installs the node's runtime hooks. They run on the node's
+// shard and only touch node-shard state; everything bound for a hub
+// crosses through Send. Echoes route to the booking's home — the hub
+// that dispatched the batch, recorded per batch in sn.homes — which is
+// always this node's own region until a takeover books foreign work
+// here.
+func wireNode(sn *shardNode) {
 	rt := sn.node.rt
 	rt.OnStart = func(b *runtime.Batch, at event.Time) {
 		h, ok := sn.homes[b.ID]
-		if !ok || !h.d.estimating {
+		if !ok || !h.r.estimating {
 			return
 		}
 		token, ok := sn.tokens[b.ID]
@@ -289,10 +337,10 @@ func (d *ShardedDispatcher) wireNode(idx int, sn *shardNode) {
 			return
 		}
 		id := b.ID
-		hub, hidx := h.d, h.idx
-		// EarliestTo, not a fixed hop: on the hub tree the node->hub
-		// echo edge is beacon-gridded, and this is now + hop on the
-		// flat fabric either way.
+		hub, hidx := h.r, h.idx
+		// EarliestTo, not a fixed hop: on a multi-region tree the
+		// node->hub echo edge is beacon-gridded, and this is now + hop on
+		// the one-region tree either way.
 		sn.shard.Send(hub.hub, sn.shard.EarliestTo(hub.hub), func() { hub.onStarted(hidx, id, token, at) })
 	}
 	rt.OnComplete = func(res runtime.BatchResult, err error) {
@@ -306,12 +354,10 @@ func (d *ShardedDispatcher) wireNode(idx int, sn *shardNode) {
 		delete(sn.attempts, res.ID)
 		delete(sn.homes, res.ID)
 		failed := err != nil
-		hub, hidx := h.d, h.idx
+		hub, hidx := h.r, h.idx
 		// The echo carries the full execution record: the hub's OnDone
 		// observers (the serving front end) read per-job spans from it.
-		// The node shard never touches res again, so the hub may. The
-		// EarliestTo bound rides the beacon grid on the hub tree and is
-		// now + hop on the flat fabric.
+		// The node shard never touches res again, so the hub may.
 		sn.shard.Send(hub.hub, sn.shard.EarliestTo(hub.hub), func() { hub.onCompleted(hidx, res, failed, token) })
 	}
 }
@@ -330,108 +376,85 @@ func (d *ShardedDispatcher) Hop() event.Time { return d.hop }
 // Between construction and Run their state is safe to read; during Run
 // it belongs to the node shards.
 func (d *ShardedDispatcher) Nodes() []*Node {
-	if d.tree != nil {
-		var nodes []*Node
-		for _, r := range d.tree.regions {
-			nodes = append(nodes, r.Nodes()...)
+	var nodes []*Node
+	for _, r := range d.regions {
+		for _, sn := range r.sns[:r.homeN] {
+			nodes = append(nodes, sn.node)
 		}
-		return nodes
-	}
-	nodes := make([]*Node, d.homeN)
-	for i, sn := range d.sns[:d.homeN] {
-		nodes[i] = sn.node
 	}
 	return nodes
 }
 
-// Submit registers a batch arrival at b.Arrival on the hub. Must be
-// called before Run; same contract as Dispatcher.Submit.
-func (d *ShardedDispatcher) Submit(b *runtime.Batch) error {
-	if d.tree != nil {
-		return d.tree.submit(b)
-	}
+// admit validates a batch fleet-wide. A nil or empty batch, or a batch
+// ID already submitted, is rejected — IDs key the exactly-once
+// accounting.
+func (d *ShardedDispatcher) admit(b *runtime.Batch) error {
 	if b == nil {
 		return runtime.ErrNilBatch
 	}
 	if len(b.Jobs) == 0 {
 		return fmt.Errorf("%w (batch %d)", runtime.ErrEmptyBatch, b.ID)
 	}
-	if _, dup := d.trk[b.ID]; dup {
+	if d.seen[b.ID] {
 		return fmt.Errorf("cluster: duplicate batch ID %d", b.ID)
 	}
-	tr := &tracker{b: b}
-	d.trk[b.ID] = tr
-	d.pending++
-	d.submitted++
-	if c := bumpTenant(&d.tenants, b.Tenant); c != nil {
-		c.submitted++
-	}
-	if b.Arrival > d.lastArrival {
-		d.lastArrival = b.Arrival
-	}
-	d.hub.Engine().At(b.Arrival, func() { d.dispatch(b, 0, nil) })
+	d.seen[b.ID] = true
 	return nil
 }
 
-// HubEngine returns the hub shard's engine. Front ends seed arrival
-// events here before Run; during Run only events already executing on
-// the hub may touch it. On a hub tree this is region 0's hub — the
-// region that hosts hub-resident front ends (internal/serve).
-func (d *ShardedDispatcher) HubEngine() *event.Engine {
-	if d.tree != nil {
-		return d.tree.regions[0].HubEngine()
+// Submit registers a batch arrival at b.Arrival. Must be called before
+// Run; arrivals may be submitted in any order. Arrivals are sprayed
+// round-robin over the regions in submission order (see sprayTarget).
+func (d *ShardedDispatcher) Submit(b *runtime.Batch) error {
+	if err := d.admit(b); err != nil {
+		return err
 	}
-	return d.hub.Engine()
+	r := d.sprayTarget(b.Arrival)
+	r.track(b, b.Arrival)
+	r.hub.Engine().At(b.Arrival, func() { r.dispatch(b, 0, nil) })
+	return nil
 }
+
+// HubEngine returns region 0's hub engine — the region that hosts
+// hub-resident front ends (internal/serve). Front ends seed arrival
+// events here before Run; during Run only events already executing on
+// that hub may touch it.
+func (d *ShardedDispatcher) HubEngine() *event.Engine { return d.regions[0].hub.Engine() }
 
 // RecordAssignments makes every node retain per-job schedule
 // assignments on its batch results, so completion echoes carry the
 // observed per-job spans the serving front end inverts for online
 // retraining. Call before Run.
 func (d *ShardedDispatcher) RecordAssignments() {
-	if d.tree != nil {
-		for _, r := range d.tree.regions {
-			r.RecordAssignments()
-		}
-		return
-	}
-	for _, sn := range d.sns {
-		sn.node.rt.KeepAssignments = true
+	for _, n := range d.Nodes() {
+		n.rt.KeepAssignments = true
 	}
 }
 
 // Inject admits a batch at the current hub time — the entry point for
 // hub-resident front ends (internal/serve) that form batches online
-// during the run. It must be called from an event executing on the hub
-// shard (or before Run). Same validation contract as Submit; b.Arrival
-// should already be set for latency accounting.
+// during the run. It must be called from an event executing on region
+// 0's hub (or before Run). Same validation contract as Submit;
+// b.Arrival should already be set for latency accounting. While region
+// 0's hub is frozen, ownership re-homes to the lowest planned-live
+// region over a reliable edge; the batch may still migrate later by
+// overflow forwarding.
 func (d *ShardedDispatcher) Inject(b *runtime.Batch) error {
-	if d.tree != nil {
-		// Hub-resident front ends live on region 0's shard; their batches
-		// enter there (re-homing to the lowest live region when region
-		// 0's hub is frozen) and may still migrate by overflow forwarding.
-		return d.tree.inject(b)
+	if err := d.admit(b); err != nil {
+		return err
 	}
-	if b == nil {
-		return runtime.ErrNilBatch
+	r0 := d.regions[0]
+	if r0.down {
+		if li := d.lowestLiveAt(r0.hub.Engine().Now()); li != 0 {
+			dst := d.regions[li]
+			r0.rehomed++
+			r0.hub.SendReliable(dst.hub, r0.hub.EarliestTo(dst.hub), func() { dst.receiveInject(b) })
+			return nil
+		}
+		// Every hub frozen: fall through — region 0 parks the dispatch.
 	}
-	if len(b.Jobs) == 0 {
-		return fmt.Errorf("%w (batch %d)", runtime.ErrEmptyBatch, b.ID)
-	}
-	if _, dup := d.trk[b.ID]; dup {
-		return fmt.Errorf("cluster: duplicate batch ID %d", b.ID)
-	}
-	tr := &tracker{b: b}
-	d.trk[b.ID] = tr
-	d.pending++
-	d.submitted++
-	if c := bumpTenant(&d.tenants, b.Tenant); c != nil {
-		c.submitted++
-	}
-	if now := d.hub.Engine().Now(); now > d.lastArrival {
-		d.lastArrival = now
-	}
-	d.dispatch(b, 0, nil)
+	r0.track(b, r0.hub.Engine().Now())
+	r0.dispatch(b, 0, nil)
 	return nil
 }
 
@@ -440,45 +463,36 @@ func (d *ShardedDispatcher) Inject(b *runtime.Batch) error {
 // while the horizon is ahead, so an open-loop front end injecting
 // batches mid-run keeps failure detection alive even across idle gaps.
 func (d *ShardedDispatcher) ExtendHorizon(t event.Time) {
-	if d.tree != nil {
-		for _, r := range d.tree.regions {
-			r.ExtendHorizon(t)
+	for _, r := range d.regions {
+		if t > r.lastArrival {
+			r.lastArrival = t
 		}
-		return
-	}
-	if t > d.lastArrival {
-		d.lastArrival = t
 	}
 }
 
 // PredictedCompletion estimates the earliest completion time of a batch
-// of jobs if injected right now: over the currently eligible views,
-// hub-now plus one dispatch hop plus the view's predicted drain plus
-// the idle-node cost estimate of the jobs. The second result is false
-// when no view is eligible (the batch would shed or retry). Meaningful
-// with estimate-booking policies; estimate-blind policies see drains of
-// zero. Must run on the hub (inside an event during Run, or before Run).
+// of jobs if injected right now: over region 0's currently eligible
+// views, hub-now plus one dispatch hop plus the view's predicted drain
+// plus the idle-node cost estimate of the jobs. Region 0's views are the
+// front end's one-round-trip-fresh picture; remote regions are only
+// reachable by overflow forwarding anyway. The second result is false
+// when no view is eligible (the batch would shed or retry) or region
+// 0's hub is frozen. Meaningful with estimate-booking policies;
+// estimate-blind policies see drains of zero. Must run on region 0's
+// hub (inside an event during Run, or before Run).
 func (d *ShardedDispatcher) PredictedCompletion(jobs []*sched.Job) (event.Time, bool) {
-	if d.tree != nil {
-		// Admission rides the local sub-hub predictor: region 0's views
-		// are the front end's one-round-trip-fresh picture; remote
-		// regions are only reachable by overflow forwarding anyway. A
-		// frozen region-0 hub predicts nothing — the front end sheds at
-		// admission until the hub restarts.
-		r0 := d.tree.regions[0]
-		if r0.reg != nil && r0.reg.down {
-			return 0, false
-		}
-		return r0.PredictedCompletion(jobs)
+	r := d.regions[0]
+	if r.down {
+		return 0, false
 	}
-	now := d.hub.Engine().Now()
+	now := r.hub.Engine().Now()
 	probe := &runtime.Batch{ID: -1, Arrival: now, Jobs: jobs}
 	best, found := event.Time(0), false
-	for _, v := range d.views {
-		if !d.eligible(v, probe) {
+	for _, v := range r.views {
+		if !r.eligible(v, probe) {
 			continue
 		}
-		at := now + d.hop + v.PredictedDrain(now) + v.EstimateCost(jobs)
+		at := now + r.hop + v.PredictedDrain(now) + v.EstimateCost(jobs)
 		if !found || at < best {
 			best, found = at, true
 		}
@@ -486,92 +500,160 @@ func (d *ShardedDispatcher) PredictedCompletion(jobs []*sched.Job) (event.Time, 
 	return best, found
 }
 
+// OnDone registers the terminal-state observer. Set before Run; the
+// hook runs inside region 0's hub events, so it may legally call
+// Inject, PredictedCompletion, and the hub engine. Region 0's own
+// settles call it directly; sibling regions relay theirs over a peer
+// edge.
+func (d *ShardedDispatcher) OnDone(fn func(DoneInfo)) { d.onDone = fn }
+
+// Run advances all shards to quiescence — in parallel for Workers > 1 —
+// and merges the regional summaries in region order, which is node
+// configuration order. Execution facts (latency results, busy time,
+// crashes, lost arrays) come from the node shards; failure attribution
+// and terminal-state counters from the hubs.
+func (d *ShardedDispatcher) Run() Summary {
+	d.prepare()
+	d.drv.Run()
+	s := Summary{Policy: d.policy.Name()}
+	var rollups []nodeRollup
+	var tenants map[string]*tenantCounts
+	for _, r := range d.regions {
+		s.Submitted += r.submitted
+		s.Completed += r.completed
+		s.Shed += r.shed
+		s.Retries += r.retries
+		s.Redispatches += r.redispatches
+		s.DeadLettered += r.deadLettered
+		s.ExecErrors += r.execErrors
+		s.Timeouts += r.timeouts
+		s.HubCrashes += r.hubCrashes
+		s.Takeovers += r.takeovers
+		s.Rehomed += r.rehomed
+		rollups = append(rollups, r.rollups()...)
+		for name, c := range r.tenants {
+			m := bumpTenant(&tenants, name)
+			m.submitted += c.submitted
+			m.completed += c.completed
+			m.shed += c.shed
+			m.deadLettered += c.deadLettered
+			m.redispatches += c.redispatches
+		}
+	}
+	return summarize(s, rollups, tenants)
+}
+
+// rollups assembles the per-node summary rows for this hub's home
+// nodes; adopted entries past homeN are reported by their home region.
+func (r *region) rollups() []nodeRollup {
+	rollups := make([]nodeRollup, 0, r.homeN)
+	for i, sn := range r.sns[:r.homeN] {
+		v := r.views[i]
+		nr := nodeRollup{
+			name: sn.node.Name, rt: sn.node.rt.Summarize(), busy: sn.node.busy,
+			failures: v.failures, crashes: sn.node.crashes, arraysLost: sn.node.arraysLost,
+			lostByTarget: lostRollup(sn.node.Sys),
+		}
+		if r.faults != nil {
+			nr.health = mergedHealth(sn.node, v).String()
+		}
+		rollups = append(rollups, nr)
+	}
+	return rollups
+}
+
+// track opens a batch's tracker on this region's hub: from here the
+// region owns the batch's accounting until exactly one settle.
+func (r *region) track(b *runtime.Batch, at event.Time) {
+	r.trk[b.ID] = &tracker{b: b}
+	r.pending++
+	r.submitted++
+	if c := bumpTenant(&r.tenants, b.Tenant); c != nil {
+		c.submitted++
+	}
+	if at > r.lastArrival {
+		r.lastArrival = at
+	}
+}
+
 // finish moves a batch to a terminal state exactly once.
-func (d *ShardedDispatcher) finish(tr *tracker) bool {
+func (r *region) finish(tr *tracker) bool {
 	if tr.done {
 		return false
 	}
 	tr.done = true
-	d.pending--
+	r.pending--
 	return true
 }
 
 // settle finishes a batch into the given outcome, credits the counter,
 // and notifies the OnDone observer. Exactly one settle succeeds per
 // batch.
-func (d *ShardedDispatcher) settle(tr *tracker, o Outcome, node string, res runtime.BatchResult) bool {
-	if !d.finish(tr) {
+func (r *region) settle(tr *tracker, o Outcome, node string, res runtime.BatchResult) bool {
+	if !r.finish(tr) {
 		return false
 	}
-	c := bumpTenant(&d.tenants, tr.b.Tenant)
+	c := bumpTenant(&r.tenants, tr.b.Tenant)
 	switch o {
 	case OutcomeCompleted:
-		d.completed++
+		r.completed++
 		if c != nil {
 			c.completed++
 		}
 	case OutcomeShed:
-		d.shed++
+		r.shed++
 		if c != nil {
 			c.shed++
 		}
 	default:
-		d.deadLettered++
+		r.deadLettered++
 		if c != nil {
 			c.deadLettered++
 		}
 	}
-	if d.onDone != nil {
-		d.onDone(DoneInfo{Batch: tr.b, Outcome: o, At: d.hub.Engine().Now(), Node: node, Result: res})
+	if r.onDone != nil {
+		r.onDone(DoneInfo{Batch: tr.b, Outcome: o, At: r.hub.Engine().Now(), Node: node, Result: res})
 	}
 	return true
 }
 
-// OnDone registers the hub-side terminal-state observer. Set before Run;
-// the hook runs inside hub events, so it may legally call Inject,
-// PredictedCompletion, and the hub engine. On a hub tree the hook runs
-// on region 0's shard: its own settles call it directly, sibling
-// regions relay theirs over a peer edge.
-func (d *ShardedDispatcher) OnDone(fn func(DoneInfo)) {
-	if d.tree != nil {
-		d.tree.onDone = fn
-		return
-	}
-	d.onDone = fn
-}
-
-// eligible mirrors Dispatcher.eligible against a view.
-func (d *ShardedDispatcher) eligible(v *Node, b *runtime.Batch) bool {
-	if v.Outstanding() >= d.adm.queueCap() || !v.CanRun(b.Jobs) {
+// eligible reports whether a view may be offered this batch right now.
+// Routing sees the monitor's belief, not ground truth: a crashed node
+// stays routable until its pongs go silent past the liveness limit.
+func (r *region) eligible(v *Node, b *runtime.Batch) bool {
+	if v.Outstanding() >= r.adm.queueCap() || !v.CanRun(b.Jobs) {
 		return false
 	}
-	if d.faults != nil {
-		if v.detectedDown || !v.breaker.Allow(d.hub.Engine().Now()) {
+	if r.faults != nil {
+		if v.detectedDown || !v.breaker.Allow(r.hub.Engine().Now()) {
 			return false
 		}
 	}
 	return true
 }
 
-// dispatch routes one arrival from the hub: policy pick over the views,
-// book the estimate hub-side, and send the batch to the chosen node's
-// shard. The booking token (the tracker generation) travels with the
-// batch; completions echo it back so the hub can discard echoes of
-// bookings it has since abandoned.
-func (d *ShardedDispatcher) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
+// dispatch routes one arrival from the hub: filter to eligible views
+// (a re-dispatched batch avoids the node it just failed on unless that
+// node is the only eligible one), let the policy pick, book the
+// estimate hub-side, and send the batch to the chosen node's shard. The
+// booking token (the tracker generation) travels with the batch;
+// completions echo it back so the hub can discard echoes of bookings it
+// has since abandoned. When no view is eligible the batch overflows to a
+// sibling region, then falls back to bounded retry, then sheds.
+func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 	// A frozen hub processes nothing: routing decisions (arrivals, retry
 	// timers, re-dispatches) park and replay in order at revival.
-	if rs := d.reg; rs != nil && rs.down {
-		rs.parked = append(rs.parked, func() { d.dispatch(b, attempt, avoid) })
+	if r.down {
+		r.parked = append(r.parked, func() { r.dispatch(b, attempt, avoid) })
 		return
 	}
-	tr := d.trk[b.ID]
+	tr := r.trk[b.ID]
 	if tr == nil || tr.done {
 		return
 	}
 	var eligible, fallback []*Node
-	for _, v := range d.views {
-		if !d.eligible(v, b) {
+	for _, v := range r.views {
+		if !r.eligible(v, b) {
 			continue
 		}
 		if v == avoid {
@@ -584,44 +666,41 @@ func (d *ShardedDispatcher) dispatch(b *runtime.Batch, attempt int, avoid *Node)
 		eligible = fallback
 	}
 	if len(eligible) == 0 {
-		// A saturated region offers the batch to a less-loaded sibling
-		// before burning local retries (no-op on the flat fabric).
-		if d.reg != nil && d.tryForward(tr) {
+		if r.tryForward(tr) {
 			return
 		}
-		if attempt < d.adm.MaxRetries {
-			d.retries++
-			d.hub.Engine().After(retryDelay(d.adm.backoff(), attempt), func() { d.dispatch(b, attempt+1, avoid) })
+		if attempt < r.adm.MaxRetries {
+			r.retries++
+			r.hub.Engine().After(retryDelay(r.adm.backoff(), attempt), func() { r.dispatch(b, attempt+1, avoid) })
 			return
 		}
-		d.settle(tr, OutcomeShed, "", runtime.BatchResult{})
+		r.settle(tr, OutcomeShed, "", runtime.BatchResult{})
 		return
 	}
-	v := d.policy.Pick(eligible, b, d.hub.Engine().Now())
-	idx := d.viewIndex(v)
+	v := r.policy.Pick(eligible, b, r.hub.Engine().Now())
+	idx := r.viewIndex(v)
 	tr.node, tr.idx = v, idx
 	tr.gen++
 	tr.attempts++
 	token := tr.gen
-	if d.faults != nil {
+	if r.faults != nil {
 		v.breaker.OnPick()
-		if dl := d.faults.Deadline; dl > 0 {
+		if dl := r.faults.Deadline; dl > 0 {
 			gen := tr.gen
-			d.hub.Engine().After(dl, func() { d.onDeadline(tr, gen) })
+			r.hub.Engine().After(dl, func() { r.onDeadline(tr, gen) })
 		}
 	}
-	if d.estimating {
+	if r.estimating {
 		est := v.EstimateCost(b.Jobs)
 		v.estimates[b.ID] = est
 		v.predicted += est
 	}
 	v.queued++
-	v.accepted++
-	d.bookings[idx] = append(d.bookings[idx], b.ID)
+	r.bookings[idx] = append(r.bookings[idx], b.ID)
 	attemptIdx := tr.attempts - 1
-	sn := d.sns[idx]
-	home := echoHome{d: d, idx: idx}
-	d.hub.SendAfter(sn.shard, d.hop, func() {
+	sn := r.sns[idx]
+	home := echoHome{r: r, idx: idx}
+	r.hub.SendAfter(sn.shard, r.hop, func() {
 		sn.tokens[b.ID] = token
 		sn.attempts[b.ID] = attemptIdx
 		sn.homes[b.ID] = home
@@ -633,8 +712,8 @@ func (d *ShardedDispatcher) dispatch(b *runtime.Batch, attempt int, avoid *Node)
 
 // viewIndex locates a view's node index. The fleet is small (policy
 // Pick is already O(nodes)), so a scan beats carrying a map around.
-func (d *ShardedDispatcher) viewIndex(v *Node) int {
-	for i, x := range d.views {
+func (r *region) viewIndex(v *Node) int {
+	for i, x := range r.views {
 		if x == v {
 			return i
 		}
@@ -646,14 +725,14 @@ func (d *ShardedDispatcher) viewIndex(v *Node) int {
 // queued count, and the booking-order entry. Exactly one release
 // happens per booking — completion, deadline, or eviction, whichever
 // the token/generation guards let through first.
-func (d *ShardedDispatcher) release(idx, id int) {
-	v := d.views[idx]
+func (r *region) release(idx, id int) {
+	v := r.views[idx]
 	v.abandon(id)
 	v.queued--
-	ids := d.bookings[idx]
+	ids := r.bookings[idx]
 	for i, x := range ids {
 		if x == id {
-			d.bookings[idx] = append(ids[:i], ids[i+1:]...)
+			r.bookings[idx] = append(ids[:i], ids[i+1:]...)
 			break
 		}
 	}
@@ -662,23 +741,25 @@ func (d *ShardedDispatcher) release(idx, id int) {
 // onStarted updates the view's drain tracking when the node reports a
 // batch entering execution. at is node time; the view keeps it as the
 // run start so PredictedDrain subtracts real elapsed execution.
-func (d *ShardedDispatcher) onStarted(idx, id, token int, at event.Time) {
-	if rs := d.reg; rs != nil && rs.down {
+func (r *region) onStarted(idx, id, token int, at event.Time) {
+	if r.down {
 		return // a frozen hub loses its echoes
 	}
-	tr := d.trk[id]
+	tr := r.trk[id]
 	if tr == nil || tr.done || tr.gen != token {
 		return
 	}
-	v := d.views[idx]
+	v := r.views[idx]
 	v.runningID, v.runStart = id, at
 }
 
 // onCompleted settles a completion echo on the hub. A stale token means
 // the hub already abandoned that booking (deadline or eviction) — the
 // echo is dropped and whatever path superseded it owns the batch.
-func (d *ShardedDispatcher) onCompleted(idx int, res runtime.BatchResult, failed bool, token int) {
-	if rs := d.reg; rs != nil && rs.down {
+// Success closes the breaker and completes the batch; an execution error
+// counts against the node and sends the batch back through routing.
+func (r *region) onCompleted(idx int, res runtime.BatchResult, failed bool, token int) {
+	if r.down {
 		// A completion echo lost to the freeze: the revival sweep cannot
 		// know this booking finished, so it will abort node-side (a
 		// no-op — the node already dropped the token) and re-dispatch.
@@ -686,343 +767,34 @@ func (d *ShardedDispatcher) onCompleted(idx int, res runtime.BatchResult, failed
 		return
 	}
 	id := res.ID
-	tr := d.trk[id]
+	tr := r.trk[id]
 	if tr == nil || tr.done || tr.gen != token {
 		return
 	}
 	tr.gen++ // disarm the deadline for this booking
-	v := d.views[idx]
-	d.release(idx, id)
+	v := r.views[idx]
+	r.release(idx, id)
 	if !failed {
-		if d.faults != nil {
+		if r.faults != nil {
 			v.breaker.OnSuccess()
 		}
-		d.settle(tr, OutcomeCompleted, v.Name, res)
+		r.settle(tr, OutcomeCompleted, v.Name, res)
 		return
 	}
-	d.execErrors++
+	r.execErrors++
 	v.failures++
-	if d.faults == nil {
-		d.settle(tr, OutcomeDeadLettered, "", runtime.BatchResult{})
+	if r.faults == nil {
+		// An execution error without failure-aware mode has no
+		// re-dispatch budget; the batch is lost to the dead letter queue.
+		r.settle(tr, OutcomeDeadLettered, "", runtime.BatchResult{})
 		return
 	}
-	v.breaker.OnFailure(d.hub.Engine().Now())
-	d.redispatch(tr, v)
+	v.breaker.OnFailure(r.hub.Engine().Now())
+	r.redispatch(tr, v)
 }
 
-// onDeadline fires on the hub when a booking's completion deadline
-// lapses without an accepted completion echo.
-func (d *ShardedDispatcher) onDeadline(tr *tracker, gen int) {
-	if rs := d.reg; rs != nil && rs.down {
-		// Skip, don't park: the booking is still in the ledger, so the
-		// revival sweep will abort and re-dispatch it anyway.
-		return
-	}
-	if tr.done || tr.gen != gen {
-		return
-	}
-	idx, v := tr.idx, tr.node
-	d.timeouts++
-	v.failures++
-	v.breaker.OnFailure(d.hub.Engine().Now())
-	id := tr.b.ID
-	sn := d.sns[idx]
-	d.hub.SendAfter(sn.shard, d.hop, func() {
-		delete(sn.tokens, id)
-		delete(sn.attempts, id)
-		delete(sn.homes, id)
-		sn.node.rt.Abort(id)
-	})
-	d.release(idx, id)
-	d.redispatch(tr, v)
-}
-
-// redispatch sends a failed batch back through routing with the same
-// budget rules as the single-engine dispatcher.
-func (d *ShardedDispatcher) redispatch(tr *tracker, avoid *Node) {
-	if tr.redispatches >= d.faults.maxRedispatch() {
-		d.settle(tr, OutcomeDeadLettered, "", runtime.BatchResult{})
-		return
-	}
-	tr.redispatches++
-	d.redispatches++
-	if c := bumpTenant(&d.tenants, tr.b.Tenant); c != nil {
-		c.redispatches++
-	}
-	tr.gen++
-	d.dispatch(tr.b, 0, avoid)
-}
-
-// ticking mirrors Dispatcher.ticking on hub time.
-func (d *ShardedDispatcher) ticking() bool {
-	return d.pending > 0 || d.hub.Engine().Now() < d.lastArrival
-}
-
-// EnableFaults switches the sharded dispatcher into failure-aware mode.
-// Same contract as Dispatcher.EnableFaults; the mechanisms route
-// through the mailboxes: the fault plan is seeded into the node shards
-// (capacity faults mirrored into the hub's views at the same instants),
-// execution-error coins flip node-side with the attempt index carried
-// in the dispatch message, and liveness is hub ping -> node pong.
-func (d *ShardedDispatcher) EnableFaults(fc FaultConfig) error {
-	if d.tree != nil {
-		return d.tree.enableFaults(fc)
-	}
-	if d.faults != nil {
-		return fmt.Errorf("cluster: faults already enabled")
-	}
-	if err := fc.Plan.Validate(); err != nil {
-		return err
-	}
-	byName := map[string]int{}
-	for i, sn := range d.sns {
-		byName[sn.node.Name] = i
-	}
-	if fc.Plan != nil {
-		for _, f := range fc.Plan.ArrayFaults {
-			if _, ok := byName[f.Node]; !ok {
-				return fmt.Errorf("cluster: array fault names unknown node %q", f.Node)
-			}
-		}
-		for _, c := range fc.Plan.Crashes {
-			if _, ok := byName[c.Node]; !ok {
-				return fmt.Errorf("cluster: crash names unknown node %q", c.Node)
-			}
-		}
-		if len(fc.Plan.HubCrashes) > 0 {
-			return fmt.Errorf("%w (flat fabric)", ErrHubCrashNeedsTree)
-		}
-		shards := map[string]*parsim.Shard{"hub0": d.hub}
-		for _, sn := range d.sns {
-			shards[sn.node.Name] = sn.shard
-		}
-		if err := wireEdgeFaults(d.drv, shards, fc); err != nil {
-			return err
-		}
-	}
-	d.faults = &fc
-	execFn := fc.execFn()
-	for i, sn := range d.sns {
-		d.views[i].breaker = newBreaker(fc.breakerK(), fc.breakerCooldown())
-		if execFn != nil {
-			sn := sn
-			name := sn.node.Name
-			sn.node.rt.ExecError = func(b *runtime.Batch) error {
-				attempt := sn.attempts[b.ID]
-				if execFn(b.ID, attempt) {
-					return fmt.Errorf("cluster: batch %d failed on %s (attempt %d)",
-						b.ID, name, attempt)
-				}
-				return nil
-			}
-		}
-	}
-	d.schedulePlan(byName)
-	d.startLiveness()
-	return nil
-}
-
-// wireEdgeFaults resolves the plan's edge faults against the fabric's
-// shards — hubs under "hub<R>", nodes under their node names — and
-// schedules them on the parsim driver. Lossy faults require a dispatch
-// deadline: dropped dispatches and completion echoes are only recovered
-// by the deadline -> re-dispatch path.
-func wireEdgeFaults(drv *parsim.Driver, shards map[string]*parsim.Shard, fc FaultConfig) error {
-	if fc.Plan == nil || len(fc.Plan.EdgeFaults) == 0 {
-		return nil
-	}
-	for _, e := range fc.Plan.EdgeFaults {
-		src, ok := shards[e.From]
-		if !ok {
-			return fmt.Errorf("%w (%q)", ErrUnknownEdgeEndpoint, e.From)
-		}
-		dst, ok := shards[e.To]
-		if !ok {
-			return fmt.Errorf("%w (%q)", ErrUnknownEdgeEndpoint, e.To)
-		}
-		if e.DropProb > 0 && fc.Deadline <= 0 {
-			return fmt.Errorf("%w (%s->%s drop=%.2f)", ErrEdgeFaultNeedsDeadline, e.From, e.To, e.DropProb)
-		}
-		drv.AddEdgeFault(src, dst, parsim.EdgeFault{
-			At: e.At, Until: e.Until, DropProb: e.DropProb, Delay: e.Delay,
-			Seed: fc.Plan.Seed,
-		})
-	}
-	return nil
-}
-
-// schedulePlan seeds the fault plan into the node shards' engines —
-// crashes and capacity faults are local facts that happen at exact node
-// times — and mirrors capacity faults into the hub's views at the same
-// instants, so routing estimates degrade in lockstep with the nodes
-// (a real dispatcher would learn of them via a control-plane
-// notification; the zero-delay mirror keeps estimate behaviour
-// identical to the single-engine fabric). Crashes are deliberately not
-// mirrored: the hub's belief about liveness comes only from missed
-// pongs, as it would in production.
-func (d *ShardedDispatcher) schedulePlan(byName map[string]int) {
-	if d.faults.Plan == nil {
-		return
-	}
-	for _, f := range d.faults.Plan.ArrayFaults {
-		f := f
-		idx := byName[f.Node]
-		sn, v := d.sns[idx], d.views[idx]
-		sn.shard.Engine().At(f.At, func() {
-			n := sn.node
-			n.degrade(f.Target, f.Magnitude(n.Sys.HealthyCapacity(f.Target)))
-		})
-		d.hub.Engine().At(f.At, func() {
-			v.degrade(f.Target, f.Magnitude(v.Sys.HealthyCapacity(f.Target)))
-		})
-		if f.Transient() {
-			sn.shard.Engine().At(f.Recover, func() {
-				n := sn.node
-				n.restore(f.Target, f.Magnitude(n.Sys.HealthyCapacity(f.Target)))
-			})
-			d.hub.Engine().At(f.Recover, func() {
-				v.restore(f.Target, f.Magnitude(v.Sys.HealthyCapacity(f.Target)))
-			})
-		}
-	}
-	for _, c := range d.faults.Plan.Crashes {
-		c := c
-		sn := d.sns[byName[c.Node]]
-		sn.shard.Engine().At(c.At, sn.node.crash)
-		if c.Transient() {
-			sn.shard.Engine().At(c.Recover, func() { sn.node.revive(sn.shard.Engine().Now()) })
-		}
-	}
-}
-
-// startLiveness arms the hub's ping and monitor loops. Unlike the
-// single-engine fabric, where nodes beat into shared state, liveness is
-// a protocol: the hub pings every period, live nodes pong, and the
-// monitor declares a node dead when its last pong is older than the
-// miss budget plus one ping round-trip of slack.
-func (d *ShardedDispatcher) startLiveness() {
-	period := d.faults.heartbeat()
-	var ping func()
-	ping = func() {
-		// A frozen hub sends no pings and ignores incoming pongs; the
-		// loop itself keeps re-arming so liveness resumes at revival
-		// (the revival sweep resets every view's lastBeat first).
-		if rs := d.reg; rs == nil || !rs.down {
-			for i, sn := range d.sns {
-				i, sn := i, sn
-				d.hub.SendAfter(sn.shard, d.hop, func() {
-					if sn.node.down {
-						return
-					}
-					sn.shard.SendAfter(d.hub, d.hop, func() {
-						if rs := d.reg; rs != nil && rs.down {
-							return
-						}
-						d.views[i].lastBeat = d.hub.Engine().Now()
-					})
-				})
-			}
-		}
-		if d.ticking() {
-			d.hub.Engine().After(period, ping)
-		}
-	}
-	var monitor func()
-	monitor = func() {
-		if rs := d.reg; rs == nil || !rs.down {
-			d.monitorOnce()
-		}
-		if d.ticking() {
-			d.hub.Engine().After(period, monitor)
-		}
-	}
-	d.hub.Engine().After(period, ping)
-	d.hub.Engine().After(period, monitor)
-}
-
-// monitorOnce sweeps the views: nodes whose pongs went silent past the
-// limit are declared dead, their bookings released in booking order
-// (deterministic — never a map walk) and re-dispatched, and an evict
-// message tells the node shard to drop the stranded work. A view that
-// pongs again rejoins routing.
-func (d *ShardedDispatcher) monitorOnce() {
-	now := d.hub.Engine().Now()
-	period := d.faults.heartbeat()
-	limit := event.Time(d.faults.heartbeatMiss())*period + 2*d.hop
-	for i, v := range d.views {
-		silent := now - v.lastBeat
-		if !v.detectedDown && silent > limit {
-			v.detectedDown = true
-			sn := d.sns[i]
-			d.hub.SendAfter(sn.shard, d.hop, func() {
-				for _, b := range sn.node.rt.Evict() {
-					delete(sn.tokens, b.ID)
-					delete(sn.attempts, b.ID)
-					delete(sn.homes, b.ID)
-				}
-			})
-			ids := append([]int(nil), d.bookings[i]...)
-			for _, id := range ids {
-				tr := d.trk[id]
-				d.release(i, id)
-				if tr == nil || tr.done {
-					continue
-				}
-				tr.gen++ // invalidate the booking's deadline and echoes
-				d.redispatch(tr, v)
-			}
-		} else if v.detectedDown && silent <= limit {
-			v.detectedDown = false
-		}
-	}
-}
-
-// mergedHealth classifies a node combining ground truth held by the
-// node shard (crash flag, lost arrays) with the hub's belief (liveness,
-// breaker state) — the same verdict Node.Health gives when both live on
-// one engine.
-func mergedHealth(real, view *Node) Health {
-	if real.down || view.detectedDown {
-		return DownHealth
-	}
-	if real.arraysLost > 0 || (view.breaker != nil && view.breaker.state != breakerClosed) {
-		return Degraded
-	}
-	return Healthy
-}
-
-// Run advances all shards to quiescence — in parallel for Workers > 1 —
-// and aggregates the fleet summary. Execution facts (latency results,
-// busy time, crashes, lost arrays) come from the node shards; failure
-// attribution and terminal-state counters from the hub.
-func (d *ShardedDispatcher) Run() Summary {
-	if d.tree != nil {
-		return d.tree.run(d)
-	}
-	d.drv.Run()
-	s := Summary{Policy: d.policy.Name(), Submitted: d.submitted,
-		Completed: d.completed, Shed: d.shed, Retries: d.retries,
-		Redispatches: d.redispatches, DeadLettered: d.deadLettered,
-		ExecErrors: d.execErrors, Timeouts: d.timeouts,
-	}
-	return summarize(s, d.rollups(), d.tenants)
-}
-
-// rollups assembles the per-node summary rows for this hub's home
-// nodes; adopted entries past homeN are reported by their home region.
-func (d *ShardedDispatcher) rollups() []nodeRollup {
-	rollups := make([]nodeRollup, 0, d.homeN)
-	for i, sn := range d.sns[:d.homeN] {
-		v := d.views[i]
-		r := nodeRollup{
-			name: sn.node.Name, rt: sn.node.rt.Summarize(), busy: sn.node.busy,
-			failures: v.failures, crashes: sn.node.crashes, arraysLost: sn.node.arraysLost,
-			lostByTarget: lostRollup(sn.node.Sys),
-		}
-		if d.faults != nil {
-			r.health = mergedHealth(sn.node, v).String()
-		}
-		rollups = append(rollups, r)
-	}
-	return rollups
+// ticking reports whether the hub's periodic loops must keep running:
+// work is outstanding, or arrivals are still due.
+func (r *region) ticking() bool {
+	return r.pending > 0 || r.hub.Engine().Now() < r.lastArrival
 }

@@ -175,18 +175,7 @@ func TestTreeSplitBrainPartition(t *testing.T) {
 func TestFabricFaultErrors(t *testing.T) {
 	hubCrash := &fault.Plan{HubCrashes: []fault.HubCrash{{Region: 0, At: 1, Recover: 2}}}
 
-	// Single-engine dispatcher has no fabric at all.
-	sd := NewDispatcher(NewRoundRobin(), Admission{}, fullNode("a"))
-	if err := sd.EnableFaults(FaultConfig{Plan: hubCrash}); !errors.Is(err, ErrHubCrashNeedsTree) {
-		t.Errorf("single-engine hub crash err = %v, want ErrHubCrashNeedsTree", err)
-	}
-	sd = NewDispatcher(NewRoundRobin(), Admission{}, fullNode("a"))
-	edge := &fault.Plan{EdgeFaults: []fault.EdgeFault{{From: "hub0", To: "a", Delay: 10}}}
-	if err := sd.EnableFaults(FaultConfig{Plan: edge}); !errors.Is(err, ErrEdgeFaultNeedsFabric) {
-		t.Errorf("single-engine edge fault err = %v, want ErrEdgeFaultNeedsFabric", err)
-	}
-
-	// Flat sharded fabric has edges but only one hub.
+	// A one-region fleet has edges but only one hub.
 	flat := NewShardedDispatcher(NewRoundRobin(), Admission{}, ShardConfig{}, fullNode("a"))
 	if err := flat.EnableFaults(FaultConfig{Plan: hubCrash}); !errors.Is(err, ErrHubCrashNeedsTree) {
 		t.Errorf("flat hub crash err = %v, want ErrHubCrashNeedsTree", err)
@@ -211,8 +200,8 @@ func TestFabricFaultErrors(t *testing.T) {
 	if err := tree().EnableFaults(FaultConfig{Plan: ghost}); !errors.Is(err, ErrUnknownEdgeEndpoint) {
 		t.Errorf("unknown endpoint err = %v, want ErrUnknownEdgeEndpoint", err)
 	}
-	// A delay-only edge fault on the flat sharded fabric is legal: the
-	// flat fabric has edges (hub0 plus the node names), just one hub.
+	// A delay-only edge fault on a one-region fleet is legal: it has
+	// edges (hub0 plus the node names), just one hub.
 	flat = NewShardedDispatcher(NewRoundRobin(), Admission{}, ShardConfig{}, fullNode("a"))
 	slow := &fault.Plan{EdgeFaults: []fault.EdgeFault{{From: "hub0", To: "a", Delay: 10 * event.Microsecond}}}
 	if err := flat.EnableFaults(FaultConfig{Plan: slow}); err != nil {
@@ -249,7 +238,7 @@ func TestTreeFlashCrowdDuringFailover(t *testing.T) {
 	}
 	// Every flash-crowd arrival was sprayed at a live hub: region 1 is
 	// frozen at 2ms, so region 0 owns all 20 burst submissions.
-	r0, r1 := d.tree.regions[0], d.tree.regions[1]
+	r0, r1 := d.regions[0], d.regions[1]
 	if r0.submitted < 20 {
 		t.Errorf("live region 0 owns %d submissions, want >= 20 (burst re-sprayed)", r0.submitted)
 	}

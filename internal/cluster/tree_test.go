@@ -88,29 +88,6 @@ func TestTreeChaosConservation(t *testing.T) {
 	}
 }
 
-// TestTreeHubsOneIsFlat: Hubs 1 (and 0) take the legacy single-hub code
-// path, so existing callers keep byte-identical output by construction.
-func TestTreeHubsOneIsFlat(t *testing.T) {
-	run := func(sc ShardConfig) Summary {
-		d := NewShardedDispatcher(NewLeastOutstanding(), Admission{}, sc,
-			fullNode("a"), fullNode("b"))
-		for i := 0; i < 8; i++ {
-			if err := d.Submit(mkBatch(i, event.Time(i)*event.Millisecond, 4)); err != nil {
-				panic(err)
-			}
-		}
-		if d.tree != nil {
-			t.Fatal("Hubs<=1 built a tree")
-		}
-		return d.Run()
-	}
-	flat := run(ShardConfig{Workers: 2}).String()
-	one := run(ShardConfig{Workers: 2, Hubs: 1}).String()
-	if flat != one {
-		t.Fatalf("Hubs=1 diverges from the flat fabric:\n%s\nvs\n%s", flat, one)
-	}
-}
-
 // TestTreeStealsOverflow: a saturated region forwards its overflow to
 // the sibling instead of shedding. Region 0 (one node, queue cap 1)
 // receives two simultaneous arrivals; the second must migrate to
@@ -132,13 +109,13 @@ func TestTreeStealsOverflow(t *testing.T) {
 	if s.Completed != 3 {
 		t.Fatalf("completed %d of 3 (summary %v)", s.Completed, s)
 	}
-	r0, r1 := d.tree.regions[0], d.tree.regions[1]
-	if r0.reg.stolen == 0 {
-		t.Errorf("saturated region 0 never forwarded (stolen=%d)", r0.reg.stolen)
+	r0, r1 := d.regions[0], d.regions[1]
+	if r0.stolen == 0 {
+		t.Errorf("saturated region 0 never forwarded (stolen=%d)", r0.stolen)
 	}
-	if r1.reg.taken != r0.reg.stolen {
+	if r1.taken != r0.stolen {
 		t.Errorf("forward imbalance: region 0 stole %d, region 1 took %d",
-			r0.reg.stolen, r1.reg.taken)
+			r0.stolen, r1.taken)
 	}
 }
 
