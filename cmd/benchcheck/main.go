@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Fleet|Extension' . | benchcheck -baseline BENCH_BASELINE.json
-//	go test -run '^$' -bench 'Fleet|Extension' . | benchcheck -baseline BENCH_BASELINE.json -update
+//	go test -run '^$' -bench 'Fleet|Extension' -benchmem . | benchcheck -baseline BENCH_BASELINE.json
+//	go test -run '^$' -bench 'Fleet|Extension' -benchmem . | benchcheck -baseline BENCH_BASELINE.json -update
 //
 // Benchmarks present in the run but missing from the baseline are
 // reported and skipped (they cannot regress); baseline entries missing
@@ -19,6 +19,12 @@
 // dependency-free: single-sample geomean with a per-bench report,
 // which is the right weight for a CI smoke gate (full statistics need
 // -count >= 10 and a real benchstat run).
+//
+// Runs with -benchmem also carry allocs/op. Allocation counts are
+// deterministic, unlike ns/op, so they take a tight per-benchmark gate:
+// a benchmark whose allocs/op exceeds its baseline by more than
+// allocTolerance percent fails. A baseline without allocation counts
+// skips that gate.
 package main
 
 import (
@@ -34,20 +40,30 @@ import (
 	"strconv"
 )
 
-// Baseline is the committed reference: benchmark name (with the -P GOMAXPROCS
-// suffix stripped) to ns/op.
+// allocTolerance is the percentage by which a benchmark's allocs/op may
+// exceed its baseline count.
+const allocTolerance = 10
+
+// Baseline is the committed reference: benchmark name (with the -P
+// GOMAXPROCS suffix stripped) to ns/op and, from -benchmem runs, to
+// allocs/op. A parsed run has the same shape.
 type Baseline struct {
 	// Note explains how the file was produced; carried through -update.
-	Note    string             `json:"note,omitempty"`
-	NsPerOp map[string]float64 `json:"ns_per_op"`
+	Note        string             `json:"note,omitempty"`
+	NsPerOp     map[string]float64 `json:"ns_per_op"`
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 // benchLine matches `BenchmarkName-8   100   12345 ns/op   ...` and the
-// suffix-less form emitted with GOMAXPROCS unset.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// suffix-less form emitted with GOMAXPROCS unset; allocsColumn picks the
+// -benchmem allocs/op column out of the rest of the line.
+var (
+	benchLine    = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+	allocsColumn = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+)
 
-func parseBench(r io.Reader) (map[string]float64, error) {
-	got := map[string]float64{}
+func parseBench(r io.Reader) (Baseline, error) {
+	got := Baseline{NsPerOp: map[string]float64{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -57,9 +73,19 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		}
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %v", sc.Text(), err)
+			return Baseline{}, fmt.Errorf("bad ns/op in %q: %v", sc.Text(), err)
 		}
-		got[m[1]] = ns
+		got.NsPerOp[m[1]] = ns
+		if c := allocsColumn.FindStringSubmatch(m[3]); c != nil {
+			a, err := strconv.ParseFloat(c[1], 64)
+			if err != nil {
+				return Baseline{}, fmt.Errorf("bad allocs/op in %q: %v", sc.Text(), err)
+			}
+			if got.AllocsPerOp == nil {
+				got.AllocsPerOp = map[string]float64{}
+			}
+			got.AllocsPerOp[m[1]] = a
+		}
 	}
 	return got, sc.Err()
 }
@@ -91,7 +117,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if len(got) == 0 {
+	if len(got.NsPerOp) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found in input"))
 	}
 
@@ -100,18 +126,18 @@ func main() {
 		if raw, err := os.ReadFile(*baseline); err == nil {
 			_ = json.Unmarshal(raw, &old)
 		}
-		b := Baseline{Note: old.Note, NsPerOp: got}
+		got.Note = old.Note
 		if *note != "" {
-			b.Note = *note
+			got.Note = *note
 		}
-		raw, err := json.MarshalIndent(b, "", "  ")
+		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			fatal(err)
 		}
 		if err := os.WriteFile(*baseline, append(raw, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("benchcheck: wrote %d benchmarks to %s\n", len(got), *baseline)
+		fmt.Printf("benchcheck: wrote %d benchmarks to %s\n", len(got.NsPerOp), *baseline)
 		return
 	}
 
@@ -131,10 +157,11 @@ func main() {
 
 // compare writes the per-benchmark report and returns true when the
 // check fails: a baseline benchmark missing from the run, the geomean
-// past threshold, or (with tolerance > 0) any single benchmark
-// regressed by more than tolerance percent — each per-bench failure
-// names the benchmark and its delta percentage.
-func compare(w io.Writer, base Baseline, got map[string]float64, threshold, tolerance float64) bool {
+// past threshold, (with tolerance > 0) any single benchmark regressed
+// by more than tolerance percent, or any baseline allocs/op count
+// exceeded by more than allocTolerance percent or missing from the
+// run — each per-bench failure names the benchmark and its delta.
+func compare(w io.Writer, base, got Baseline, threshold, tolerance float64) bool {
 	var names []string
 	for name := range base.NsPerOp {
 		names = append(names, name)
@@ -146,7 +173,7 @@ func compare(w io.Writer, base Baseline, got map[string]float64, threshold, tole
 	var over []string
 	for _, name := range names {
 		old := base.NsPerOp[name]
-		now, ok := got[name]
+		now, ok := got.NsPerOp[name]
 		if !ok {
 			fmt.Fprintf(w, "MISSING  %-50s baseline %.0f ns/op, not in run\n", name, old)
 			fail = true
@@ -167,10 +194,24 @@ func compare(w io.Writer, base Baseline, got map[string]float64, threshold, tole
 		}
 		fmt.Fprintf(w, "%s %-50s %12.0f -> %12.0f ns/op  (%+.1f%%)\n",
 			tag, name, old, now, delta)
+		if oldA, gated := base.AllocsPerOp[name]; gated {
+			nowA, ok := got.AllocsPerOp[name]
+			switch {
+			case !ok:
+				fmt.Fprintf(w, "MISSING  %-50s baseline %.0f allocs/op, run has none (pass -benchmem)\n", name, oldA)
+				fail = true
+			case nowA > oldA*(1+allocTolerance/100.0):
+				fmt.Fprintf(w, "benchcheck: FAIL — %s allocs/op %.0f -> %.0f exceeds %d%%\n",
+					name, oldA, nowA, allocTolerance)
+				fail = true
+			default:
+				fmt.Fprintf(w, "ok       %-50s %12.0f -> %12.0f allocs/op\n", name, oldA, nowA)
+			}
+		}
 	}
-	for name := range got {
+	for name := range got.NsPerOp {
 		if _, ok := base.NsPerOp[name]; !ok {
-			fmt.Fprintf(w, "new      %-50s %12.0f ns/op (not in baseline, skipped)\n", name, got[name])
+			fmt.Fprintf(w, "new      %-50s %12.0f ns/op (not in baseline, skipped)\n", name, got.NsPerOp[name])
 		}
 	}
 	if n == 0 {

@@ -2,8 +2,9 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
+	"mlimp/internal/fixed"
 	"mlimp/internal/tensor"
 )
 
@@ -26,12 +27,27 @@ func (s *Subgraph) NNZ() int { return s.Adj.NNZ() }
 
 // Sampler extracts k-hop neighbourhood subgraphs with per-hop fanout
 // limits, mirroring PyG's neighbor sampler (Section IV).
+//
+// Membership is tracked in epoch-stamped dense arrays over the mother
+// graph instead of per-subgraph hash sets, and frontier and row buffers
+// are reused across calls. A Sampler is therefore not safe for
+// concurrent use; give each goroutine its own.
 type Sampler struct {
 	G       *Graph
 	Hops    int
 	Fanout  int // max neighbours expanded per node per hop; <=0 = all
 	rng     *rand.Rand
 	normAdj *tensor.CSR // cached normalised adjacency of G
+
+	// mark[v] == epoch iff v belongs to the subgraph being built; local[v]
+	// is then its local index. Bumping epoch empties the set in O(1).
+	mark  []uint32
+	local []int32
+	epoch uint32
+
+	visit []int32     // query, then every node in the order it was reached
+	cols  []int32     // induced ColIdx being built
+	vals  []fixed.Num // induced Val being built
 }
 
 // NewSampler builds a sampler over g with the given hop count and fanout.
@@ -39,75 +55,88 @@ func NewSampler(rng *rand.Rand, g *Graph, hops, fanout int) *Sampler {
 	if hops < 1 {
 		panic("graph: sampler needs >= 1 hop")
 	}
-	return &Sampler{G: g, Hops: hops, Fanout: fanout, rng: rng, normAdj: g.NormalizedAdjacency()}
+	return &Sampler{G: g, Hops: hops, Fanout: fanout, rng: rng, normAdj: g.NormalizedAdjacency(),
+		mark: make([]uint32, g.N), local: make([]int32, g.N)}
+}
+
+// nextEpoch empties the member set, clearing the stamps when the epoch
+// counter wraps so no stale stamp can alias the new epoch.
+func (s *Sampler) nextEpoch() {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.mark)
+		s.epoch = 1
+	}
 }
 
 // Sample extracts the k-hop subgraph around query.
 func (s *Sampler) Sample(query int) *Subgraph {
-	inSet := map[int32]struct{}{int32(query): {}}
-	frontier := []int32{int32(query)}
-	for hop := 0; hop < s.Hops; hop++ {
-		var next []int32
-		for _, u := range frontier {
+	s.nextEpoch()
+	q := int32(query)
+	s.mark[q] = s.epoch
+	visit := append(s.visit[:0], q)
+	// visit[lo:hi] is the current hop's frontier; newly reached nodes are
+	// appended behind it and form the next one.
+	for hop, lo := 0, 0; hop < s.Hops && lo < len(visit); hop++ {
+		hi := len(visit)
+		for _, u := range visit[lo:hi] {
 			ns := s.G.Neighbors(int(u))
-			picked := ns
 			if s.Fanout > 0 && len(ns) > s.Fanout {
-				picked = make([]int32, s.Fanout)
-				perm := s.rng.Perm(len(ns))[:s.Fanout]
-				for i, p := range perm {
-					picked[i] = ns[p]
+				for _, p := range s.rng.Perm(len(ns))[:s.Fanout] {
+					visit = s.reach(visit, ns[p])
 				}
+				continue
 			}
-			for _, v := range picked {
-				if _, ok := inSet[v]; !ok {
-					inSet[v] = struct{}{}
-					next = append(next, v)
-				}
+			for _, v := range ns {
+				visit = s.reach(visit, v)
 			}
 		}
-		frontier = next
-		if len(frontier) == 0 {
-			break
-		}
+		lo = hi
 	}
-	nodes := make([]int32, 0, len(inSet))
-	for v := range inSet {
-		if int(v) != query {
-			nodes = append(nodes, v)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	nodes = append([]int32{int32(query)}, nodes...)
+	s.visit = visit
+	nodes := slices.Clone(visit)
+	slices.Sort(nodes[1:])
 	return &Subgraph{Query: query, Nodes: nodes, Adj: s.induced(nodes)}
 }
 
-// induced extracts the normalised adjacency restricted to nodes, remapped
-// to local indices.
-func (s *Sampler) induced(nodes []int32) *tensor.CSR {
-	local := make(map[int32]int32, len(nodes))
-	for i, v := range nodes {
-		local[v] = int32(i)
+// reach adds v to the member set and the visit list unless it is
+// already a member.
+func (s *Sampler) reach(visit []int32, v int32) []int32 {
+	if s.mark[v] == s.epoch {
+		return visit
 	}
+	s.mark[v] = s.epoch
+	return append(visit, v)
+}
+
+// induced extracts the normalised adjacency restricted to nodes, remapped
+// to local indices. Every node must be stamped with the current epoch,
+// and nodes[1:] must be ascending: the mother graph's rows are sorted, so
+// each induced row then comes out sorted once the local-0 column is
+// emitted first.
+func (s *Sampler) induced(nodes []int32) *tensor.CSR {
+	for i, v := range nodes {
+		s.local[v] = int32(i)
+	}
+	first := nodes[0]
 	m := tensor.NewCSR(len(nodes), len(nodes))
+	cols, vals := s.cols[:0], s.vals[:0]
 	for i, u := range nodes {
-		cols, vals := s.normAdj.RowEntries(int(u))
-		type ent struct {
-			c int32
-			v int
+		rc, rv := s.normAdj.RowEntries(int(u))
+		if k, ok := slices.BinarySearch(rc, first); ok {
+			cols = append(cols, 0)
+			vals = append(vals, rv[k])
 		}
-		row := make([]ent, 0, len(cols))
-		for k, c := range cols {
-			if lc, ok := local[c]; ok {
-				row = append(row, ent{c: lc, v: k})
+		for k, c := range rc {
+			if c != first && s.mark[c] == s.epoch {
+				cols = append(cols, s.local[c])
+				vals = append(vals, rv[k])
 			}
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a].c < row[b].c })
-		for _, e := range row {
-			m.ColIdx = append(m.ColIdx, e.c)
-			m.Val = append(m.Val, vals[e.v])
-		}
-		m.RowPtr[i+1] = int32(len(m.ColIdx))
+		m.RowPtr[i+1] = int32(len(cols))
 	}
+	m.ColIdx, m.Val = slices.Clone(cols), slices.Clone(vals)
+	s.cols, s.vals = cols, vals
 	return m
 }
 
@@ -128,16 +157,15 @@ func (s *Sampler) Concat(batch []*Subgraph) *Subgraph {
 	if len(batch) == 0 {
 		panic("graph: Concat of empty batch")
 	}
-	union := map[int32]struct{}{}
+	s.nextEpoch()
+	union := s.visit[:0]
 	for _, sg := range batch {
 		for _, v := range sg.Nodes {
-			union[v] = struct{}{}
+			union = s.reach(union, v)
 		}
 	}
-	nodes := make([]int32, 0, len(union))
-	for v := range union {
-		nodes = append(nodes, v)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	s.visit = union
+	nodes := slices.Clone(union)
+	slices.Sort(nodes)
 	return &Subgraph{Query: batch[0].Query, Nodes: nodes, Adj: s.induced(nodes)}
 }

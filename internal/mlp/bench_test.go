@@ -39,3 +39,17 @@ func BenchmarkTrainStep(b *testing.B) {
 		n.TrainStep(x, y, 1e-3)
 	}
 }
+
+// BenchmarkFit measures one shuffled epoch over 256 samples at the
+// cycle regressor's shape (4 inputs, 16/8 hidden) — the unit of work of
+// both per-mother-graph training and online refits.
+func BenchmarkFit(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	n := New(rng, 4, 16, 8, 1)
+	xs, ys := regressionSet(rng, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Fit(rng, xs, ys, 1, 1e-3)
+	}
+}

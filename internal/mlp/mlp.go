@@ -14,6 +14,12 @@ import (
 
 // Net is a fully connected feed-forward network with tanh hidden
 // activations and a linear output layer.
+//
+// Forward and ForwardQuant only read the network, so any number of
+// goroutines may run inference on one Net at once. TrainStep and Fit
+// update it in place and reuse per-net training scratch: they are not
+// safe for concurrent use with any other call on the same Net. Clone
+// never shares that scratch, so clones train independently.
 type Net struct {
 	sizes   []int
 	weights [][][]float64 // [layer][out][in]
@@ -23,6 +29,14 @@ type Net struct {
 	mW, vW [][][]float64
 	mB, vB [][]float64
 	step   int
+
+	train *trainScratch // built by the first TrainStep
+}
+
+// trainScratch holds the working buffers of TrainStep.
+type trainScratch struct {
+	acts        [][]float64 // acts[0] is the input, acts[l+1] weight layer l's output
+	delta, next []float64   // backpropagated deltas of two adjacent layers
 }
 
 // New builds a network with the given layer sizes (inputs first, output
@@ -100,10 +114,38 @@ func (n *Net) NumParams() int {
 	return total
 }
 
+func (n *Net) checkInput(x []float64) {
+	if len(x) != n.sizes[0] {
+		panic(fmt.Sprintf("mlp: input size %d, want %d", len(x), n.sizes[0]))
+	}
+}
+
+// layer writes weight layer l's activations for input in to out: tanh
+// on hidden layers, linear on the output layer.
+func (n *Net) layer(l int, in, out []float64) {
+	for o := range out {
+		s := n.biases[l][o]
+		row := n.weights[l][o]
+		for i, v := range in {
+			s += row[i] * v
+		}
+		if l < len(n.weights)-1 {
+			s = math.Tanh(s)
+		}
+		out[o] = s
+	}
+}
+
 // Forward runs inference and returns the output vector.
 func (n *Net) Forward(x []float64) []float64 {
-	out, _ := n.forward(x)
-	return out
+	n.checkInput(x)
+	cur := x
+	for l := range n.weights {
+		next := make([]float64, n.sizes[l+1])
+		n.layer(l, cur, next)
+		cur = next
+	}
+	return cur
 }
 
 // ForwardQuant runs inference with each layer's activations snapped to
@@ -117,25 +159,16 @@ func (n *Net) ForwardQuant(x []float64, formats []fixed.Format) []float64 {
 	if len(formats) == 0 {
 		return n.Forward(x)
 	}
-	if len(x) != n.sizes[0] {
-		panic(fmt.Sprintf("mlp: input size %d, want %d", len(x), n.sizes[0]))
-	}
-	cur := append([]float64(nil), x...)
+	n.checkInput(x)
+	cur := x
 	for l := range n.weights {
 		f := formats[len(formats)-1]
 		if l < len(formats) {
 			f = formats[l]
 		}
 		next := make([]float64, n.sizes[l+1])
-		for o := range next {
-			s := n.biases[l][o]
-			row := n.weights[l][o]
-			for i, v := range cur {
-				s += row[i] * v
-			}
-			if l < len(n.weights)-1 {
-				s = math.Tanh(s)
-			}
+		n.layer(l, cur, next)
+		for o, s := range next {
 			next[o] = f.Float(f.FromFloat(s))
 		}
 		cur = next
@@ -143,30 +176,19 @@ func (n *Net) ForwardQuant(x []float64, formats []fixed.Format) []float64 {
 	return cur
 }
 
-// forward returns the output and all layer activations (inputs first).
-func (n *Net) forward(x []float64) ([]float64, [][]float64) {
-	if len(x) != n.sizes[0] {
-		panic(fmt.Sprintf("mlp: input size %d, want %d", len(x), n.sizes[0]))
-	}
-	acts := [][]float64{append([]float64(nil), x...)}
-	cur := acts[0]
-	for l := range n.weights {
-		next := make([]float64, n.sizes[l+1])
-		for o := range next {
-			s := n.biases[l][o]
-			row := n.weights[l][o]
-			for i, v := range cur {
-				s += row[i] * v
-			}
-			if l < len(n.weights)-1 {
-				s = math.Tanh(s)
-			}
-			next[o] = s
+// scratch returns the net's training buffers, building them on first use.
+func (n *Net) scratch() *trainScratch {
+	if n.train == nil {
+		sc := &trainScratch{acts: make([][]float64, len(n.sizes))}
+		width := 0
+		for l, s := range n.sizes {
+			sc.acts[l] = make([]float64, s)
+			width = max(width, s)
 		}
-		acts = append(acts, next)
-		cur = next
+		sc.delta, sc.next = make([]float64, width), make([]float64, width)
+		n.train = sc
 	}
-	return cur, acts
+	return n.train
 }
 
 // Adam hyperparameters.
@@ -177,14 +199,22 @@ const (
 )
 
 // TrainStep performs one Adam update on a single (x, y) pair with mean
-// squared error loss and returns the sample loss before the update.
+// squared error loss and returns the sample loss before the update. It
+// allocates nothing once the net's training scratch exists.
 func (n *Net) TrainStep(x, y []float64, lr float64) float64 {
-	out, acts := n.forward(x)
+	n.checkInput(x)
+	sc := n.scratch()
+	acts := sc.acts
+	copy(acts[0], x)
+	for l := range n.weights {
+		n.layer(l, acts[l], acts[l+1])
+	}
+	out := acts[len(acts)-1]
 	if len(y) != len(out) {
 		panic("mlp: target size mismatch")
 	}
 	// Output delta (linear layer, MSE): d = out - y.
-	delta := make([]float64, len(out))
+	delta := sc.delta[:len(out)]
 	var loss float64
 	for i := range out {
 		d := out[i] - y[i]
@@ -196,44 +226,37 @@ func (n *Net) TrainStep(x, y []float64, lr float64) float64 {
 	n.step++
 	for l := len(n.weights) - 1; l >= 0; l-- {
 		in := acts[l]
-		var nextDelta []float64
+		var next []float64
 		if l > 0 {
-			nextDelta = make([]float64, len(in))
+			next = sc.next[:len(in)]
+			clear(next)
 		}
-		for o := range n.weights[l] {
-			row := n.weights[l][o]
+		for o, row := range n.weights[l] {
 			d := delta[o]
+			mw, vw := n.mW[l][o], n.vW[l][o]
 			for i := range row {
-				if nextDelta != nil {
-					nextDelta[i] += row[i] * d
+				if next != nil {
+					next[i] += row[i] * d
 				}
-				n.adamW(l, o, i, d*in[i])
+				g := d * in[i]
+				mw[i] = beta1*mw[i] + (1-beta1)*g
+				vw[i] = beta2*vw[i] + (1-beta2)*g*g
 			}
-			n.adamB(l, o, d)
+			n.mB[l][o] = beta1*n.mB[l][o] + (1-beta1)*d
+			n.vB[l][o] = beta2*n.vB[l][o] + (1-beta2)*d*d
 		}
 		// Apply tanh derivative for the layer below (its outputs were
 		// tanh-activated).
 		if l > 0 {
-			for i := range nextDelta {
-				a := acts[l][i]
-				nextDelta[i] *= 1 - a*a
+			for i, a := range in {
+				next[i] *= 1 - a*a
 			}
-			delta = nextDelta
+			delta = next
+			sc.delta, sc.next = sc.next, sc.delta
 		}
 	}
 	n.apply(lr)
 	return loss
-}
-
-// gradient accumulators for the pending step.
-func (n *Net) adamW(l, o, i int, g float64) {
-	n.mW[l][o][i] = beta1*n.mW[l][o][i] + (1-beta1)*g
-	n.vW[l][o][i] = beta2*n.vW[l][o][i] + (1-beta2)*g*g
-}
-
-func (n *Net) adamB(l, o int, g float64) {
-	n.mB[l][o] = beta1*n.mB[l][o] + (1-beta1)*g
-	n.vB[l][o] = beta2*n.vB[l][o] + (1-beta2)*g*g
 }
 
 // apply performs the bias-corrected Adam parameter update.
