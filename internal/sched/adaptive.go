@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -28,6 +29,16 @@ func DefaultOpts() Opts { return Opts{Epsilon: 0.05, MaxAdjust: 64, MinArrays: 1
 type queueItem struct {
 	job    *Job
 	arrays int
+	// est caches ModelTime(job, layer, arrays) for the duration of one
+	// sort pass (setEst), so comparisons do not re-query the model.
+	est event.Time
+}
+
+// setEst refreshes every item's est at its current allocation on t.
+func setEst(sys *System, t isa.Target, q []*queueItem) {
+	for _, it := range q {
+		it.est = sys.ModelTime(it.job, t, it.arrays)
+	}
 }
 
 // queues maps each layer to its pending items.
@@ -151,14 +162,15 @@ func queueMean(sys *System, t isa.Target, q []*queueItem) float64 {
 	return longest
 }
 
-// itemMean returns the mean per-item estimated time of a queue.
-func itemMean(sys *System, t isa.Target, q []*queueItem) float64 {
+// itemMean returns the mean of a queue's cached per-item estimates
+// (setEst), summed in queue order.
+func itemMean(q []*queueItem) float64 {
 	if len(q) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, it := range q {
-		sum += float64(sys.ModelTime(it.job, t, it.arrays))
+		sum += float64(it.est)
 	}
 	return sum / float64(len(q))
 }
@@ -388,17 +400,9 @@ func dispatchWith(sys *System, qs queues, jobs []*Job, o dispatchOpts) *Result {
 	st.estMode = o.estMode
 	// Sort every queue descending by estimated time (larger jobs first).
 	for _, t := range sys.Targets() {
-		t, q := t, qs[t]
-		slices.SortStableFunc(q, func(a, b *queueItem) int {
-			ta, tb := sys.ModelTime(a.job, t, a.arrays), sys.ModelTime(b.job, t, b.arrays)
-			switch {
-			case ta > tb:
-				return -1
-			case ta < tb:
-				return 1
-			}
-			return 0
-		})
+		q := qs[t]
+		setEst(sys, t, q)
+		slices.SortStableFunc(q, func(a, b *queueItem) int { return cmp.Compare(b.est, a.est) })
 	}
 	pending := 0
 	for _, q := range qs {

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+
 	"mlimp/internal/event"
 	"mlimp/internal/isa"
 )
@@ -8,14 +10,22 @@ import (
 // Analytical-cost memoization.
 //
 // The schedulers evaluate the Section III-C model t(x,m) thousands of
-// times per batch: every sort comparison in the inter/intra-queue
-// adjustments, every knee search, and every dispatcher routing decision
-// re-derives the same per-(job-shape, target, allocation) cycle count.
-// The model is a pure function of the job's Profile and the layer's
+// times per batch: queue sorts, the inter/intra-queue adjustments, the
+// bisections of Algorithm 2 and every dispatcher routing decision
+// re-derive the same per-(job-shape, target, allocation) time. The
+// model is a pure function of the job's Profile and the layer's
 // immutable configuration (the DDR StreamTime term is closed-form and
-// stateless), and Profile is a comparable value type — so the System
-// memoizes it behind a map keyed by the profile value itself. Two jobs
-// sharing a shape (every job of one app does) share cache lines.
+// stateless), so the System memoizes it in a map keyed by a cheap
+// 64-bit mix of the (profile, target, allocation) fields. The entry
+// stores the full key: a lookup hits only when the stored key equals
+// the query, so a hash collision costs one recomputation and an
+// overwrite, never a wrong answer. Two jobs sharing a shape (every job
+// of one app does) share entries.
+//
+// The knee search does not go through this memo. Its kneeGridPoints
+// grid points are one-off allocations that would crowd the working set
+// out of the bounded map; the search calls the model directly, and its
+// result is memoized in the knee memo below instead.
 //
 // A System is not safe for concurrent use — the DDR controller already
 // accumulates access statistics — so plain maps suffice; parallel
@@ -31,6 +41,35 @@ type profKey struct {
 	p      Profile
 	t      isa.Target
 	arrays int
+}
+
+// profEntry is one model memo slot: the full key it was computed for
+// and the modelled time.
+type profEntry struct {
+	k profKey
+	v event.Time
+}
+
+// hash mixes every key field into 64 bits with a fixed multiply-xor
+// step; Beta enters by its bit pattern. Equal keys always hash equal
+// except +0/-0 Beta, which merely occupy two slots with one value; a
+// NaN Beta never equals itself, so such a key always recomputes.
+func (k *profKey) hash() uint64 {
+	h := mix(0, uint64(k.p.UnitCycles))
+	h = mix(h, uint64(k.p.RepUnit))
+	h = mix(h, uint64(k.p.LoadBytes))
+	h = mix(h, uint64(k.p.StoreBytes))
+	h = mix(h, uint64(k.p.ProgramBytes))
+	h = mix(h, math.Float64bits(k.p.Beta))
+	h = mix(h, uint64(k.p.Overhead))
+	h = mix(h, uint64(k.p.MaxUseful))
+	h = mix(h, uint64(k.t))
+	return mix(h, uint64(k.arrays))
+}
+
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 type kneeKey struct {
@@ -66,22 +105,25 @@ type CacheStats struct {
 func (s *System) CacheStats() CacheStats { return s.cacheStats }
 
 // memoProfileTime answers profileTime from the memo, computing and
-// filling on miss. The maps are lazily initialised because Systems are
-// also built as composite literals (single-layer oracle systems).
+// filling on miss. A slot holding a different key (a hash collision) is
+// overwritten in place. The maps are lazily initialised because Systems
+// are also built as composite literals (single-layer oracle systems).
 func (s *System) memoProfileTime(p Profile, t isa.Target, arrays int) event.Time {
 	k := profKey{p: p, t: t, arrays: arrays}
-	if v, ok := s.profMemo[k]; ok {
+	h := k.hash()
+	e, taken := s.profMemo[h]
+	if taken && e.k == k {
 		s.cacheStats.ModelHits++
-		return v
+		return e.v
 	}
 	v := s.computeProfileTime(p, t, arrays)
 	if s.profMemo == nil {
-		s.profMemo = make(map[profKey]event.Time, 256)
-	} else if len(s.profMemo) >= MaxProfMemoEntries {
+		s.profMemo = make(map[uint64]profEntry, 256)
+	} else if !taken && len(s.profMemo) >= MaxProfMemoEntries {
 		clear(s.profMemo)
 		s.cacheStats.Clears++
 	}
-	s.profMemo[k] = v
+	s.profMemo[h] = profEntry{k: k, v: v}
 	s.cacheStats.ModelMisses++
 	return v
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"mlimp/internal/isa"
@@ -89,6 +91,87 @@ func TestProfMemoBounded(t *testing.T) {
 	p := j.Est[isa.SRAM]
 	if got, want := sys.memoProfileTime(p, isa.SRAM, 4), sys.computeProfileTime(p, isa.SRAM, 4); got != want {
 		t.Errorf("post-clear memo %v != fresh %v", got, want)
+	}
+}
+
+// TestProfMemoCollision plants an entry under a query's hash but for a
+// different key: the lookup must not return it, and the miss overwrites
+// the slot with the query's own entry.
+func TestProfMemoCollision(t *testing.T) {
+	sys := NewSystem(isa.Targets...)
+	p := cacheTestJob().Est[isa.DRAM]
+	k := profKey{p: p, t: isa.DRAM, arrays: 4}
+	other := k
+	other.p.UnitCycles++
+	sys.profMemo = map[uint64]profEntry{k.hash(): {k: other, v: 12345}}
+	want := sys.computeProfileTime(p, isa.DRAM, 4)
+	if got := sys.memoProfileTime(p, isa.DRAM, 4); got != want {
+		t.Fatalf("collision returned %v, fresh model is %v", got, want)
+	}
+	if e := sys.profMemo[k.hash()]; e.k != k || e.v != want || len(sys.profMemo) != 1 {
+		t.Errorf("slot after collision = %+v (%d entries), want the query's key and value", e, len(sys.profMemo))
+	}
+	if st := sys.CacheStats(); st.ModelHits != 0 || st.ModelMisses != 1 {
+		t.Errorf("stats = %+v, want 0 hits / 1 miss", st)
+	}
+}
+
+// TestProfMemoBetaEdges: a NaN Beta never equals itself, so it must
+// never hit (and must not pile up entries); +0 and -0 Beta both mean
+// DefaultBeta and must both return the fresh model value.
+func TestProfMemoBetaEdges(t *testing.T) {
+	sys := NewSystem(isa.Targets...)
+	p := cacheTestJob().Est[isa.SRAM]
+	p.Beta = math.NaN()
+	for i := 0; i < 3; i++ {
+		if got, want := sys.memoProfileTime(p, isa.SRAM, 4), sys.computeProfileTime(p, isa.SRAM, 4); got != want {
+			t.Fatalf("NaN beta: memo %v != fresh %v", got, want)
+		}
+	}
+	if st := sys.CacheStats(); st.ModelHits != 0 || st.ModelMisses != 3 {
+		t.Errorf("NaN beta stats = %+v, want 0 hits / 3 misses", st)
+	}
+	if n := len(sys.profMemo); n != 1 {
+		t.Errorf("NaN beta left %d entries, want 1", n)
+	}
+	for _, beta := range []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)} {
+		p.Beta = beta
+		if got, want := sys.memoProfileTime(p, isa.SRAM, 4), sys.computeProfileTime(p, isa.SRAM, 4); got != want {
+			t.Fatalf("beta %v: memo %v != fresh %v", beta, got, want)
+		}
+	}
+}
+
+// TestKneeMissSkipsProfMemo: the knee search evaluates its grid
+// directly, so a knee miss must not add entries to the model memo —
+// otherwise one-off grid points crowd the working set out again.
+func TestKneeMissSkipsProfMemo(t *testing.T) {
+	sys := NewSystem(isa.Targets...)
+	j := cacheTestJob()
+	sys.ModelTime(j, isa.SRAM, 3)
+	n, before := len(sys.profMemo), sys.CacheStats()
+	for _, tgt := range sys.Targets() {
+		sys.KneeAlloc(j, tgt)
+	}
+	after := sys.CacheStats()
+	if after.KneeMisses != before.KneeMisses+3 {
+		t.Fatalf("knee misses %d -> %d, want 3 fresh searches", before.KneeMisses, after.KneeMisses)
+	}
+	if len(sys.profMemo) != n || after.ModelMisses != before.ModelMisses || after.ModelHits != before.ModelHits {
+		t.Errorf("knee search touched the model memo: %d -> %d entries, stats %+v -> %+v",
+			n, len(sys.profMemo), before, after)
+	}
+}
+
+// TestKneeGridFollowsCapacity: the cached search grid is rebuilt when a
+// layer's capacity changes, so it always equals a fresh System's grid.
+func TestKneeGridFollowsCapacity(t *testing.T) {
+	sys := NewSystem(isa.Targets...)
+	for _, c := range []int{4096, 2, 100, 4096, 1} {
+		got := slices.Clone(sys.kneeGrid(isa.DRAM, c))
+		if want := NewSystem(isa.Targets...).kneeGrid(isa.DRAM, c); !slices.Equal(got, want) {
+			t.Fatalf("cap %d: grid %v, want %v", c, got, want)
+		}
 	}
 }
 

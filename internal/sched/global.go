@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -154,19 +155,11 @@ func intraQueueAdjust(sys *System, t isa.Target, q []*queueItem, o Opts) {
 	}
 	for iter := 0; iter < o.MaxAdjust; iter++ {
 		// Sort by t(x, z(x)) — current estimated time at planned alloc.
-		slices.SortStableFunc(q, func(a, b *queueItem) int {
-			ta, tb := sys.ModelTime(a.job, t, a.arrays), sys.ModelTime(b.job, t, b.arrays)
-			switch {
-			case ta < tb:
-				return -1
-			case ta > tb:
-				return 1
-			}
-			return 0
-		})
+		setEst(sys, t, q)
+		slices.SortStableFunc(q, func(a, b *queueItem) int { return cmp.Compare(a.est, b.est) })
 		minItem, maxItem := q[0], q[len(q)-1]
-		maxT := float64(sys.ModelTime(maxItem.job, t, maxItem.arrays))
-		mean := itemMean(sys, t, q)
+		maxT := float64(maxItem.est)
+		mean := itemMean(q)
 		if maxT == 0 || (maxT-mean)/maxT <= o.Epsilon {
 			return
 		}

@@ -143,10 +143,13 @@ type System struct {
 	// exactly.
 	Replication ReplicationPolicy
 
-	profMemo   map[profKey]event.Time
+	profMemo   map[uint64]profEntry
 	kneeMemo   map[kneeKey]int
 	cacheStats CacheStats
 	targets    []isa.Target // memoised Targets(); Layers is fixed after construction
+	// kneeGrids caches each layer's knee-search grid for the capacity
+	// it was last built for.
+	kneeGrids [isa.NumTargets]kneeGrid
 }
 
 // Layer is one computable memory exposed to the scheduler. Capacity is
@@ -255,12 +258,12 @@ func (s *System) profileTime(p Profile, t isa.Target, arrays int) event.Time {
 
 // profileParts evaluates the allocation-dependent pieces of Equations
 // 1-3: the load/overhead term t_ld and the compute scale factor
-// (a_repunit/m)^beta, such that t(x,m) = ld + Cycles(UnitCycles)*scale.
+// (a_repunit/m)^beta, such that t(x,m) = ld + clock.Cycles(UnitCycles)*scale.
 // Factored out so the model can be run forward (computeProfileTime) and
 // inverted (ObservedUnitCycles) from one definition.
-func (s *System) profileParts(p Profile, t isa.Target, arrays int) (ld event.Time, scale float64) {
+func (s *System) profileParts(p Profile, t isa.Target, arrays int) (ld event.Time, scale float64, clock event.Clock) {
 	l := s.Layers[t]
-	clock := l.Cfg.Clock()
+	clock = l.Cfg.Clock()
 
 	beta := p.Beta
 	if beta == 0 {
@@ -289,14 +292,13 @@ func (s *System) profileParts(p Profile, t isa.Target, arrays int) (ld event.Tim
 		}
 		ld += clock.Cycles(rounds * int64(l.Cfg.ArrayRows))
 	}
-	return ld, scale
+	return ld, scale, clock
 }
 
 // computeProfileTime evaluates Equations 1-3 from scratch — pure in
 // (p, t, arrays) given the layer's immutable configuration.
 func (s *System) computeProfileTime(p Profile, t isa.Target, arrays int) event.Time {
-	ld, scale := s.profileParts(p, t, arrays)
-	clock := s.Layers[t].Cfg.Clock()
+	ld, scale, clock := s.profileParts(p, t, arrays)
 	return ld + event.Time(float64(clock.Cycles(p.UnitCycles))*scale)
 }
 
@@ -308,8 +310,7 @@ func (s *System) computeProfileTime(p Profile, t isa.Target, arrays int) event.T
 // as training observations. Spans at or below the load/overhead term
 // imply no measurable compute and floor at one cycle.
 func (s *System) ObservedUnitCycles(p Profile, t isa.Target, arrays int, span event.Time) int64 {
-	ld, scale := s.profileParts(p, t, arrays)
-	clock := s.Layers[t].Cfg.Clock()
+	ld, scale, clock := s.profileParts(p, t, arrays)
 	cmpt := span - ld
 	if cmpt <= 0 || scale <= 0 {
 		return 1
@@ -383,10 +384,24 @@ func (s *System) kneeForProfile(p Profile, t isa.Target) int {
 	return knee
 }
 
-// kneeSearch runs the grid search for the knee of t(x,m) on [1, maxM].
-func (s *System) kneeSearch(p Profile, t isa.Target, maxM int) int {
-	// Geometric grid over [1, maxM].
-	ms := make([]int, 0, kneeGridPoints)
+// kneeGrid is the geometric grid over [1, maxM] the knee search
+// samples; it depends only on maxM, so each layer keeps the last one.
+type kneeGrid struct {
+	maxM int
+	ms   []int
+}
+
+// kneeGrid returns the geometric grid over [1, maxM] for layer t,
+// rebuilding the layer's cached grid when its capacity has changed.
+func (s *System) kneeGrid(t isa.Target, maxM int) []int {
+	g := &s.kneeGrids[t]
+	if g.maxM == maxM {
+		return g.ms
+	}
+	ms := g.ms[:0]
+	if ms == nil {
+		ms = make([]int, 0, kneeGridPoints)
+	}
 	prev := 0
 	for i := 0; i < kneeGridPoints; i++ {
 		m := int(math.Round(math.Pow(float64(maxM), float64(i)/(kneeGridPoints-1))))
@@ -399,12 +414,23 @@ func (s *System) kneeSearch(p Profile, t isa.Target, maxM int) int {
 		ms = append(ms, m)
 		prev = m
 	}
+	g.maxM, g.ms = maxM, ms
+	return ms
+}
+
+// kneeSearch runs the grid search for the knee of t(x,m) on [1, maxM].
+// It evaluates the model directly rather than through the model memo:
+// grid points are one-off allocations, and the search result is
+// memoized in the knee memo.
+func (s *System) kneeSearch(p Profile, t isa.Target, maxM int) int {
+	ms := s.kneeGrid(t, maxM)
 	if len(ms) < 3 {
 		return maxM
 	}
-	ts := make([]float64, len(ms))
+	var buf [kneeGridPoints]float64
+	ts := buf[:len(ms)]
 	for i, m := range ms {
-		ts[i] = float64(s.profileTime(p, t, m))
+		ts[i] = float64(s.computeProfileTime(p, t, m))
 	}
 	// Normalise both axes to [0,1].
 	tMin, tMax := ts[0], ts[0]
