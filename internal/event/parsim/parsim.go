@@ -32,11 +32,20 @@
 // load beliefs at multiples of a summary period). Declaring those edges
 // (SetEdge) switches the driver to per-shard conservative horizons: at
 // each barrier it computes, per shard, the earliest instant any other
-// shard could possibly influence it — the fixpoint of earliest-event
-// propagation over the declared edge latencies — and lets every shard
-// run to its own horizon. Events that are minutes of simulated time
-// apart on shards that only talk through a slow beacon edge then
-// execute in one window instead of serialising into hop-wide slices.
+// shard could possibly influence it — earliest-event propagation over
+// the declared edge latencies, settled in one label-setting pass — and
+// lets every shard run to its own horizon. Events that are minutes of
+// simulated time apart on shards that only talk through a slow beacon
+// edge then execute in one window instead of serialising into hop-wide
+// slices.
+//
+// The barrier costs what the traffic costs: a send records its pair
+// when the pair's outbox turns non-empty, so delivery walks only the
+// pairs that carried mail, and the horizon pass relaxes only the out-
+// edges of shards that can still act, once per latency class, and stops
+// once no horizon that decides the window can fall further. Per window
+// that is at most O(shards + messages + edges of shards with a finite
+// bound), never O(shards²).
 package parsim
 
 import (
@@ -54,6 +63,28 @@ type message struct {
 	src int    // sending shard ID
 	seq uint64 // per-(src,dst) send counter
 	fn  func()
+}
+
+// cmpMessage is the canonical barrier order: delivery time, then source
+// shard, then per-pair send sequence. It is total — no two messages
+// share (src, seq) — so any merge of the same messages sorts alike.
+func cmpMessage(a, b message) int {
+	if a.at != b.at {
+		if a.at < b.at {
+			return -1
+		}
+		return 1
+	}
+	if a.src != b.src {
+		return a.src - b.src
+	}
+	switch {
+	case a.seq < b.seq:
+		return -1
+	case a.seq > b.seq:
+		return 1
+	}
+	return 0
 }
 
 // inf is the horizon of a shard nothing can influence.
@@ -76,7 +107,8 @@ type EdgeLatency struct {
 
 // arrival returns the earliest instant a message sent at t can be
 // delivered over this edge. Monotone in t, and strictly greater than t
-// (Fixed > 0), which the horizon fixpoint relies on.
+// (Fixed > 0): edges are FIFO and always advance time, which is what
+// makes the label-setting horizon pass exact.
 func (l EdgeLatency) arrival(t event.Time) event.Time {
 	if l.Grid > 0 {
 		if r := t % l.Grid; r != 0 {
@@ -86,12 +118,6 @@ func (l EdgeLatency) arrival(t event.Time) event.Time {
 	return t + l.Fixed
 }
 
-// edge is one declared directed edge.
-type edge struct {
-	src, dst int
-	lat      EdgeLatency
-}
-
 // EdgeFault is one deterministic fault window on a directed shard edge:
 // messages departing inside [At, Until) are dropped with probability
 // DropProb, and survivors arrive Delay later than they would have. The
@@ -99,7 +125,7 @@ type edge struct {
 // simulated facts — so the same fault schedule drops the same messages
 // at every worker count. Both degradations are conservative with
 // respect to the horizon computation: a dropped message removes an
-// arrival the fixpoint already budgeted for, and a delayed one arrives
+// arrival the horizon already budgeted for, and a delayed one arrives
 // strictly after its edge bound, so window safety is never violated.
 type EdgeFault struct {
 	At, Until event.Time // fault window; Until 0 = rest of the run
@@ -129,6 +155,16 @@ func edgeCoin(seed int64, src, dst int, seq uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
+// link is one directed (src, dst) pair as its source sees it: the
+// outbox, the per-pair send counter, and what SetEdge and AddEdgeFault
+// declared for the pair. A shard's links are indexed by destination.
+type link struct {
+	out    []message
+	seq    uint64
+	class  int32 // 1 + index into Driver.classes; 0 = no declared edge
+	faults int32 // 1 + index into Driver.faults; 0 = no fault windows
+}
+
 // Shard is one partition of the simulation: a private engine plus the
 // outboxes feeding every other shard. A shard's engine may only be
 // touched by the goroutine currently executing that shard's window (or
@@ -137,9 +173,10 @@ type Shard struct {
 	id    int
 	drv   *Driver
 	eng   *event.Engine
-	out   [][]message // outboxes indexed by destination shard ID
-	seq   []uint64    // per-destination send counters
-	limit event.Time  // this window's execution horizon (driver-owned)
+	links []link     // indexed by destination shard ID
+	dirty []int32    // destinations whose outbox turned non-empty since the last barrier
+	limit event.Time // this window's execution horizon (driver-owned)
+	inbox []int32    // sources with mail for this shard (driver-owned, barrier scratch)
 
 	// Edge-fault tallies, owned by whichever goroutine executes this
 	// shard's window (like eng); summed into Stats at the end of Run.
@@ -182,45 +219,48 @@ func (s *Shard) send(dst *Shard, at event.Time, fn func(), reliable bool) {
 		panic(fmt.Sprintf("parsim: send %d->%d at %d violates edge bound %d from now %d",
 			s.id, dst.id, at, min, s.eng.Now()))
 	}
-	if dst.id >= len(s.out) {
-		s.growRows(len(s.drv.shards))
-	}
+	l := s.link(dst.id)
 	// The sequence advances per attempt, dropped or not: it feeds the
 	// drop coin, so consecutive attempts must draw independently, and
 	// gaps in delivered sequences are harmless to the barrier merge.
-	s.seq[dst.id]++
-	if s.drv.faults != nil {
-		if fs := s.drv.faults[[2]int{s.id, dst.id}]; len(fs) != 0 {
-			now := s.eng.Now()
-			for _, f := range fs {
-				if !f.active(now) {
-					continue
-				}
-				if !reliable && f.DropProb > 0 &&
-					edgeCoin(f.Seed, s.id, dst.id, s.seq[dst.id]) < f.DropProb {
-					s.dropped++
-					return
-				}
-				if f.Delay > 0 {
-					at += f.Delay
-					s.delayed++
-				}
+	l.seq++
+	if l.faults != 0 {
+		now := s.eng.Now()
+		for _, f := range s.drv.faults[l.faults-1] {
+			if !f.active(now) {
+				continue
+			}
+			if !reliable && f.DropProb > 0 &&
+				edgeCoin(f.Seed, s.id, dst.id, l.seq) < f.DropProb {
+				s.dropped++
+				return
+			}
+			if f.Delay > 0 {
+				at += f.Delay
+				s.delayed++
 			}
 		}
 	}
-	s.out[dst.id] = append(s.out[dst.id], message{at: at, src: s.id, seq: s.seq[dst.id], fn: fn})
+	if len(l.out) == 0 {
+		s.dirty = append(s.dirty, int32(dst.id))
+	}
+	l.out = append(l.out, message{at: at, src: s.id, seq: l.seq, fn: fn})
 }
 
-// growRows widens the outbox and sequence rows to n destinations,
-// preserving anything already queued (setup-time sends land before Run
-// sizes the rows for the final fleet).
-func (s *Shard) growRows(n int) {
-	out := make([][]message, n)
-	copy(out, s.out)
-	s.out = out
-	seq := make([]uint64, n)
-	copy(seq, s.seq)
-	s.seq = seq
+// link returns the pair record for destination dst, widening the row to
+// the current fleet first if needed (declarations and setup-time sends
+// land before Run sizes every row for the final fleet).
+func (s *Shard) link(dst int) *link {
+	if dst >= len(s.links) {
+		s.growRow(len(s.drv.shards))
+	}
+	return &s.links[dst]
+}
+
+// growRow widens the link row to n destinations, preserving anything
+// already declared or queued.
+func (s *Shard) growRow(n int) {
+	s.links = append(s.links, make([]link, n-len(s.links))...)
 }
 
 // SendAfter schedules fn on dst d after the sending shard's current
@@ -238,11 +278,9 @@ func (s *Shard) EarliestTo(dst *Shard) event.Time {
 	if !s.drv.horizons {
 		return s.eng.Now() + s.drv.lookahead
 	}
-	if s.id < len(s.drv.edgeOut) {
-		for _, e := range s.drv.edgeOut[s.id] {
-			if e.dst == dst.id {
-				return e.lat.arrival(s.eng.Now())
-			}
+	if dst.id < len(s.links) {
+		if c := s.links[dst.id].class; c != 0 {
+			return s.drv.classes[c-1].arrival(s.eng.Now())
 		}
 	}
 	panic(fmt.Sprintf("parsim: no edge declared from shard %d to %d", s.id, dst.id))
@@ -256,20 +294,27 @@ type Driver struct {
 	ran       bool
 	stats     Stats
 
-	// Declared-edge state (horizon mode). edgeOut indexes edges by
-	// source shard; next/bound/horizon are the per-barrier fixpoint
-	// scratch, allocated once at Run.
+	// Declared-edge state. classes holds each distinct declared latency
+	// once; links name their class by index. faults holds the stacked
+	// fault windows of each faulty pair, named likewise.
 	horizons bool
-	edges    []edge
-	edgeOut  [][]edge
-	next     []event.Time
-	bound    []event.Time
-	horizon  []event.Time
+	classes  []EdgeLatency
+	faults   [][]EdgeFault
 
-	// faults maps directed (src, dst) shard pairs to their fault
-	// windows. nil when no faults are scheduled, which keeps the send
-	// fast path a single pointer test.
-	faults map[[2]int][]EdgeFault
+	// Horizon-pass state (horizon mode), built once at Run. The out-
+	// edges are a two-level CSR: source u's latency-class groups are
+	// groups[groupStart[u]:groupStart[u+1]], and a group's destinations
+	// are adj[lo:hi]. minFixed is the least Fixed latency of any class.
+	// next/bound/horizon/settled and the heap are the per-barrier scratch.
+	groupStart []int32
+	groups     []group
+	adj        []int32
+	minFixed   event.Time
+	next       []event.Time
+	bound      []event.Time
+	horizon    []event.Time
+	settled    []bool
+	heap       boundHeap
 
 	// Window state shared with the worker pool. Each shard's limit is
 	// written by the driver goroutine before the shard is handed to a
@@ -278,11 +323,17 @@ type Driver struct {
 	work chan *Shard
 	wg   sync.WaitGroup
 
-	// mergeBuf is the barrier's reusable merge scratch: deliver gathers
-	// every destination's incoming messages here, sorts, inserts, and
-	// hands the capacity back for the next barrier. Only the driver
-	// goroutine touches it.
+	// Barrier scratch, touched only by the driver goroutine: the
+	// destinations with mail this barrier, and the merge buffer each
+	// destination's incoming messages are gathered and sorted in.
+	touched  []int32
 	mergeBuf []message
+}
+
+// group is one source's out-edges of one latency class.
+type group struct {
+	lat    EdgeLatency
+	lo, hi int32
 }
 
 // NewDriver returns a driver that advances shards in windows of the
@@ -375,9 +426,10 @@ func (d *Driver) AddShard() *Shard {
 	}
 	s := &Shard{id: len(d.shards), drv: d, eng: &event.Engine{}}
 	d.shards = append(d.shards, s)
-	// Outbox and sequence rows are sized once in Run, when the fleet is
-	// final — growing them per AddShard is quadratic in shard count and
-	// lands on the hot path of callers that build a fabric per run.
+	// Link rows are sized when a source first declares or sends, and
+	// at Run for the rest, when the fleet is final — growing every row
+	// per AddShard is quadratic in shard count and lands on the hot
+	// path of callers that build a fabric per run.
 	return s
 }
 
@@ -404,27 +456,12 @@ func (d *Driver) SetEdge(src, dst *Shard, lat EdgeLatency) {
 		panic("parsim: negative edge Grid")
 	}
 	d.horizons = true
-	// Callers that build a fabric per run (the cluster benches construct
-	// a fresh dispatcher every iteration) pay SetEdge on the hot path,
-	// so the per-source adjacency is maintained incrementally rather
-	// than rebuilt per call.
-	for len(d.edgeOut) < len(d.shards) {
-		d.edgeOut = append(d.edgeOut, nil)
+	c := slices.Index(d.classes, lat)
+	if c < 0 {
+		c = len(d.classes)
+		d.classes = append(d.classes, lat)
 	}
-	e := edge{src: src.id, dst: dst.id, lat: lat}
-	for i := range d.edges {
-		if d.edges[i].src == src.id && d.edges[i].dst == dst.id {
-			d.edges[i].lat = lat
-			for j := range d.edgeOut[src.id] {
-				if d.edgeOut[src.id][j].dst == dst.id {
-					d.edgeOut[src.id][j].lat = lat
-				}
-			}
-			return
-		}
-	}
-	d.edges = append(d.edges, e)
-	d.edgeOut[src.id] = append(d.edgeOut[src.id], e)
+	src.link(dst.id).class = int32(c + 1)
 }
 
 // AddEdgeFault schedules a fault window on the directed pair src->dst.
@@ -447,11 +484,12 @@ func (d *Driver) AddEdgeFault(src, dst *Shard, f EdgeFault) {
 	if f.DropProb == 0 && f.Delay == 0 {
 		panic("parsim: AddEdgeFault that injects nothing (drop=0 delay=0)")
 	}
-	if d.faults == nil {
-		d.faults = map[[2]int][]EdgeFault{}
+	l := src.link(dst.id)
+	if l.faults == 0 {
+		d.faults = append(d.faults, nil)
+		l.faults = int32(len(d.faults))
 	}
-	k := [2]int{src.id, dst.id}
-	d.faults[k] = append(d.faults[k], f)
+	d.faults[l.faults-1] = append(d.faults[l.faults-1], f)
 }
 
 // Run drains every shard: windows open at the globally earliest pending
@@ -460,15 +498,7 @@ func (d *Driver) AddEdgeFault(src, dst *Shard, f EdgeFault) {
 // canonical order. It returns the latest shard time once no events or
 // in-flight messages remain. Run may be called once.
 func (d *Driver) Run() event.Time {
-	if d.ran {
-		panic("parsim: Run called twice")
-	}
-	d.ran = true
-	for _, s := range d.shards {
-		if len(s.out) < len(d.shards) {
-			s.growRows(len(d.shards))
-		}
-	}
+	d.prepare()
 	if d.workers > 1 {
 		d.startPool()
 		defer close(d.work)
@@ -478,6 +508,55 @@ func (d *Driver) Run() event.Time {
 	} else {
 		d.runUniform()
 	}
+	return d.finish()
+}
+
+// prepare freezes the fleet: it sizes every link row for the final
+// shard count and, in horizon mode, builds the out-edge CSR and the
+// horizon pass's scratch.
+func (d *Driver) prepare() {
+	if d.ran {
+		panic("parsim: Run called twice")
+	}
+	d.ran = true
+	n := len(d.shards)
+	for _, s := range d.shards {
+		if len(s.links) < n {
+			s.growRow(n)
+		}
+	}
+	if !d.horizons {
+		return
+	}
+	d.groupStart = make([]int32, n+1)
+	for u, s := range d.shards {
+		for c, lat := range d.classes {
+			lo := len(d.adj)
+			for v := range s.links {
+				if s.links[v].class == int32(c+1) {
+					d.adj = append(d.adj, int32(v))
+				}
+			}
+			if len(d.adj) > lo {
+				d.groups = append(d.groups, group{lat: lat, lo: int32(lo), hi: int32(len(d.adj))})
+			}
+		}
+		d.groupStart[u+1] = int32(len(d.groups))
+	}
+	d.minFixed = inf
+	for _, lat := range d.classes {
+		d.minFixed = min(d.minFixed, lat.Fixed)
+	}
+	d.next = make([]event.Time, n)
+	d.bound = make([]event.Time, n)
+	d.horizon = make([]event.Time, n)
+	d.settled = make([]bool, n)
+	d.heap = make(boundHeap, 0, n)
+}
+
+// finish sums the per-shard fault tallies into Stats and returns the
+// latest shard time.
+func (d *Driver) finish() event.Time {
 	var end event.Time
 	for _, s := range d.shards {
 		if now := s.eng.Now(); now > end {
@@ -522,68 +601,15 @@ func (d *Driver) runUniform() {
 // runHorizons is the declared-edge window loop. Each barrier computes,
 // per shard, a conservative horizon — the earliest instant any message
 // could still reach it — and lets every shard execute all events
-// strictly before its own horizon. The horizon is the fixpoint of
-// earliest-event propagation: starting from each shard's next pending
-// event time, relax every declared edge (earliest possible event on the
-// source implies a possible arrival on the destination) until stable;
-// a shard's horizon is then the min arrival over its incoming edges.
-// Because every edge advances time by at least its positive Fixed
-// latency, the fixpoint is the min over simple paths and converges in
-// at most len(shards) passes, and the shard holding the globally
-// earliest event always clears its own horizon — progress is
-// guaranteed. All inputs are simulated-time facts, so the window
-// structure (and Stats) is byte-identical at every worker count.
+// strictly before its own horizon (see computeHorizons). All inputs are
+// simulated-time facts, so the window structure (and Stats) is byte-
+// identical at every worker count.
 func (d *Driver) runHorizons() {
-	n := len(d.shards)
-	d.next = make([]event.Time, n)
-	d.bound = make([]event.Time, n)
-	d.horizon = make([]event.Time, n)
-	active := make([]*Shard, 0, n)
+	active := make([]*Shard, 0, len(d.shards))
 	for {
 		d.deliver()
-		any := false
-		for i, s := range d.shards {
-			if t, ok := s.eng.NextAt(); ok {
-				d.next[i], d.bound[i] = t, t
-				any = true
-			} else {
-				d.next[i], d.bound[i] = inf, inf
-			}
-		}
-		if !any {
+		if !d.computeHorizons() {
 			break
-		}
-		// Fixpoint: bound[v] = min(next[v], min over edges u->v of
-		// arrival(bound[u])) — the earliest instant any event could
-		// possibly occur on v, own or induced.
-		for pass := 0; pass < n; pass++ {
-			changed := false
-			for _, e := range d.edges {
-				if d.bound[e.src] == inf {
-					continue
-				}
-				if a := e.lat.arrival(d.bound[e.src]); a < d.bound[e.dst] {
-					d.bound[e.dst] = a
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-		// Horizon[v]: the earliest possible *external* influence on v.
-		// Events strictly before it are causally independent of every
-		// other shard and safe to execute now.
-		for i := range d.horizon {
-			d.horizon[i] = inf
-		}
-		for _, e := range d.edges {
-			if d.bound[e.src] == inf {
-				continue
-			}
-			if a := e.lat.arrival(d.bound[e.src]); a < d.horizon[e.dst] {
-				d.horizon[e.dst] = a
-			}
 		}
 		active = active[:0]
 		for i, s := range d.shards {
@@ -595,6 +621,133 @@ func (d *Driver) runHorizons() {
 		d.record(len(active))
 		d.runWindow(active)
 	}
+}
+
+// computeHorizons fills next and horizon for one barrier and reports
+// whether any shard has a pending event. bound[v] is the earliest
+// instant any event could occur on v, own or induced: the least of
+// next[v] and arrival(bound[u]) over every edge u->v. horizon[v] is the
+// earliest possible external influence on v — the same minimum without
+// next[v] — and events strictly before it are causally independent of
+// every other shard.
+//
+// Edges are FIFO (arrival is monotone) and strictly advance time
+// (arrival(t) > t), so bounds form a shortest-path problem with non-
+// negative, time-dependent edge costs and settle in one label-setting
+// (Dijkstra) pass: shards leave a (bound, shard) min-heap in bound
+// order, and a settled bound is final. Each settled shard relaxes its
+// out-edges one latency class at a time — one arrival per class, not
+// per edge. Shards with no pending event and no finite bound are never
+// settled and relax nothing. The shard holding the globally earliest
+// event always clears its own horizon, so every window makes progress.
+//
+// Only the horizons of shards with a pending event decide the window,
+// so the pass stops as soon as none of them can fall further: once all
+// are finite, their largest value caps them, and every later relaxation
+// arrives at least minFixed after a bound no smaller than the one being
+// popped. On a dense mesh that ends the pass after a few settles instead
+// of relaxing every edge. The bound and horizon of shards with no
+// pending event are then left unfinished; nothing reads them.
+func (d *Driver) computeHorizons() bool {
+	h := d.heap[:0]
+	for i, s := range d.shards {
+		t, ok := s.eng.NextAt()
+		if !ok {
+			t = inf
+		} else {
+			h.push(t, int32(i))
+		}
+		d.next[i], d.bound[i], d.horizon[i], d.settled[i] = t, t, inf, false
+	}
+	unreached := len(h) // pending shards whose horizon is still inf
+	if unreached == 0 {
+		return false
+	}
+	next, bound, horizon := d.next, d.bound, d.horizon
+	limit := inf // once unreached is 0: the largest pending horizon
+	for len(h) > 0 {
+		b, u := h.pop()
+		if b+d.minFixed >= limit {
+			break
+		}
+		if d.settled[u] {
+			continue // stale entry: u settled at a smaller bound
+		}
+		d.settled[u] = true
+		for _, g := range d.groups[d.groupStart[u]:d.groupStart[u+1]] {
+			a := g.lat.arrival(b)
+			for _, v := range d.adj[g.lo:g.hi] {
+				if a < horizon[v] {
+					if horizon[v] == inf && next[v] != inf {
+						unreached--
+					}
+					horizon[v] = a
+				}
+				if a < bound[v] {
+					bound[v] = a
+					h.push(a, v)
+				}
+			}
+		}
+		if unreached == 0 && limit == inf {
+			limit = 0
+			for i, t := range next {
+				if t != inf && horizon[i] > limit {
+					limit = horizon[i]
+				}
+			}
+		}
+	}
+	d.heap = h
+	return true
+}
+
+// boundHeap is the horizon pass's binary min-heap of (bound, shard)
+// entries. Each entry carries its own key: a shard's bound can fall
+// while an older entry for it is still queued, and that entry must keep
+// the key it was pushed with. Stale entries are skipped on pop.
+type boundHeap []boundEntry
+
+type boundEntry struct {
+	at    event.Time
+	shard int32
+}
+
+func (h *boundHeap) push(at event.Time, shard int32) {
+	q := append(*h, boundEntry{at, shard})
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].at <= q[i].at {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	*h = q
+}
+
+func (h *boundHeap) pop() (event.Time, int32) {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].at < q[c].at {
+			c++
+		}
+		if q[i].at <= q[c].at {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top.at, top.shard
 }
 
 // runWindow executes every active shard up to its own limit (set by the
@@ -650,37 +803,35 @@ func (d *Driver) startPool() {
 // order and inserted into the destination engine. Insertion order fixes
 // the engine-level tie-break, so equal-timestamp deliveries execute in
 // source-shard order on every run regardless of worker count.
+//
+// Only pairs that carried mail are visited: each source's dirty list
+// names the destinations its outboxes filled since the last barrier,
+// and regrouping those lists by destination costs one pass over the
+// shards plus one step per dirty pair. Destinations are merged in first-
+// touched order; engines are private and the sort key is total, so that
+// order changes nothing.
 func (d *Driver) deliver() {
-	for dstID, dst := range d.shards {
+	for _, src := range d.shards {
+		for _, dst := range src.dirty {
+			to := d.shards[dst]
+			if len(to.inbox) == 0 {
+				d.touched = append(d.touched, dst)
+			}
+			to.inbox = append(to.inbox, int32(src.id))
+		}
+		src.dirty = src.dirty[:0]
+	}
+	for _, id := range d.touched {
+		dst := d.shards[id]
 		batch := d.mergeBuf[:0]
-		for _, src := range d.shards {
-			if pending := src.out[dstID]; len(pending) > 0 {
-				batch = append(batch, pending...)
-				clear(pending) // drop the closure refs; keep the capacity
-				src.out[dstID] = pending[:0]
-			}
+		for _, src := range dst.inbox {
+			l := &d.shards[src].links[id]
+			batch = append(batch, l.out...)
+			clear(l.out) // drop the closure refs; keep the capacity
+			l.out = l.out[:0]
 		}
-		if len(batch) == 0 {
-			continue
-		}
-		slices.SortFunc(batch, func(a, b message) int {
-			if a.at != b.at {
-				if a.at < b.at {
-					return -1
-				}
-				return 1
-			}
-			if a.src != b.src {
-				return a.src - b.src
-			}
-			switch {
-			case a.seq < b.seq:
-				return -1
-			case a.seq > b.seq:
-				return 1
-			}
-			return 0
-		})
+		dst.inbox = dst.inbox[:0]
+		slices.SortFunc(batch, cmpMessage)
 		dst.eng.Reserve(len(batch))
 		for i := range batch {
 			dst.eng.At(batch[i].at, batch[i].fn)
@@ -688,4 +839,5 @@ func (d *Driver) deliver() {
 		clear(batch) // drop the closure refs; keep the capacity
 		d.mergeBuf = batch[:0]
 	}
+	d.touched = d.touched[:0]
 }

@@ -398,6 +398,45 @@ func TestUndeclaredEdgeSendPanics(t *testing.T) {
 	d.Run()
 }
 
+// TestSendAcrossDriversPanics: a shard may only send to shards of its
+// own driver.
+func TestSendAcrossDriversPanics(t *testing.T) {
+	d := NewDriver(hop, 1)
+	a := d.AddShard()
+	foreign := NewDriver(hop, 1).AddShard()
+	defer func() {
+		if recover() == nil {
+			t.Error("Send to another driver's shard did not panic")
+		}
+	}()
+	a.Send(foreign, hop, func() {})
+}
+
+// TestSetupMailSurvivesRowGrowth: mail queued before Run stays queued
+// when later AddShard/SetEdge calls widen the sender's link row, and is
+// delivered by the first barrier, in both modes.
+func TestSetupMailSurvivesRowGrowth(t *testing.T) {
+	for _, horizons := range []bool{false, true} {
+		d := NewDriver(hop, 1)
+		a, b := d.AddShard(), d.AddShard()
+		if horizons {
+			d.SetEdge(a, b, EdgeLatency{Fixed: hop})
+		}
+		var got []string
+		a.Send(b, hop, func() { got = append(got, "b") })
+		c := d.AddShard()
+		if horizons {
+			d.SetEdge(a, c, EdgeLatency{Fixed: 2 * hop})
+		}
+		a.Send(c, 2*hop, func() { got = append(got, "c") })
+		a.Send(b, hop, func() { got = append(got, "b2") })
+		d.Run()
+		if want := []string{"b", "b2", "c"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("horizons=%v: delivered %v, want %v", horizons, got, want)
+		}
+	}
+}
+
 // TestGridEdgeBoundsDepartures: a beacon-grid edge quantises departures;
 // sends before the grid instant arrive exactly Fixed after the grid
 // tick, and sends exactly on the grid depart immediately.
