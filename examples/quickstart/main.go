@@ -47,21 +47,21 @@ func main() {
 	sys := core.New(nil)
 	var jobs []*sched.Job
 	for i := 0; i < 16; i++ {
-		est := map[isa.Target]sched.Profile{}
+		var est sched.Estimates
 		elements := int64(1 << 20)
 		for _, t := range isa.Targets {
 			cfg := memory.ConfigFor(t)
 			lanes := int64(64) * int64(cfg.ALUsPerArray)
 			waves := (elements + lanes - 1) / lanes
-			est[t] = sched.Profile{
+			est.Set(t, sched.Profile{
 				UnitCycles: progs[t].Cycles * waves,
 				RepUnit:    64,
 				LoadBytes:  sched.EffectiveLoadBytes(t, elements*2),
 				StoreBytes: sched.EffectiveLoadBytes(t, elements*2),
 				Beta:       sched.DefaultBeta,
-			}
+			})
 		}
-		jobs = append(jobs, &sched.Job{ID: i, Name: fmt.Sprintf("axpy-%d", i), Kind: "axpy", Est: est})
+		jobs = append(jobs, &sched.Job{ID: i, Name: fmt.Sprintf("axpy-%d", i), Kind: "axpy", Est: &est})
 	}
 	rep := sys.Run(jobs)
 	fmt.Printf("\nscheduled %d jobs: %v\n", len(jobs), rep)

@@ -23,8 +23,7 @@ func makeJobs(rng *rand.Rand, sys *sched.System, n int, sigma float64) []*sched.
 		baseMs := math.Pow(rng.Float64(), -1/1.5) * 0.5
 		pref := targets[rng.Intn(len(targets))]
 		frac := 0.03 + rng.Float64()*0.1
-		trueEst := map[isa.Target]sched.Profile{}
-		noisy := map[isa.Target]sched.Profile{}
+		var trueEst, noisy sched.Estimates
 		for _, t := range targets {
 			factor := 1 + rng.Float64()*3
 			if t == pref {
@@ -36,7 +35,7 @@ func makeJobs(rng *rand.Rand, sys *sched.System, n int, sigma float64) []*sched.
 			}
 			cycles := int64(baseMs * factor * sys.Layers[t].Cfg.FreqMHz * 1000)
 			p := sched.Profile{UnitCycles: cycles, RepUnit: ru, LoadBytes: 1 << 19, Beta: sched.DefaultBeta}
-			trueEst[t] = p
+			trueEst.Set(t, p)
 			q := p
 			if sigma > 0 {
 				q.UnitCycles = int64(float64(cycles) * math.Exp(rng.NormFloat64()*sigma))
@@ -44,16 +43,11 @@ func makeJobs(rng *rand.Rand, sys *sched.System, n int, sigma float64) []*sched.
 					q.UnitCycles = 1
 				}
 			}
-			noisy[t] = q
+			noisy.Set(t, q)
 		}
-		j := &sched.Job{ID: i, Name: fmt.Sprintf("job%d", i), Kind: "synthetic", Est: noisy}
-		te := trueEst
+		j := &sched.Job{ID: i, Name: fmt.Sprintf("job%d", i), Kind: "synthetic", Est: &noisy}
+		exact := &sched.Job{ID: -1, Est: &trueEst}
 		j.TrueTime = func(s *sched.System, t isa.Target, arrays int) event.Time {
-			p, ok := te[t]
-			if !ok {
-				return math.MaxInt64
-			}
-			exact := &sched.Job{ID: -1, Est: map[isa.Target]sched.Profile{t: p}}
 			return s.ModelTime(exact, t, arrays)
 		}
 		jobs[i] = j

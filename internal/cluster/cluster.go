@@ -14,7 +14,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"mlimp/internal/event"
 	"mlimp/internal/isa"
@@ -60,16 +59,17 @@ type Node struct {
 	runStart  event.Time         // when it started
 	estSched  sched.Scheduler    // stateless planner backing EstimateCost
 
-	// estCache memoizes EstimateCost per batch signature. One admission
-	// costs at least two identical estimates (the policy's Pick plus the
-	// hub-side booking), and every retry of a shed-bound arrival
-	// re-estimates the same batch against the same nodes; the planning
-	// pass behind each estimate is a full Algorithm-2 schedule, by far
-	// the dispatcher's hottest computation. Estimates assume an idle
-	// node; the system is fixed after construction except for fault
-	// degradation, which invalidates the cache (see degrade/restore).
-	estCache           map[string]event.Time
-	estHits, estMisses int64
+	// est memoizes EstimateCost per batch key (see estCache). One
+	// admission costs at least two identical estimates (the policy's
+	// Pick plus the hub-side booking), every retry of a shed-bound
+	// arrival re-estimates the same batch against the same nodes, and
+	// batches of the same job shapes plan identically; the planning pass
+	// behind each estimate is a full Algorithm-2 schedule, by far the
+	// dispatcher's hottest computation. Estimates assume an idle node;
+	// the system is fixed after construction except for fault
+	// degradation, which invalidates the cache (see degrade/restore),
+	// and standing replicas, which key batches by job identity.
+	est estCache
 
 	// Failure state (see fault.go). The node shard holds the ground
 	// truth (crash flag, lost arrays); the hub's view holds the belief
@@ -138,7 +138,7 @@ func (n *Node) revive() {
 func (n *Node) degrade(t isa.Target, arrays int) {
 	if removed := n.Sys.Degrade(t, arrays); removed > 0 {
 		n.arraysLost += removed
-		n.estCache = map[string]event.Time{}
+		n.est.reset()
 	}
 }
 
@@ -146,7 +146,7 @@ func (n *Node) degrade(t isa.Target, arrays int) {
 func (n *Node) restore(t isa.Target, arrays int) {
 	if returned := n.Sys.Restore(t, arrays); returned > 0 {
 		n.arraysLost -= returned
-		n.estCache = map[string]event.Time{}
+		n.est.reset()
 	}
 }
 
@@ -171,7 +171,8 @@ func newSystemFor(cfg NodeConfig) *sched.System {
 	}
 	sys := sched.NewSystem(cfg.Targets...)
 	if cfg.Scale > 0 && cfg.Scale != 1 {
-		for _, l := range sys.Layers {
+		for _, t := range sys.Targets() {
+			l := sys.Layers[t]
 			if c := int(float64(l.Capacity()) * cfg.Scale); c >= 1 {
 				l.SetCapacity(c)
 			} else {
@@ -215,7 +216,6 @@ func newView(cfg NodeConfig) *Node {
 		estimates: map[int]event.Time{},
 		runningID: -1,
 		estSched:  sched.NewGlobal(),
-		estCache:  map[string]event.Time{},
 	}
 }
 
@@ -252,15 +252,9 @@ func (n *Node) PredictedDrain(now event.Time) event.Time {
 // at least one of the node's layers — a node missing the only layer a
 // job compiles for must not be offered that batch.
 func (n *Node) CanRun(jobs []*sched.Job) bool {
+	layers := n.Sys.Mask()
 	for _, j := range jobs {
-		ok := false
-		for t := range n.Sys.Layers {
-			if _, has := j.Est[t]; has {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if j.Est.Mask()&layers == 0 {
 			return false
 		}
 	}
@@ -275,37 +269,185 @@ func (n *Node) CanRun(jobs []*sched.Job) bool {
 // batches estimate to MaxInt64 (CanRun filters them out of admission
 // before any policy consults the estimate).
 //
-// Estimates are memoized per batch signature (see batchKey), so the
-// repeated estimates of one admission — policy comparison, booking,
-// retries — plan the batch against each node exactly once.
+// Estimates are memoized per batch key (see estCache), so the repeated
+// estimates of one admission — policy comparison, booking, retries —
+// and every later batch of the same job shapes plan against each node
+// once.
 func (n *Node) EstimateCost(jobs []*sched.Job) event.Time {
 	if !n.CanRun(jobs) {
 		return event.Time(math.MaxInt64)
 	}
-	key := batchKey(jobs)
-	if est, ok := n.estCache[key]; ok {
-		n.estHits++
+	byID := n.Sys.Replication == sched.ReplicateWhenIdle
+	if est, ok := n.est.get(jobs, byID); ok {
 		return est
 	}
 	est := n.estSched.Schedule(n.Sys, jobs).Makespan
-	n.estCache[key] = est
-	n.estMisses++
+	n.est.put(jobs, byID, est)
 	return est
 }
 
 // EstCacheStats returns the estimate cache's hit and miss counts.
-func (n *Node) EstCacheStats() (hits, misses int64) { return n.estHits, n.estMisses }
+func (n *Node) EstCacheStats() (hits, misses int64) { return n.est.hits, n.est.misses }
 
-// batchKey is the estimate-cache signature of a job set: the ordered
-// (ID, Name) pairs. Job IDs identify immutable job objects for the
-// lifetime of a dispatcher (every in-repo workload generator issues
-// unique IDs), and names encode the app shape, so equal keys imply
-// equal plans. Callers that recycle IDs across jobs with different
-// TrueTime ground truth would alias entries — don't.
-func batchKey(jobs []*sched.Job) string {
-	var sb strings.Builder
-	for _, j := range jobs {
-		fmt.Fprintf(&sb, "%d:%s|", j.ID, j.Name)
+// EstCacheClears returns how many times the estimate cache was
+// generation-cleared at its bound.
+func (n *Node) EstCacheClears() int64 { return n.est.clears }
+
+// MaxEstCacheEntries bounds each node's estimate cache: ID-keyed
+// batches (see estCache) never repeat across admissions, so without a
+// bound they would grow the cache for the life of a dispatcher. At the
+// bound the cache is dropped wholesale, as the scheduler's cost memos
+// are. On a view that does not replicate, an entry is a pure function
+// of its key, so a clear costs only recomputation. The bound is well
+// above the largest per-view count the in-repo experiments and bench
+// workloads reach (1,707 entries, on app-serve), so none of them
+// clears.
+const MaxEstCacheEntries = 8192
+
+// estCache is a node's admission-estimate cache. Its key is one tuple
+// per job of the batch, in batch order. Global.Schedule reads only a
+// job's Est, TrueTime, Tenant and Stage (Bits rides along for safety),
+// so batches whose jobs agree position by position on those fields
+// plan identically and share an entry whatever their IDs — every
+// RequestPool job of one Table II app carries the same Est. Two cases
+// are not pure functions of job content, and add the job's ID and Name
+// to its tuple:
+//   - a job with a TrueTime closure, whose ground truth the content
+//     does not capture (every GNN job); job IDs identify immutable job
+//     objects for the lifetime of a dispatcher, so callers that recycle
+//     IDs across different ground truths would alias entries — don't;
+//   - every job on a ReplicateWhenIdle view, whose EnsureReplicas
+//     changes the System between calls.
+//
+// Entries sit under a 64-bit hash of the key and keep the full key, as
+// tuple numbers: each distinct tuple is stored once, in tuples. A
+// lookup hits only when the stored key equals the query, so a hash
+// collision costs one replan and an overwrite. At MaxEstCacheEntries
+// entries the cache is generation-cleared.
+type estCache struct {
+	entries map[uint64]estEntry
+	tuples  []estJob          // distinct job tuples, numbered by position
+	tupleOf map[uint64]uint32 // tuple hash -> tuple number
+	hashes  []uint64          // per-job tuple hashes of the last query
+
+	hits, misses, clears int64
+}
+
+// estEntry is one cached estimate and the key it was computed for.
+type estEntry struct {
+	key []uint32 // tuple numbers, in batch order
+	v   event.Time
+}
+
+// estJob is one job's tuple. It holds the job's Est table by pointer
+// and compares it by content; tables are read-only once a job is built.
+type estJob struct {
+	est           *sched.Estimates
+	tenant, stage string
+	bits          int
+	byID          bool
+	id            int
+	name          string
+}
+
+// idKeyed reports whether job j's tuple carries its identity.
+func idKeyed(j *sched.Job, byID bool) bool { return byID || j.TrueTime != nil }
+
+// jobHash mixes every field of job j's tuple into 64 bits.
+func jobHash(j *sched.Job, byID bool) uint64 {
+	h := j.Est.Hash(0)
+	h = hashString(h, j.Tenant)
+	h = hashString(h, j.Stage)
+	h = sched.Mix(h, uint64(j.Bits))
+	if idKeyed(j, byID) {
+		h = sched.Mix(h, uint64(j.ID))
+		h = hashString(h, j.Name)
 	}
-	return sb.String()
+	return h
+}
+
+// hashString folds s into h, its length first so adjacent strings
+// cannot trade bytes.
+func hashString(h uint64, s string) uint64 {
+	h = sched.Mix(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = sched.Mix(h, uint64(s[i]))
+	}
+	return h
+}
+
+// matches reports whether k is job j's tuple.
+func (k *estJob) matches(j *sched.Job, byID bool) bool {
+	if k.est != j.Est && (k.est == nil || j.Est == nil || *k.est != *j.Est) {
+		return false
+	}
+	if k.tenant != j.Tenant || k.stage != j.Stage || k.bits != j.Bits {
+		return false
+	}
+	by := idKeyed(j, byID)
+	return k.byID == by && (!by || k.id == j.ID && k.name == j.Name)
+}
+
+// batchHash hashes the batch's key, leaving the per-job tuple hashes
+// in c.hashes.
+func (c *estCache) batchHash(jobs []*sched.Job, byID bool) uint64 {
+	c.hashes = c.hashes[:0]
+	h := uint64(len(jobs))
+	for _, j := range jobs {
+		jh := jobHash(j, byID)
+		c.hashes = append(c.hashes, jh)
+		h = sched.Mix(h, jh)
+	}
+	return h
+}
+
+// get returns the cached estimate of the batch, counting the hit or
+// miss.
+func (c *estCache) get(jobs []*sched.Job, byID bool) (event.Time, bool) {
+	e, ok := c.entries[c.batchHash(jobs, byID)]
+	ok = ok && len(e.key) == len(jobs)
+	for i := 0; ok && i < len(jobs); i++ {
+		ok = c.tuples[e.key[i]].matches(jobs[i], byID)
+	}
+	if !ok {
+		c.misses++
+		return 0, false
+	}
+	c.hits++
+	return e.v, true
+}
+
+// put caches the estimate of the batch.
+func (c *estCache) put(jobs []*sched.Job, byID bool, v event.Time) {
+	h := c.batchHash(jobs, byID)
+	if _, taken := c.entries[h]; !taken && len(c.entries) >= MaxEstCacheEntries {
+		c.reset()
+		c.clears++
+	}
+	if c.entries == nil {
+		c.entries = map[uint64]estEntry{}
+		c.tupleOf = map[uint64]uint32{}
+	}
+	key := make([]uint32, len(jobs))
+	for i, j := range jobs {
+		jh := c.hashes[i]
+		k, ok := c.tupleOf[jh]
+		if !ok || !c.tuples[k].matches(j, byID) {
+			k = uint32(len(c.tuples))
+			c.tuples = append(c.tuples, estJob{est: j.Est, tenant: j.Tenant, stage: j.Stage, bits: j.Bits})
+			if idKeyed(j, byID) {
+				c.tuples[k].byID, c.tuples[k].id, c.tuples[k].name = true, j.ID, j.Name
+			}
+			c.tupleOf[jh] = k
+		}
+		key[i] = k
+	}
+	c.entries[h] = estEntry{key: key, v: v}
+}
+
+// reset drops every entry and tuple.
+func (c *estCache) reset() {
+	clear(c.entries)
+	clear(c.tupleOf)
+	c.tuples = c.tuples[:0]
 }

@@ -19,13 +19,13 @@ func mkJob(id int, cycles int64, targets ...isa.Target) *sched.Job {
 	if len(targets) == 0 {
 		targets = isa.Targets
 	}
-	est := map[isa.Target]sched.Profile{}
+	var est sched.Estimates
 	for _, t := range targets {
-		est[t] = sched.Profile{
+		est.Set(t, sched.Profile{
 			UnitCycles: cycles, RepUnit: 8, LoadBytes: 1 << 14, Beta: sched.DefaultBeta,
-		}
+		})
 	}
-	return &sched.Job{ID: id, Name: "cl", Kind: "cl", Est: est}
+	return &sched.Job{ID: id, Name: "cl", Kind: "cl", Est: &est}
 }
 
 func mkBatch(id int, at event.Time, n int, targets ...isa.Target) *runtime.Batch {

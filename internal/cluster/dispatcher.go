@@ -290,8 +290,8 @@ type nodeRollup struct {
 // lostRollup snapshots a system's per-target lost-array counts for the
 // fleet summary.
 func lostRollup(sys *sched.System) (lost [isa.NumTargets]int) {
-	for t := range sys.Layers {
-		lost[int(t)] = sys.Lost(t)
+	for _, t := range sys.Targets() {
+		lost[t] = sys.Lost(t)
 	}
 	return lost
 }

@@ -24,11 +24,11 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 func goldenBatch(id int, at event.Time, n int) *runtime.Batch {
 	jobs := make([]*sched.Job, n)
 	for i := range jobs {
-		est := map[isa.Target]sched.Profile{}
+		var est sched.Estimates
 		for _, t := range isa.Targets {
-			est[t] = sched.Profile{UnitCycles: 200_000, RepUnit: 8, LoadBytes: 1 << 14, Beta: sched.DefaultBeta}
+			est.Set(t, sched.Profile{UnitCycles: 200_000, RepUnit: 8, LoadBytes: 1 << 14, Beta: sched.DefaultBeta})
 		}
-		jobs[i] = &sched.Job{ID: id*100 + i, Name: "cl", Kind: "cl", Est: est}
+		jobs[i] = &sched.Job{ID: id*100 + i, Name: "cl", Kind: "cl", Est: &est}
 	}
 	return &runtime.Batch{ID: id, Arrival: at, Jobs: jobs}
 }

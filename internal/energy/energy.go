@@ -75,12 +75,12 @@ func OfResult(sys *sched.System, res *sched.Result) Breakdown {
 			width = float64(a.Job.Bits) / 16
 		}
 		b.ComputeJ += float64(cycles) * float64(a.Arrays) * c.ArrayCyclePJ * width * 1e-12
-		if p, ok := a.Job.Est[a.Target]; ok {
+		if p, ok := a.Job.Est.Get(a.Target); ok {
 			bytes := p.LoadBytes + p.StoreBytes + p.ProgramBytes*4
 			b.TransferJ += float64(bytes) * DDRPJPerByte * 1e-12
 		}
 	}
-	for t := range sys.Layers {
+	for _, t := range sys.Targets() {
 		b.StaticJ += PerTarget[t].StaticW * res.Makespan.Seconds()
 	}
 	return b

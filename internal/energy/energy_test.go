@@ -10,11 +10,11 @@ import (
 )
 
 func job(id int, cycles int64, load int64) *sched.Job {
-	est := map[isa.Target]sched.Profile{}
+	var est sched.Estimates
 	for _, t := range isa.Targets {
-		est[t] = sched.Profile{UnitCycles: cycles, RepUnit: 4, LoadBytes: load, Beta: sched.DefaultBeta}
+		est.Set(t, sched.Profile{UnitCycles: cycles, RepUnit: 4, LoadBytes: load, Beta: sched.DefaultBeta})
 	}
-	return &sched.Job{ID: id, Name: "e", Est: est}
+	return &sched.Job{ID: id, Name: "e", Est: &est}
 }
 
 func TestConstantsCoverAllTargets(t *testing.T) {

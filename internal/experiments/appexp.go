@@ -120,8 +120,7 @@ func stressBatch(rng *rand.Rand, sys *sched.System, n int, sigma float64) []*sch
 		baseMs := math.Pow(rng.Float64(), -1/1.5) * 0.5
 		pref := targets[rng.Intn(len(targets))]
 		frac := 0.03 + rng.Float64()*0.1
-		trueEst := map[isa.Target]sched.Profile{}
-		noisy := map[isa.Target]sched.Profile{}
+		var trueEst, noisy sched.Estimates
 		for _, t := range targets {
 			factor := 1 + rng.Float64()*3
 			if t == pref {
@@ -135,7 +134,7 @@ func stressBatch(rng *rand.Rand, sys *sched.System, n int, sigma float64) []*sch
 				UnitCycles: int64(baseMs * factor * freq[t] * 1000),
 				RepUnit:    ru, LoadBytes: 1 << 19, Beta: sched.DefaultBeta,
 			}
-			trueEst[t] = p
+			trueEst.Set(t, p)
 			q := p
 			if sigma > 0 {
 				q.UnitCycles = int64(float64(p.UnitCycles) * math.Exp(rng.NormFloat64()*sigma))
@@ -143,15 +142,11 @@ func stressBatch(rng *rand.Rand, sys *sched.System, n int, sigma float64) []*sch
 					q.UnitCycles = 1
 				}
 			}
-			noisy[t] = q
+			noisy.Set(t, q)
 		}
-		j := &sched.Job{ID: i, Name: "stress", Kind: "stress", Est: noisy}
+		j := &sched.Job{ID: i, Name: "stress", Kind: "stress", Est: &noisy}
+		exact := &sched.Job{ID: -1, Est: &trueEst}
 		j.TrueTime = func(s *sched.System, t isa.Target, arrays int) event.Time {
-			p, ok := trueEst[t]
-			if !ok {
-				return math.MaxInt64
-			}
-			exact := &sched.Job{ID: -1, Est: map[isa.Target]sched.Profile{t: p}}
 			return s.ModelTime(exact, t, arrays)
 		}
 		jobs[i] = j

@@ -37,16 +37,26 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRuns executes the full reproduction suite once and
-// sanity-checks each artefact. This is the repository's end-to-end test.
+// TestEveryExperimentRuns sanity-checks each artefact of the full
+// reproduction suite, taken from the serial sweep TestRunAllMatchesSerial
+// also checks. This is the repository's end-to-end test.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reproduction suite is slow")
 	}
-	for _, e := range All() {
-		e := e
+	serial, err := serialRunAll()
+	if err != nil {
+		t.Fatalf("serial sweep: %v", err)
+	}
+	if len(serial) != len(All()) {
+		t.Fatalf("serial sweep ran %d experiments, registry has %d", len(serial), len(All()))
+	}
+	for i, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			res := e.Run()
+			res := serial[i].Result
+			if res == nil {
+				t.Fatal("no result")
+			}
 			if res.ID != e.ID {
 				t.Errorf("result id %q != %q", res.ID, e.ID)
 			}

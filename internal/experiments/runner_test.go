@@ -2,8 +2,26 @@ package experiments
 
 import (
 	"context"
+	"sync"
 	"testing"
 )
+
+// serialSweep holds the serial RunAll(ctx, 1) sweep: the full
+// reproduction suite is run once per test process and every test that
+// asserts on the serial artefacts shares it.
+var serialSweep struct {
+	once sync.Once
+	out  []Timed
+	err  error
+}
+
+// serialRunAll returns the shared serial sweep, running it on first use.
+func serialRunAll() ([]Timed, error) {
+	serialSweep.once.Do(func() {
+		serialSweep.out, serialSweep.err = RunAll(context.Background(), 1)
+	})
+	return serialSweep.out, serialSweep.err
+}
 
 // TestRunAllMatchesSerial is the determinism acceptance test of the
 // parallel runner: every artefact from a parallel sweep must be
@@ -14,12 +32,11 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full double reproduction sweep is slow")
 	}
-	ctx := context.Background()
-	serial, err := RunAll(ctx, 1)
+	serial, err := serialRunAll()
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	parallel, err := RunAll(ctx, 4)
+	parallel, err := RunAll(context.Background(), 4)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}

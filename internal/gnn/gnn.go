@@ -244,12 +244,12 @@ func SpMMJob(id int, name string, adj *tensor.CSR, f int, p predict.Predictor,
 func SpMMJobAt(id int, name string, adj *tensor.CSR, f, layer int, qf fixed.Format,
 	p predict.Predictor, sys *sched.System, betas map[isa.Target]map[int]float64) *sched.Job {
 	bits := qf.Bits
-	est := map[isa.Target]sched.Profile{}
+	var est sched.Estimates
 	for _, t := range sys.Targets() {
-		est[t] = spmmProfile(adj, f, t, p.UnitCycles(adj, f, t), betas[t][f]).ScaleToBits(bits)
+		est.Set(t, spmmProfile(adj, f, t, p.UnitCycles(adj, f, t), betas[t][f]).ScaleToBits(bits))
 	}
 	j := &sched.Job{ID: id, Name: name, Kind: "spmm",
-		Stage: fmt.Sprintf("spmm-l%d", layer), Bits: bits, Est: est}
+		Stage: fmt.Sprintf("spmm-l%d", layer), Bits: bits, Est: &est}
 	j.TrueTime = func(sys *sched.System, t isa.Target, arrays int) event.Time {
 		return trueSpMMTime(sys, adj, f, t, arrays, bits)
 	}
@@ -311,9 +311,9 @@ func (w *Workload) SpMMJobs(p predict.Predictor, sys *sched.System) []*sched.Job
 		for l, spec := range w.Model.Layers {
 			f := spec.In
 			bits := w.Model.LayerBits(l)
-			est := map[isa.Target]sched.Profile{}
+			var est sched.Estimates
 			for _, t := range sys.Targets() {
-				est[t] = spmmProfile(adj, f, t, p.UnitCycles(adj, f, t), betas[t][f]).ScaleToBits(bits)
+				est.Set(t, spmmProfile(adj, f, t, p.UnitCycles(adj, f, t), betas[t][f]).ScaleToBits(bits))
 			}
 			j := &sched.Job{
 				ID:    id,
@@ -321,7 +321,7 @@ func (w *Workload) SpMMJobs(p predict.Predictor, sys *sched.System) []*sched.Job
 				Kind:  "spmm",
 				Stage: fmt.Sprintf("spmm-l%d", l),
 				Bits:  bits,
-				Est:   est,
+				Est:   &est,
 			}
 			j.TrueTime = func(sys *sched.System, t isa.Target, arrays int) event.Time {
 				return trueSpMMTime(sys, adj, f, t, arrays, bits)
@@ -351,21 +351,21 @@ func (w *Workload) AllJobs(p predict.Predictor, sys *sched.System) []*sched.Job 
 }
 
 func gemmJob(sys *sched.System, id *int, rows, layer int, spec LayerSpec, bits int) *sched.Job {
-	est := map[isa.Target]sched.Profile{}
+	var est sched.Estimates
 	for _, t := range sys.Targets() {
 		cfg := mem(t)
 		ru := clampArrays(sys, t, kernels.GEMM(cfg, rows, spec.In, spec.Out, 1).RepUnit)
 		e := kernels.GEMM(cfg, rows, spec.In, spec.Out, ru)
-		est[t] = sched.Profile{
+		est.Set(t, sched.Profile{
 			UnitCycles: e.Cycles, RepUnit: ru,
 			LoadBytes:    sched.EffectiveLoadBytes(t, e.LoadBytes),
 			StoreBytes:   sched.EffectiveLoadBytes(t, e.StoreBytes),
 			ProgramBytes: e.ProgramBytes, Beta: sched.DefaultBeta,
 			Overhead: HostDispatch,
-		}.ScaleToBits(bits)
+		}.ScaleToBits(bits))
 	}
 	j := &sched.Job{ID: *id, Name: fmt.Sprintf("gemm-%dx%dx%d", rows, spec.In, spec.Out),
-		Kind: "gemm", Stage: fmt.Sprintf("gemm-l%d", layer), Bits: bits, Est: est}
+		Kind: "gemm", Stage: fmt.Sprintf("gemm-l%d", layer), Bits: bits, Est: &est}
 	j.TrueTime = func(sys *sched.System, t isa.Target, arrays int) event.Time {
 		cfg := mem(t)
 		e := kernels.GEMM(cfg, rows, spec.In, spec.Out, arrays)
@@ -382,20 +382,20 @@ func gemmJob(sys *sched.System, id *int, rows, layer int, spec LayerSpec, bits i
 }
 
 func vaddJob(sys *sched.System, id *int, n, bits int) *sched.Job {
-	est := map[isa.Target]sched.Profile{}
+	var est sched.Estimates
 	for _, t := range sys.Targets() {
 		cfg := mem(t)
 		ru := clampArrays(sys, t, kernels.Vadd(cfg, n, 1).RepUnit)
 		e := kernels.Vadd(cfg, n, ru)
-		est[t] = sched.Profile{
+		est.Set(t, sched.Profile{
 			UnitCycles: e.Cycles, RepUnit: ru,
 			LoadBytes:  sched.EffectiveLoadBytes(t, e.LoadBytes),
 			StoreBytes: sched.EffectiveLoadBytes(t, e.StoreBytes),
 			Beta:       sched.DefaultBeta,
 			Overhead:   HostDispatch,
-		}.ScaleToBits(bits)
+		}.ScaleToBits(bits))
 	}
-	j := &sched.Job{ID: *id, Name: fmt.Sprintf("vadd-%d", n), Kind: "vadd", Bits: bits, Est: est}
+	j := &sched.Job{ID: *id, Name: fmt.Sprintf("vadd-%d", n), Kind: "vadd", Bits: bits, Est: &est}
 	j.TrueTime = func(sys *sched.System, t isa.Target, arrays int) event.Time {
 		cfg := mem(t)
 		e := kernels.Vadd(cfg, n, arrays)

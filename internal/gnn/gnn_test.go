@@ -105,7 +105,7 @@ func TestSpMMJobs(t *testing.T) {
 			t.Fatalf("bad job %v", j)
 		}
 		for _, tgt := range sys.Targets() {
-			p := j.Est[tgt]
+			p, _ := j.Est.Get(tgt)
 			if p.UnitCycles <= 0 || p.RepUnit < 1 || p.LoadBytes <= 0 {
 				t.Fatalf("bad profile for %s: %+v", tgt, p)
 			}

@@ -14,7 +14,7 @@ func clampArrays(sys *sched.System, t isa.Target, arrays int) int {
 	if arrays < 1 {
 		return 1
 	}
-	if l, ok := sys.Layers[t]; ok && arrays > l.Capacity() {
+	if l := sys.Layers[t]; l != nil && arrays > l.Capacity() {
 		return l.Capacity()
 	}
 	return arrays

@@ -12,15 +12,15 @@ import (
 )
 
 func mkJob(id int, ms float64) *sched.Job {
-	est := map[isa.Target]sched.Profile{}
+	var est sched.Estimates
 	for _, t := range isa.Targets {
 		freq := map[isa.Target]float64{isa.SRAM: 2500, isa.DRAM: 300, isa.ReRAM: 20}[t]
-		est[t] = sched.Profile{
+		est.Set(t, sched.Profile{
 			UnitCycles: int64(ms * freq * 1000),
 			RepUnit:    8, LoadBytes: 1 << 16, Beta: sched.DefaultBeta,
-		}
+		})
 	}
-	return &sched.Job{ID: id, Name: "rt", Kind: "rt", Est: est}
+	return &sched.Job{ID: id, Name: "rt", Kind: "rt", Est: &est}
 }
 
 func mkBatch(id int, at event.Time, n int, rng *rand.Rand) *Batch {

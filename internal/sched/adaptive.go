@@ -29,6 +29,8 @@ func DefaultOpts() Opts { return Opts{Epsilon: 0.05, MaxAdjust: 64, MinArrays: 1
 type queueItem struct {
 	job    *Job
 	arrays int
+	// start is the planned start time dispatchEst records for the item.
+	start event.Time
 	// est caches ModelTime(job, layer, arrays) for the duration of one
 	// sort pass (setEst), so comparisons do not re-query the model.
 	est event.Time
@@ -41,8 +43,9 @@ func setEst(sys *System, t isa.Target, q []*queueItem) {
 	}
 }
 
-// queues maps each layer to its pending items.
-type queues map[isa.Target][]*queueItem
+// queues holds each layer's pending items, indexed by target; a target
+// the system lacks keeps an empty queue.
+type queues [isa.NumTargets][]*queueItem
 
 // planAlloc is the allocation the planning stages assume a job will
 // receive on layer t: the knee of its execution-time curve, floored by
@@ -65,11 +68,8 @@ func planAlloc(sys *System, j *Job, t isa.Target) int {
 // allocation. Items live in one arena allocation: the batch-path
 // schedulers run per dispatched batch, so per-item heap traffic is the
 // fleet benchmarks' dominant allocation source.
-func partition(sys *System, jobs []*Job) queues {
-	qs := queues{}
-	for _, t := range sys.Targets() {
-		qs[t] = nil
-	}
+func partition(sys *System, jobs []*Job) *queues {
+	qs := &queues{}
 	arena := make([]queueItem, len(jobs))
 	router := &replicaRouter{sys: sys}
 	for i, j := range jobs {
@@ -97,8 +97,11 @@ func minInt(a, b int) int {
 // on target t: arrays beyond Profile.MaxUseful add no speedup but still
 // block other jobs.
 func usefulCap(j *Job, t isa.Target, arrays int) int {
-	if p, ok := j.Est[t]; ok && p.MaxUseful > 0 && arrays > p.MaxUseful {
-		return p.MaxUseful
+	if !j.Est.Has(t) {
+		return arrays
+	}
+	if mu := j.Est.p[t].MaxUseful; mu > 0 && arrays > mu {
+		return mu
 	}
 	return arrays
 }
@@ -140,7 +143,7 @@ func queueMean(sys *System, t isa.Target, q []*queueItem) float64 {
 		var v float64
 		if rt, ok := sys.replicaTargetFor(it.job); ok && rt == t {
 			r := l.replicas[0]
-			v = float64(sys.ReplicaTime(it.job.Est[t], t, r.Arrays))
+			v = float64(sys.ReplicaTime(it.job.Est.p[t], t, r.Arrays))
 			repSum += v
 		} else {
 			v = float64(sys.ModelTime(it.job, t, it.arrays))
@@ -182,16 +185,16 @@ func itemMean(q []*queueItem) float64 {
 // tried in ascending drain order: when the very shortest layer cannot
 // profitably take any job (it may simply be much slower for this job
 // mix), the next one is tried before giving up.
-func interQueueAdjust(sys *System, qs queues, o Opts) {
+func interQueueAdjust(sys *System, qs *queues, o Opts) {
 	type qm struct {
 		t isa.Target
 		m float64
 	}
-	ranked := make([]qm, 0, len(qs))
+	ranked := make([]qm, 0, isa.NumTargets)
 	for iter := 0; iter < o.MaxAdjust; iter++ {
 		ranked = ranked[:0]
-		for t, q := range qs {
-			ranked = append(ranked, qm{t, queueMean(sys, t, q)})
+		for _, t := range sys.Targets() {
+			ranked = append(ranked, qm{t, queueMean(sys, t, qs[t])})
 		}
 		slices.SortFunc(ranked, func(a, b qm) int {
 			if a.m != b.m {
@@ -224,11 +227,11 @@ func interQueueAdjust(sys *System, qs queues, o Opts) {
 
 // tryMigrate moves the cheapest-in-dst job from src to dst if doing so
 // lowers the pairwise maximum drain time, reporting whether it did.
-func tryMigrate(sys *System, qs queues, src, dst isa.Target, maxMean float64) bool {
+func tryMigrate(sys *System, qs *queues, src, dst isa.Target, maxMean float64) bool {
 	srcQ := qs[src]
 	bestIdx, bestTime := -1, event.Time(math.MaxInt64)
 	for i, it := range srcQ {
-		if _, ok := it.job.Est[dst]; !ok {
+		if !it.job.Est.Has(dst) {
 			continue
 		}
 		if rt, ok := sys.replicaTargetFor(it.job); ok && rt == src {
@@ -269,7 +272,7 @@ func layerBacklog(sys *System, st *simState, t isa.Target, q []*queueItem) float
 		// layer with busy replicas still reads as loaded, without
 		// charging them against the pool slots.
 		if rt, ok := sys.replicaTargetFor(it.job); ok && rt == t {
-			repSum += float64(sys.ReplicaTime(it.job.Est[t], t, l.replicas[0].Arrays))
+			repSum += float64(sys.ReplicaTime(it.job.Est.p[t], t, l.replicas[0].Arrays))
 			continue
 		}
 		v := float64(sys.ModelTime(it.job, t, it.arrays))
@@ -305,7 +308,7 @@ func layerBacklog(sys *System, st *simState, t isa.Target, q []*queueItem) float
 // overruns of in-flight jobs — and migrates waiting items from the most
 // congested layer to the least, so predictor error is absorbed at
 // runtime instead of stretching one queue's tail.
-func rebalanceRuntime(sys *System, st *simState, qs queues, o Opts) {
+func rebalanceRuntime(sys *System, st *simState, qs *queues, o Opts) {
 	for iter := 0; iter < o.MaxAdjust; iter++ {
 		var maxT, minT isa.Target
 		maxB, minB := math.Inf(-1), math.Inf(1)
@@ -324,7 +327,7 @@ func rebalanceRuntime(sys *System, st *simState, qs queues, o Opts) {
 		srcQ := qs[maxT]
 		bestIdx, bestTime := -1, event.Time(math.MaxInt64)
 		for i, it := range srcQ {
-			if _, ok := it.job.Est[minT]; !ok {
+			if !it.job.Est.Has(minT) {
 				continue
 			}
 			if rt, ok := sys.replicaTargetFor(it.job); ok && rt == maxT {
@@ -395,7 +398,7 @@ type dispatchOpts struct {
 // dispatchWith executes per-layer queues greedily under the given
 // behaviour flags. The original job slice rides along so the simulation
 // state derives tenant pools in deterministic (submission) order.
-func dispatchWith(sys *System, qs queues, jobs []*Job, o dispatchOpts) *Result {
+func dispatchWith(sys *System, qs *queues, jobs []*Job, o dispatchOpts) *Result {
 	st := newSim(sys, jobs)
 	st.estMode = o.estMode
 	// Sort every queue descending by estimated time (larger jobs first).

@@ -28,7 +28,8 @@ func chaosSystem(rng *rand.Rand) *System {
 		targets = []isa.Target{isa.SRAM}
 	}
 	sys := NewSystem(targets...)
-	for _, l := range sys.Layers {
+	for _, t := range sys.Targets() {
+		l := sys.Layers[t]
 		l.SetCapacity(1 + rng.Intn(l.Capacity()))
 		l.Slots = 1 + rng.Intn(8)
 	}
@@ -41,11 +42,11 @@ func chaosJobs(rng *rand.Rand, sys *System, n int) []*Job {
 	targets := sys.Targets()
 	jobs := make([]*Job, n)
 	for i := range jobs {
-		est := map[isa.Target]Profile{}
+		var est Estimates
 		// Every job supports a random non-empty subset of the layers.
 		perm := rng.Perm(len(targets))
 		k := 1 + rng.Intn(len(targets))
-		trueEst := map[isa.Target]Profile{}
+		var trueEst Estimates
 		for _, idx := range perm[:k] {
 			t := targets[idx]
 			p := Profile{
@@ -57,23 +58,24 @@ func chaosJobs(rng *rand.Rand, sys *System, n int) []*Job {
 			if rng.Intn(3) == 0 {
 				p.MaxUseful = p.RepUnit * (1 + rng.Intn(8))
 			}
-			trueEst[t] = p
+			trueEst.Set(t, p)
 			q := p
 			q.UnitCycles = int64(float64(p.UnitCycles) * math.Exp(rng.NormFloat64()))
 			if q.UnitCycles < 1 {
 				q.UnitCycles = 1
 			}
-			est[t] = q
+			est.Set(t, q)
 		}
-		j := &Job{ID: i, Name: "chaos", Est: est}
+		j := &Job{ID: i, Name: "chaos", Est: &est}
 		j.TrueTime = func(s *System, t isa.Target, arrays int) event.Time {
-			p, ok := trueEst[t]
+			p, ok := trueEst.Get(t)
 			if !ok {
 				// Scheduled onto a layer the truth does not know: treat
 				// the estimate as the truth rather than dying.
-				p = est[t]
+				p, _ = est.Get(t)
 			}
-			exact := &Job{ID: -1, Est: map[isa.Target]Profile{t: p}}
+			exact := &Job{ID: -1, Est: &Estimates{}}
+			exact.Est.Set(t, p)
 			return s.ModelTime(exact, t, arrays)
 		}
 		jobs[i] = j
@@ -142,7 +144,7 @@ func TestChaosAllSchedulersProperty(t *testing.T) {
 					return false
 				}
 				seen[a.Job.ID] = true
-				if _, ok := sys.Layers[a.Target]; !ok {
+				if sys.Layers[a.Target] == nil {
 					return false
 				}
 			}

@@ -5,15 +5,16 @@ import (
 	"slices"
 	"testing"
 
+	"mlimp/internal/event"
 	"mlimp/internal/isa"
 )
 
 func cacheTestJob() *Job {
-	return &Job{ID: 1, Name: "memo", Kind: "gemm", Est: map[isa.Target]Profile{
+	return &Job{ID: 1, Name: "memo", Kind: "gemm", Est: estOf(map[isa.Target]Profile{
 		isa.SRAM:  {UnitCycles: 40000, RepUnit: 4, LoadBytes: 1 << 16, StoreBytes: 1 << 14},
 		isa.DRAM:  {UnitCycles: 9000, RepUnit: 2, LoadBytes: 1 << 16, StoreBytes: 1 << 14},
 		isa.ReRAM: {UnitCycles: 600, RepUnit: 1, LoadBytes: 1 << 16, StoreBytes: 1 << 14, ProgramBytes: 1 << 15},
-	}}
+	})}
 }
 
 // TestModelTimeMemo checks the memo is transparent: repeated queries
@@ -25,7 +26,7 @@ func TestModelTimeMemo(t *testing.T) {
 		for _, arrays := range []int{1, 3, 17} {
 			first := sys.ModelTime(j, tgt, arrays)
 			again := sys.ModelTime(j, tgt, arrays)
-			fresh := sys.computeProfileTime(j.Est[tgt], tgt, arrays)
+			fresh := sys.computeProfileTime(&j.Est.p[tgt], tgt, arrays)
 			if first != again || first != fresh {
 				t.Fatalf("%v arrays=%d: memo %v / %v vs fresh %v", tgt, arrays, first, again, fresh)
 			}
@@ -75,12 +76,15 @@ func TestProfMemoBounded(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
 	j := cacheTestJob()
 	for i := 0; i < 3*MaxProfMemoEntries; i++ {
-		p := j.Est[isa.SRAM]
+		p := j.Est.p[isa.SRAM]
 		p.UnitCycles = int64(1000 + i) // a fresh shape every query
-		sys.memoProfileTime(p, isa.SRAM, 1+i%8)
+		sys.memoProfileTime(&p, p.hash(0), isa.SRAM, 1+i%8)
 	}
-	if n := len(sys.profMemo); n > MaxProfMemoEntries {
+	if n := sys.profMemo.n; n > MaxProfMemoEntries {
 		t.Errorf("profMemo grew to %d entries, bound is %d", n, MaxProfMemoEntries)
+	}
+	if n := len(sys.profMemo.index); n > 2*MaxProfMemoEntries {
+		t.Errorf("profMemo index grew to %d slots, bound is %d", n, 2*MaxProfMemoEntries)
 	}
 	st := sys.CacheStats()
 	if st.Clears == 0 {
@@ -88,8 +92,8 @@ func TestProfMemoBounded(t *testing.T) {
 	}
 	// Clearing must stay transparent: a post-clear query still matches
 	// the from-scratch model.
-	p := j.Est[isa.SRAM]
-	if got, want := sys.memoProfileTime(p, isa.SRAM, 4), sys.computeProfileTime(p, isa.SRAM, 4); got != want {
+	p := j.Est.p[isa.SRAM]
+	if got, want := sys.memoProfileTime(&p, p.hash(0), isa.SRAM, 4), sys.computeProfileTime(&p, isa.SRAM, 4); got != want {
 		t.Errorf("post-clear memo %v != fresh %v", got, want)
 	}
 }
@@ -99,17 +103,18 @@ func TestProfMemoBounded(t *testing.T) {
 // the slot with the query's own entry.
 func TestProfMemoCollision(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
-	p := cacheTestJob().Est[isa.DRAM]
+	p := cacheTestJob().Est.p[isa.DRAM]
 	k := profKey{p: p, t: isa.DRAM, arrays: 4}
+	h := profHash(p.hash(0), k.t, k.arrays)
 	other := k
 	other.p.UnitCycles++
-	sys.profMemo = map[uint64]profEntry{k.hash(): {k: other, v: 12345}}
-	want := sys.computeProfileTime(p, isa.DRAM, 4)
-	if got := sys.memoProfileTime(p, isa.DRAM, 4); got != want {
+	sys.profMemo.add(profEntry{h: h, k: other, v: 12345})
+	want := sys.computeProfileTime(&p, isa.DRAM, 4)
+	if got := sys.memoProfileTime(&p, p.hash(0), isa.DRAM, 4); got != want {
 		t.Fatalf("collision returned %v, fresh model is %v", got, want)
 	}
-	if e := sys.profMemo[k.hash()]; e.k != k || e.v != want || len(sys.profMemo) != 1 {
-		t.Errorf("slot after collision = %+v (%d entries), want the query's key and value", e, len(sys.profMemo))
+	if e := sys.profMemo.lookup(h); e.k != k || e.v != want || sys.profMemo.n != 1 {
+		t.Errorf("slot after collision = %+v (%d entries), want the query's key and value", e, sys.profMemo.n)
 	}
 	if st := sys.CacheStats(); st.ModelHits != 0 || st.ModelMisses != 1 {
 		t.Errorf("stats = %+v, want 0 hits / 1 miss", st)
@@ -121,22 +126,22 @@ func TestProfMemoCollision(t *testing.T) {
 // DefaultBeta and must both return the fresh model value.
 func TestProfMemoBetaEdges(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
-	p := cacheTestJob().Est[isa.SRAM]
+	p := cacheTestJob().Est.p[isa.SRAM]
 	p.Beta = math.NaN()
 	for i := 0; i < 3; i++ {
-		if got, want := sys.memoProfileTime(p, isa.SRAM, 4), sys.computeProfileTime(p, isa.SRAM, 4); got != want {
+		if got, want := sys.memoProfileTime(&p, p.hash(0), isa.SRAM, 4), sys.computeProfileTime(&p, isa.SRAM, 4); got != want {
 			t.Fatalf("NaN beta: memo %v != fresh %v", got, want)
 		}
 	}
 	if st := sys.CacheStats(); st.ModelHits != 0 || st.ModelMisses != 3 {
 		t.Errorf("NaN beta stats = %+v, want 0 hits / 3 misses", st)
 	}
-	if n := len(sys.profMemo); n != 1 {
+	if n := sys.profMemo.n; n != 1 {
 		t.Errorf("NaN beta left %d entries, want 1", n)
 	}
 	for _, beta := range []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)} {
 		p.Beta = beta
-		if got, want := sys.memoProfileTime(p, isa.SRAM, 4), sys.computeProfileTime(p, isa.SRAM, 4); got != want {
+		if got, want := sys.memoProfileTime(&p, p.hash(0), isa.SRAM, 4), sys.computeProfileTime(&p, isa.SRAM, 4); got != want {
 			t.Fatalf("beta %v: memo %v != fresh %v", beta, got, want)
 		}
 	}
@@ -149,7 +154,7 @@ func TestKneeMissSkipsProfMemo(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
 	j := cacheTestJob()
 	sys.ModelTime(j, isa.SRAM, 3)
-	n, before := len(sys.profMemo), sys.CacheStats()
+	n, before := sys.profMemo.n, sys.CacheStats()
 	for _, tgt := range sys.Targets() {
 		sys.KneeAlloc(j, tgt)
 	}
@@ -157,9 +162,9 @@ func TestKneeMissSkipsProfMemo(t *testing.T) {
 	if after.KneeMisses != before.KneeMisses+3 {
 		t.Fatalf("knee misses %d -> %d, want 3 fresh searches", before.KneeMisses, after.KneeMisses)
 	}
-	if len(sys.profMemo) != n || after.ModelMisses != before.ModelMisses || after.ModelHits != before.ModelHits {
+	if sys.profMemo.n != n || after.ModelMisses != before.ModelMisses || after.ModelHits != before.ModelHits {
 		t.Errorf("knee search touched the model memo: %d -> %d entries, stats %+v -> %+v",
-			n, len(sys.profMemo), before, after)
+			n, sys.profMemo.n, before, after)
 	}
 }
 
@@ -179,10 +184,10 @@ func TestKneeGridFollowsCapacity(t *testing.T) {
 func TestKneeMemoBounded(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
 	j := cacheTestJob()
-	p := j.Est[isa.SRAM]
+	p := j.Est.p[isa.SRAM]
 	for i := 0; i < 2*MaxKneeMemoEntries; i++ {
 		p.UnitCycles = int64(1000 + i)
-		sys.storeKneeAlloc(p, isa.SRAM, 64, 8)
+		sys.storeKneeAlloc(&p, isa.SRAM, 64, 8)
 	}
 	if n := len(sys.kneeMemo); n > MaxKneeMemoEntries {
 		t.Errorf("kneeMemo grew to %d entries, bound is %d", n, MaxKneeMemoEntries)
@@ -234,9 +239,9 @@ func BenchmarkModelTime(b *testing.B) {
 	})
 	b.Run("compute", func(b *testing.B) {
 		b.ReportAllocs()
-		p := j.Est[isa.DRAM]
+		p := j.Est.p[isa.DRAM]
 		for i := 0; i < b.N; i++ {
-			sys.computeProfileTime(p, isa.DRAM, 1+i%16)
+			sys.computeProfileTime(&p, isa.DRAM, 1+i%16)
 		}
 	})
 }
@@ -248,5 +253,29 @@ func BenchmarkKneeAlloc(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sys.KneeAlloc(j, isa.SRAM)
+	}
+}
+
+// TestProfMemoGrowKeepsEntries fills the model memo through several
+// table growths: every entry stored before a growth must still hit
+// afterwards, with its stored value.
+func TestProfMemoGrowKeepsEntries(t *testing.T) {
+	sys := NewSystem(isa.Targets...)
+	p := cacheTestJob().Est.p[isa.SRAM]
+	const n = MaxProfMemoEntries / 2
+	want := make([]event.Time, n)
+	for i := range want {
+		want[i] = sys.memoProfileTime(&p, p.hash(0), isa.SRAM, 1+i)
+	}
+	if got := len(sys.profMemo.index); got <= profIndexMin {
+		t.Fatalf("table never grew: %d slots", got)
+	}
+	for i := range want {
+		if got := sys.memoProfileTime(&p, p.hash(0), isa.SRAM, 1+i); got != want[i] {
+			t.Fatalf("arrays=%d: %v after growth, stored %v", 1+i, got, want[i])
+		}
+	}
+	if st := sys.CacheStats(); st.ModelHits != n || st.ModelMisses != n || st.Clears != 0 {
+		t.Errorf("stats = %+v, want %d hits / %d misses / 0 clears", st, n, n)
 	}
 }

@@ -21,8 +21,8 @@ import "mlimp/internal/isa"
 // It returns the number of arrays actually removed; DegradedIDs names
 // them.
 func (s *System) Degrade(t isa.Target, n int) int {
-	l, ok := s.Layers[t]
-	if !ok || n <= 0 {
+	l := s.Layers[t]
+	if l == nil || n <= 0 {
 		return 0
 	}
 	// Replicas are reclaimed first: a standing replica is pure spare
@@ -59,8 +59,8 @@ func (s *System) Degrade(t isa.Target, n int) int {
 // Sets come back in LIFO order — the exact IDs the matching Degrade
 // removed. It returns the number of arrays actually restored.
 func (s *System) Restore(t isa.Target, n int) int {
-	l, ok := s.Layers[t]
-	if !ok || n <= 0 || len(l.lost) == 0 {
+	l := s.Layers[t]
+	if l == nil || n <= 0 || len(l.lost) == 0 {
 		return 0
 	}
 	restored := 0
@@ -115,8 +115,8 @@ func replicaArrays(l *Layer) int {
 // DegradedIDs returns the array IDs of layer t currently out of
 // service, across every outstanding Degrade.
 func (s *System) DegradedIDs(t isa.Target) ArraySet {
-	l, ok := s.Layers[t]
-	if !ok {
+	l := s.Layers[t]
+	if l == nil {
 		return ArraySet{}
 	}
 	var out ArraySet
@@ -130,8 +130,8 @@ func (s *System) DegradedIDs(t isa.Target) ArraySet {
 // faults. Arrays pinned into standing replicas are in service, not
 // lost.
 func (s *System) Lost(t isa.Target) int {
-	l, ok := s.Layers[t]
-	if !ok {
+	l := s.Layers[t]
+	if l == nil {
 		return 0
 	}
 	return l.universe - l.avail.Count() - replicaArrays(l)
@@ -140,7 +140,7 @@ func (s *System) Lost(t isa.Target) int {
 // LostTotal returns the arrays lost to faults across all layers.
 func (s *System) LostTotal() int {
 	total := 0
-	for t := range s.Layers {
+	for _, t := range s.Targets() {
 		total += s.Lost(t)
 	}
 	return total
@@ -149,7 +149,7 @@ func (s *System) LostTotal() int {
 // HealthyCapacity returns layer t's fault-free capacity: every array
 // the layer owns, in service or not.
 func (s *System) HealthyCapacity(t isa.Target) int {
-	if l, ok := s.Layers[t]; ok {
+	if l := s.Layers[t]; l != nil {
 		return l.universe
 	}
 	return 0

@@ -7,9 +7,9 @@ import (
 )
 
 func degradeJob() *Job {
-	return &Job{ID: 1, Name: "deg", Kind: "gemm", Est: map[isa.Target]Profile{
+	return &Job{ID: 1, Name: "deg", Kind: "gemm", Est: estOf(map[isa.Target]Profile{
 		isa.SRAM: {UnitCycles: 1 << 22, RepUnit: 4, LoadBytes: 1 << 14, Beta: 0.8},
-	}}
+	})}
 }
 
 func TestDegradeTriggersKneeResearch(t *testing.T) {

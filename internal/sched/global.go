@@ -25,7 +25,11 @@ func NewGlobal() *Global { return &Global{Opts: DefaultOpts()} }
 // Name implements Scheduler.
 func (g *Global) Name() string { return "global" }
 
-// Schedule implements Scheduler.
+// Schedule implements Scheduler. Of each job it reads only Est,
+// TrueTime, Tenant and Stage, never ID, Name or Kind (beyond naming a
+// job in a panic): on Systems in the same state, two batches whose jobs
+// match position by position in those fields schedule identically. The
+// cluster's admission-estimate cache keys on this property.
 func (g *Global) Schedule(sys *System, jobs []*Job) *Result {
 	sys.EnsureReplicas(jobs)
 	qs := partition(sys, jobs)
@@ -43,10 +47,10 @@ func (g *Global) Schedule(sys *System, jobs []*Job) *Result {
 
 // dispatchEst simulates the greedy dispatch entirely on estimated times
 // and returns the per-layer planned order.
-func dispatchEst(sys *System, qs queues, jobs []*Job) map[isa.Target][]*queueItem {
+func dispatchEst(sys *System, qs *queues, jobs []*Job) *queues {
 	// Copy the queues: dispatch consumes them. One arena per copy keeps
 	// the per-item heap traffic out of the per-batch hot path.
-	cp := queues{}
+	cp := &queues{}
 	n := 0
 	for _, t := range sys.Targets() {
 		n += len(qs[t])
@@ -64,38 +68,21 @@ func dispatchEst(sys *System, qs queues, jobs []*Job) map[isa.Target][]*queueIte
 	}
 	res := dispatchWith(sys, cp, jobs, dispatchOpts{expand: true, estMode: true})
 	planArena := make([]queueItem, len(res.Assignments))
-	plan := map[isa.Target][]*queueItem{}
+	plan := &queues{}
 	for i, a := range res.Assignments {
-		planArena[i] = queueItem{job: a.Job, arrays: a.Arrays}
+		planArena[i] = queueItem{job: a.Job, arrays: a.Arrays, start: a.Start}
 		plan[a.Target] = append(plan[a.Target], &planArena[i])
 	}
 	// Assignments are completion-ordered; re-order by planned start.
-	starts := map[int]int64{}
-	for _, a := range res.Assignments {
-		starts[a.Job.ID] = int64(a.Start)
-	}
 	for _, q := range plan {
-		sortItemsByKey(q, starts)
+		slices.SortStableFunc(q, func(a, b *queueItem) int { return cmp.Compare(a.start, b.start) })
 	}
 	return plan
 }
 
-func sortItemsByKey(q []*queueItem, key map[int]int64) {
-	slices.SortStableFunc(q, func(a, b *queueItem) int {
-		ka, kb := key[a.job.ID], key[b.job.ID]
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		}
-		return 0
-	})
-}
-
 // executePlan runs the fixed plan with actual job durations, starting
 // each layer's jobs strictly in planned order.
-func executePlan(sys *System, plan map[isa.Target][]*queueItem, jobs []*Job) *Result {
+func executePlan(sys *System, plan *queues, jobs []*Job) *Result {
 	st := newSim(sys, jobs)
 	pending := 0
 	for _, q := range plan {
@@ -190,10 +177,11 @@ func intraQueueAdjust(sys *System, t isa.Target, q []*queueItem, o Opts) {
 func OracleThroughput(sys *System, jobs []*Job) float64 {
 	var total float64
 	for _, t := range sys.Targets() {
-		single := &System{Layers: map[isa.Target]*Layer{t: sys.Layers[t]}, DDR: sys.DDR}
+		single := &System{DDR: sys.DDR}
+		single.Layers[t] = sys.Layers[t]
 		runnable := jobs[:0:0]
 		for _, j := range jobs {
-			if _, ok := j.Est[t]; ok {
+			if j.Est.Has(t) {
 				runnable = append(runnable, j)
 			}
 		}

@@ -127,7 +127,8 @@ func writeModelPoints(buf *bytes.Buffer) {
 		}
 		capacity := 1 + rng.Intn(4096)
 		sys.Layers[tgt].SetCapacity(capacity)
-		j := &sched.Job{ID: i, Est: map[isa.Target]sched.Profile{tgt: p}}
+		j := &sched.Job{ID: i, Est: &sched.Estimates{}}
+		j.Est.Set(tgt, p)
 		knee := sys.KneeAlloc(j, tgt)
 		m := 1 + rng.Intn(capacity)
 		fmt.Fprintf(buf, "profile%d %s cap=%d knee=%d t(1)=%d t(knee)=%d t(%d)=%d t(cap)=%d\n",

@@ -92,6 +92,54 @@ func EffectiveLoadBytes(t isa.Target, bytes int64) int64 {
 	return bytes
 }
 
+// TargetMask is a set of targets: bit t is set when target t is in the
+// set.
+type TargetMask uint8
+
+// Has reports whether t is in the set.
+func (m TargetMask) Has(t isa.Target) bool { return m&(1<<t) != 0 }
+
+// Estimates is a job's per-target profile table: one slot per target,
+// indexed by isa.Target, plus a mask of the slots that are set. A job
+// runs only on the targets it has a profile for. Each slot also keeps
+// its profile's hash, so the cost-model memo does not rehash a profile
+// per lookup. Unset slots stay zero, so == on two tables compares their
+// content (tables differing only in the sign of a zero Beta compare
+// unequal). The read methods accept a nil table, which has no
+// profiles.
+type Estimates struct {
+	mask TargetMask
+	p    [isa.NumTargets]Profile
+	ph   [isa.NumTargets]uint64 // p[t].hash(0)
+}
+
+// Set records the profile for target t.
+func (e *Estimates) Set(t isa.Target, p Profile) {
+	e.p[t] = p
+	e.ph[t] = p.hash(0)
+	e.mask |= 1 << t
+}
+
+// Get returns the profile for target t and whether it is set; an unset
+// target yields the zero Profile.
+func (e *Estimates) Get(t isa.Target) (Profile, bool) {
+	if !e.Has(t) {
+		return Profile{}, false
+	}
+	return e.p[t], true
+}
+
+// Has reports whether there is a profile for target t.
+func (e *Estimates) Has(t isa.Target) bool { return e != nil && e.mask.Has(t) }
+
+// Mask returns the set of targets with a profile.
+func (e *Estimates) Mask() TargetMask {
+	if e == nil {
+		return 0
+	}
+	return e.mask
+}
+
 // Job is one schedulable MLIMP job. Est drives scheduling decisions;
 // TrueTime (if set) drives the simulation, letting experiments separate
 // predictor error from scheduler quality. A nil TrueTime means the
@@ -115,7 +163,9 @@ type Job struct {
 	// 16-bit default. The job generators pre-scale Est with
 	// Profile.ScaleToBits; Bits rides along for the energy model.
 	Bits int
-	Est  map[isa.Target]Profile
+	// Est is read-only to the scheduler, so jobs of one shape may share
+	// one table.
+	Est *Estimates
 	// TrueTime returns the actual execution time of the job on target t
 	// with an allocation of arrays arrays.
 	TrueTime func(sys *System, t isa.Target, arrays int) event.Time
@@ -129,7 +179,9 @@ func (j *Job) String() string { return fmt.Sprintf("job%d(%s)", j.ID, j.Name) }
 // cost model (see costcache.go); like the DDR controller it wraps, a
 // System is not safe for concurrent use.
 type System struct {
-	Layers map[isa.Target]*Layer
+	// Layers holds one layer per target, indexed by isa.Target; nil
+	// means the system has no such layer.
+	Layers [isa.NumTargets]*Layer
 	DDR    *mainmem.Controller
 
 	// Packing selects the multi-tenant array packing policy applied by
@@ -143,10 +195,10 @@ type System struct {
 	// exactly.
 	Replication ReplicationPolicy
 
-	profMemo   map[uint64]profEntry
+	profMemo   profTable
 	kneeMemo   map[kneeKey]int
 	cacheStats CacheStats
-	targets    []isa.Target // memoised Targets(); Layers is fixed after construction
+	targets    []isa.Target // memoised Targets(); the layer set is fixed after construction
 	// kneeGrids caches each layer's knee-search grid for the capacity
 	// it was last built for.
 	kneeGrids [isa.NumTargets]kneeGrid
@@ -176,8 +228,14 @@ func NewLayer(cfg mem.Config, arrays, slots int) *Layer {
 	return l
 }
 
-// Capacity returns the number of arrays currently in service.
-func (l *Layer) Capacity() int { return l.avail.Count() }
+// Capacity returns the number of arrays currently in service. A nil
+// layer (a target the System lacks) has none.
+func (l *Layer) Capacity() int {
+	if l == nil {
+		return 0
+	}
+	return l.avail.Count()
+}
 
 // SetCapacity resizes the layer to own array IDs [0, n) with every
 // array in service, discarding any degradation history — the
@@ -201,7 +259,7 @@ func (l *Layer) Avail() ArraySet { return l.avail.Clone() }
 // allocating every array of each device to in-memory compute except the
 // SRAM half reserved for the conventional cache (Section V-A).
 func NewSystem(targets ...isa.Target) *System {
-	s := &System{Layers: map[isa.Target]*Layer{}, DDR: mainmem.NewController(mainmem.DDR4_2400())}
+	s := &System{DDR: mainmem.NewController(mainmem.DDR4_2400())}
 	for _, t := range targets {
 		cfg := mem.ConfigFor(t)
 		capacity := cfg.NumArrays
@@ -219,12 +277,23 @@ func NewSystem(targets ...isa.Target) *System {
 func (s *System) Targets() []isa.Target {
 	if s.targets == nil {
 		for _, t := range isa.Targets {
-			if _, ok := s.Layers[t]; ok {
+			if s.Layers[t] != nil {
 				s.targets = append(s.targets, t)
 			}
 		}
 	}
 	return s.targets
+}
+
+// Mask returns the set of targets the system has a layer for.
+func (s *System) Mask() TargetMask {
+	var m TargetMask
+	for t, l := range s.Layers {
+		if l != nil {
+			m |= 1 << t
+		}
+	}
+	return m
 }
 
 // ModelTime evaluates the analytical model t(x,m) of Equations 1-3 for
@@ -240,20 +309,13 @@ func (s *System) Targets() []isa.Target {
 // allocations, and replica copies are in-memory row moves parallel
 // across arrays.
 func (s *System) ModelTime(j *Job, t isa.Target, arrays int) event.Time {
-	p, ok := j.Est[t]
-	if !ok {
+	if !j.Est.Has(t) {
 		return math.MaxInt64 // job cannot run on this layer
 	}
-	return s.profileTime(p, t, arrays)
-}
-
-// profileTime evaluates the model through the System's memo (the hot
-// entry point for ModelTime, KneeAlloc and the schedulers).
-func (s *System) profileTime(p Profile, t isa.Target, arrays int) event.Time {
 	if arrays <= 0 {
 		panic("sched: non-positive allocation")
 	}
-	return s.memoProfileTime(p, t, arrays)
+	return s.memoProfileTime(&j.Est.p[t], j.Est.ph[t], t, arrays)
 }
 
 // profileParts evaluates the allocation-dependent pieces of Equations
@@ -261,7 +323,7 @@ func (s *System) profileTime(p Profile, t isa.Target, arrays int) event.Time {
 // (a_repunit/m)^beta, such that t(x,m) = ld + clock.Cycles(UnitCycles)*scale.
 // Factored out so the model can be run forward (computeProfileTime) and
 // inverted (ObservedUnitCycles) from one definition.
-func (s *System) profileParts(p Profile, t isa.Target, arrays int) (ld event.Time, scale float64, clock event.Clock) {
+func (s *System) profileParts(p *Profile, t isa.Target, arrays int) (ld event.Time, scale float64, clock event.Clock) {
 	l := s.Layers[t]
 	clock = l.Cfg.Clock()
 
@@ -297,7 +359,7 @@ func (s *System) profileParts(p Profile, t isa.Target, arrays int) (ld event.Tim
 
 // computeProfileTime evaluates Equations 1-3 from scratch — pure in
 // (p, t, arrays) given the layer's immutable configuration.
-func (s *System) computeProfileTime(p Profile, t isa.Target, arrays int) event.Time {
+func (s *System) computeProfileTime(p *Profile, t isa.Target, arrays int) event.Time {
 	ld, scale, clock := s.profileParts(p, t, arrays)
 	return ld + event.Time(float64(clock.Cycles(p.UnitCycles))*scale)
 }
@@ -310,7 +372,7 @@ func (s *System) computeProfileTime(p Profile, t isa.Target, arrays int) event.T
 // as training observations. Spans at or below the load/overhead term
 // imply no measurable compute and floor at one cycle.
 func (s *System) ObservedUnitCycles(p Profile, t isa.Target, arrays int, span event.Time) int64 {
-	ld, scale, clock := s.profileParts(p, t, arrays)
+	ld, scale, clock := s.profileParts(&p, t, arrays)
 	cmpt := span - ld
 	if cmpt <= 0 || scale <= 0 {
 		return 1
@@ -337,7 +399,7 @@ func (s *System) BestTarget(j *Job) (isa.Target, event.Time) {
 	best := isa.Target(0)
 	bestT := event.Time(math.MaxInt64)
 	for _, t := range s.Targets() {
-		if _, ok := j.Est[t]; !ok {
+		if !j.Est.Has(t) {
 			continue
 		}
 		m := s.KneeAlloc(j, t)
@@ -360,17 +422,16 @@ const kneeGridPoints = 48
 // grid search below samples the model at kneeGridPoints allocations,
 // and every job of one app shares the same knee.
 func (s *System) KneeAlloc(j *Job, t isa.Target) int {
-	p, ok := j.Est[t]
-	if !ok {
+	if !j.Est.Has(t) {
 		return 1
 	}
-	return s.kneeForProfile(p, t)
+	return s.kneeForProfile(&j.Est.p[t], t)
 }
 
 // kneeForProfile is KneeAlloc on a bare profile — shared with the
 // replica planner, which sizes replicas for a stage profile without a
 // job in hand.
-func (s *System) kneeForProfile(p Profile, t isa.Target) int {
+func (s *System) kneeForProfile(p *Profile, t isa.Target) int {
 	l := s.Layers[t]
 	maxM := l.Capacity()
 	if maxM < 1 {
@@ -422,7 +483,7 @@ func (s *System) kneeGrid(t isa.Target, maxM int) []int {
 // It evaluates the model directly rather than through the model memo:
 // grid points are one-off allocations, and the search result is
 // memoized in the knee memo.
-func (s *System) kneeSearch(p Profile, t isa.Target, maxM int) int {
+func (s *System) kneeSearch(p *Profile, t isa.Target, maxM int) int {
 	ms := s.kneeGrid(t, maxM)
 	if len(ms) < 3 {
 		return maxM

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"mlimp/internal/event"
 	"mlimp/internal/isa"
@@ -50,7 +52,7 @@ func ljfGrant(sys *System, st *simState, j *Job, t isa.Target) int {
 // estAtUnit returns the estimated time of j on t at the fixed unit
 // allocation.
 func estAtUnit(sys *System, j *Job, t isa.Target) event.Time {
-	if _, ok := j.Est[t]; !ok {
+	if !j.Est.Has(t) {
 		return math.MaxInt64
 	}
 	return sys.ModelTime(j, t, aUnit(sys, t))
@@ -62,12 +64,14 @@ func (l LJF) Schedule(sys *System, jobs []*Job) *Result {
 	st := newSim(sys, jobs)
 	// Single queue, descending estimated time (the descending order of
 	// the shortest execution time across memories).
-	queue := make([]*Job, len(jobs))
-	copy(queue, jobs)
-	best := map[int]isa.Target{}
-	estKey := map[int]event.Time{}
+	type ljfItem struct {
+		job  *Job
+		best isa.Target
+		est  event.Time
+	}
+	queue := make([]ljfItem, len(jobs))
 	router := &replicaRouter{sys: sys}
-	for _, j := range queue {
+	for i, j := range jobs {
 		bt, bv := isa.Target(0), event.Time(math.MaxInt64)
 		for _, t := range sys.Targets() {
 			if v := estAtUnit(sys, j, t); v < bv {
@@ -76,22 +80,21 @@ func (l LJF) Schedule(sys *System, jobs []*Job) *Result {
 		}
 		// Stage jobs route to their standing replicas while the router's
 		// pile-up model says the replicas still beat the pool.
-		best[j.ID] = router.route(j, bt, bv)
-		estKey[j.ID] = bv
+		queue[i] = ljfItem{job: j, best: router.route(j, bt, bv), est: bv}
 	}
-	sortStableByKeyDesc(queue, estKey)
+	slices.SortStableFunc(queue, func(a, b ljfItem) int { return cmp.Compare(b.est, a.est) })
 
 	for len(queue) > 0 || st.flying.Len() > 0 {
 		progressed := true
 		for progressed && len(queue) > 0 {
 			progressed = false
-			j := queue[0]
-			if st.placeReplica(j, best[j.ID], ljfGrant(sys, st, j, best[j.ID])) {
+			j, best := queue[0].job, queue[0].best
+			if st.placeReplica(j, best, ljfGrant(sys, st, j, best)) {
 				queue = queue[1:]
 				progressed = true
 				continue
 			}
-			if t, ok := l.pick(sys, st, j, best[j.ID]); ok {
+			if t, ok := l.pick(sys, st, j, best); ok {
 				st.place(j, t, ljfGrant(sys, st, j, t))
 				queue = queue[1:]
 				progressed = true
@@ -124,13 +127,4 @@ func (l LJF) pick(sys *System, st *simState, j *Job, bestT isa.Target) (isa.Targ
 		}
 	}
 	return bt, found
-}
-
-func sortStableByKeyDesc(jobs []*Job, key map[int]event.Time) {
-	// Insertion-stable sort on the precomputed key.
-	for i := 1; i < len(jobs); i++ {
-		for k := i; k > 0 && key[jobs[k].ID] > key[jobs[k-1].ID]; k-- {
-			jobs[k], jobs[k-1] = jobs[k-1], jobs[k]
-		}
-	}
 }

@@ -99,8 +99,8 @@ func (l *Layer) refreshSig() {
 
 // Replicas returns a copy of the standing replicas on layer t.
 func (s *System) Replicas(t isa.Target) []Replica {
-	l, ok := s.Layers[t]
-	if !ok || len(l.replicas) == 0 {
+	l := s.Layers[t]
+	if l == nil || len(l.replicas) == 0 {
 		return nil
 	}
 	return append([]Replica(nil), l.replicas...)
@@ -109,8 +109,8 @@ func (s *System) Replicas(t isa.Target) []Replica {
 // ReplicaCount returns the number of standing replicas across layers.
 func (s *System) ReplicaCount() int {
 	n := 0
-	for _, l := range s.Layers {
-		n += len(l.replicas)
+	for _, t := range s.Targets() {
+		n += len(s.Layers[t].replicas)
 	}
 	return n
 }
@@ -137,7 +137,7 @@ func (s *System) replicaTargetFor(j *Job) (isa.Target, bool) {
 	for _, t := range s.Targets() {
 		l := s.Layers[t]
 		if len(l.replicas) > 0 && l.replicas[0].Stage == j.Stage {
-			if _, ok := j.Est[t]; ok {
+			if j.Est.Has(t) {
 				return t, true
 			}
 		}
@@ -168,7 +168,7 @@ func (r *replicaRouter) route(j *Job, bt isa.Target, btime event.Time) isa.Targe
 	l := r.sys.Layers[rt]
 	rep := l.replicas[0]
 	wave := event.Time(r.routed/len(l.replicas) + 1)
-	if rt == bt || wave*r.sys.ReplicaTime(j.Est[rt], rt, rep.Arrays) < btime {
+	if rt == bt || wave*r.sys.ReplicaTime(j.Est.p[rt], rt, rep.Arrays) < btime {
 		r.routed++
 		return rt
 	}
@@ -225,7 +225,7 @@ func (s *System) EnsureReplicas(jobs []*Job) {
 		n := 0
 		for _, j := range jobs {
 			if j.Stage == r.Stage {
-				if _, ok := j.Est[t]; ok {
+				if j.Est.Has(t) {
 					n++
 				}
 			}
@@ -240,7 +240,7 @@ func (s *System) EnsureReplicas(jobs []*Job) {
 		return
 	}
 	l := s.Layers[t]
-	arrays := s.kneeForProfile(prof, t)
+	arrays := s.kneeForProfile(&prof, t)
 	if arrays < 1 {
 		arrays = 1
 	}
@@ -316,7 +316,7 @@ func (s *System) bottleneckStage(jobs []*Job) (stage string, t isa.Target, prof 
 		k := key{j.Stage, bt}
 		a := aggs[k]
 		if a == nil {
-			a = &agg{prof: j.Est[bt]}
+			a = &agg{prof: j.Est.p[bt]}
 			aggs[k] = a
 			order = append(order, k)
 		}

@@ -9,13 +9,22 @@ import (
 	"mlimp/internal/isa"
 )
 
+// estOf builds an estimate table from a per-target profile map.
+func estOf(m map[isa.Target]Profile) *Estimates {
+	est := &Estimates{}
+	for t, p := range m {
+		est.Set(t, p)
+	}
+	return est
+}
+
 // mkJob builds a synthetic job whose truth equals its estimate.
 func mkJob(id int, cycles map[isa.Target]int64, repUnit int, load int64) *Job {
-	est := map[isa.Target]Profile{}
+	var est Estimates
 	for t, c := range cycles {
-		est[t] = Profile{UnitCycles: c, RepUnit: repUnit, LoadBytes: load, Beta: DefaultBeta}
+		est.Set(t, Profile{UnitCycles: c, RepUnit: repUnit, LoadBytes: load, Beta: DefaultBeta})
 	}
-	return &Job{ID: id, Name: "synthetic", Est: est}
+	return &Job{ID: id, Name: "synthetic", Est: &est}
 }
 
 var freqMHz = map[isa.Target]float64{isa.SRAM: 2500, isa.DRAM: 300, isa.ReRAM: 20}
@@ -294,7 +303,7 @@ func TestInterQueueAdjustBalances(t *testing.T) {
 	var means []float64
 	for tgt, q := range qs {
 		if len(q) > 0 {
-			means = append(means, queueMean(sys, tgt, q))
+			means = append(means, queueMean(sys, isa.Target(tgt), q))
 		}
 	}
 	if len(means) < 2 {
@@ -384,22 +393,23 @@ func noisyJobs(rng *rand.Rand, jobs []*Job, sigma float64) []*Job {
 	out := make([]*Job, len(jobs))
 	for i, j := range jobs {
 		trueEst := j.Est
-		noisy := map[isa.Target]Profile{}
-		for t, p := range trueEst {
+		var noisy Estimates
+		for _, t := range isa.Targets {
+			p, ok := trueEst.Get(t)
+			if !ok {
+				continue
+			}
 			q := p
 			q.UnitCycles = int64(float64(p.UnitCycles) * math.Exp(rng.NormFloat64()*sigma))
 			if q.UnitCycles < 1 {
 				q.UnitCycles = 1
 			}
-			noisy[t] = q
+			noisy.Set(t, q)
 		}
-		jc := &Job{ID: j.ID, Name: j.Name, Est: noisy}
+		jc := &Job{ID: j.ID, Name: j.Name, Est: &noisy}
+		truth := &Job{ID: -1, Est: trueEst}
 		jc.TrueTime = func(sys *System, t isa.Target, arrays int) event.Time {
-			p, ok := trueEst[t]
-			if !ok {
-				return math.MaxInt64
-			}
-			return sys.profileTime(p, t, arrays)
+			return sys.ModelTime(truth, t, arrays)
 		}
 		out[i] = jc
 	}
@@ -417,7 +427,7 @@ func realisticBatch(rng *rand.Rand, sys *System, n int) []*Job {
 		baseMs := math.Pow(rng.Float64(), -1/1.5) * 0.5
 		pref := targets[rng.Intn(len(targets))]
 		frac := 0.03 + rng.Float64()*0.1
-		est := map[isa.Target]Profile{}
+		var est Estimates
 		for _, t := range targets {
 			factor := 1 + rng.Float64()*3
 			if t == pref {
@@ -427,10 +437,10 @@ func realisticBatch(rng *rand.Rand, sys *System, n int) []*Job {
 			if ru < 1 {
 				ru = 1
 			}
-			est[t] = Profile{UnitCycles: cyclesForTime(t, baseMs*factor),
-				RepUnit: ru, LoadBytes: 1 << 19, Beta: DefaultBeta}
+			est.Set(t, Profile{UnitCycles: cyclesForTime(t, baseMs*factor),
+				RepUnit: ru, LoadBytes: 1 << 19, Beta: DefaultBeta})
 		}
-		jobs[i] = &Job{ID: i, Name: "realistic", Est: est}
+		jobs[i] = &Job{ID: i, Name: "realistic", Est: &est}
 	}
 	return jobs
 }

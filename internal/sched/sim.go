@@ -28,7 +28,7 @@ type Result struct {
 	Assignments []Assignment
 	// BusyTime accumulates job-occupancy time per layer (a utilisation
 	// proxy: busy slot-time, not array-time).
-	BusyTime map[isa.Target]event.Time
+	BusyTime [isa.NumTargets]event.Time
 }
 
 // Throughput returns completed jobs per second.
@@ -205,16 +205,15 @@ func newSim(sys *System, jobs []*Job) *simState {
 	st := &simState{
 		sys:     sys,
 		packing: sys.Packing,
-		result: &Result{
-			BusyTime: map[isa.Target]event.Time{},
-		},
+		result:  &Result{},
 	}
 	st.arena = make([]Span, 0, 8*len(jobs)+64)
 	// Free-set fragmentation is bounded by the number of concurrent
 	// flights, so each pool gets that much in-place growth before an
 	// Add has to reallocate it away from the arena.
 	head := len(jobs) + 4
-	for t, l := range sys.Layers {
+	for _, t := range sys.Targets() {
+		l := sys.Layers[t]
 		start := len(st.arena)
 		st.arena = append(st.arena, l.avail.Spans()...)
 		end := len(st.arena)
@@ -367,8 +366,7 @@ func (st *simState) placeReplica(j *Job, t isa.Target, poolGrant int) bool {
 	if j.Stage == "" || len(st.reps[t]) == 0 {
 		return false
 	}
-	p, ok := j.Est[t]
-	if !ok {
+	if !j.Est.Has(t) {
 		return false
 	}
 	rs := st.reps[t]
@@ -377,7 +375,7 @@ func (st *simState) placeReplica(j *Job, t isa.Target, poolGrant int) bool {
 		if r.busy || r.stage != j.Stage {
 			continue
 		}
-		dur := st.sys.ReplicaTime(p, t, r.arrays)
+		dur := st.sys.ReplicaTime(j.Est.p[t], t, r.arrays)
 		if poolGrant > 0 && st.canPlace(t, poolGrant, j.Tenant) &&
 			st.sys.ModelTime(j, t, poolGrant) < dur {
 			return false

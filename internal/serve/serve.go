@@ -425,7 +425,7 @@ func (fe *FrontEnd) harvest(rec *batchRec, res runtime.BatchResult) {
 		if r == nil || r.Adj == nil {
 			continue
 		}
-		p, ok := a.Job.Est[a.Target]
+		p, ok := a.Job.Est.Get(a.Target)
 		if !ok {
 			continue
 		}

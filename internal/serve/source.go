@@ -20,7 +20,7 @@ func bestTarget(sys *sched.System, j *sched.Job) isa.Target {
 	var best isa.Target
 	bestT := event.Time(-1)
 	for _, t := range sys.Targets() {
-		p, ok := j.Est[t]
+		p, ok := j.Est.Get(t)
 		if !ok {
 			continue
 		}

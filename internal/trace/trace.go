@@ -71,7 +71,11 @@ func Capture(label string, jobs []*sched.Job) *Trace {
 	tr := &Trace{Version: Version, Label: label}
 	for _, j := range jobs {
 		rec := Record{ID: j.ID, Name: j.Name, Kind: j.Kind, Est: map[string]Profile{}}
-		for t, p := range j.Est {
+		for _, t := range isa.Targets {
+			p, ok := j.Est.Get(t)
+			if !ok {
+				continue
+			}
 			rec.Est[targetNames[t]] = Profile{
 				UnitCycles: p.UnitCycles, RepUnit: p.RepUnit,
 				LoadBytes: p.LoadBytes, StoreBytes: p.StoreBytes,
@@ -94,20 +98,20 @@ func (tr *Trace) Jobs() ([]*sched.Job, error) {
 		if len(rec.Est) == 0 {
 			return nil, fmt.Errorf("trace: record %d has no profiles", i)
 		}
-		est := map[isa.Target]sched.Profile{}
+		var est sched.Estimates
 		for name, p := range rec.Est {
 			t, ok := targetByName(name)
 			if !ok {
 				return nil, fmt.Errorf("trace: record %d: unknown target %q", i, name)
 			}
-			est[t] = sched.Profile{
+			est.Set(t, sched.Profile{
 				UnitCycles: p.UnitCycles, RepUnit: p.RepUnit,
 				LoadBytes: p.LoadBytes, StoreBytes: p.StoreBytes,
 				ProgramBytes: p.ProgramBytes, Beta: p.Beta,
 				Overhead: event.Time(p.OverheadPs), MaxUseful: p.MaxUseful,
-			}
+			})
 		}
-		jobs = append(jobs, &sched.Job{ID: rec.ID, Name: rec.Name, Kind: rec.Kind, Est: est})
+		jobs = append(jobs, &sched.Job{ID: rec.ID, Name: rec.Name, Kind: rec.Kind, Est: &est})
 	}
 	return jobs, nil
 }

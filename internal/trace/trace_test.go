@@ -48,8 +48,10 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 			t.Fatalf("job %d metadata differs", i)
 		}
 		for _, tgt := range isa.Targets {
-			if j.Est[tgt] != orig.Est[tgt] {
-				t.Fatalf("job %d profile on %s differs:\n%+v\n%+v", i, tgt, j.Est[tgt], orig.Est[tgt])
+			jp, jok := j.Est.Get(tgt)
+			op, ook := orig.Est.Get(tgt)
+			if jp != op || jok != ook {
+				t.Fatalf("job %d profile on %s differs:\n%+v\n%+v", i, tgt, jp, op)
 			}
 		}
 	}
@@ -147,14 +149,13 @@ func TestJobsErrors(t *testing.T) {
 }
 
 func TestOverheadSurvives(t *testing.T) {
-	j := &sched.Job{ID: 0, Name: "o", Kind: "k", Est: map[isa.Target]sched.Profile{
-		isa.SRAM: {UnitCycles: 100, RepUnit: 2, Overhead: 3 * event.Microsecond, MaxUseful: 7},
-	}}
+	j := &sched.Job{ID: 0, Name: "o", Kind: "k", Est: &sched.Estimates{}}
+	j.Est.Set(isa.SRAM, sched.Profile{UnitCycles: 100, RepUnit: 2, Overhead: 3 * event.Microsecond, MaxUseful: 7})
 	replayed, err := Capture("o", []*sched.Job{j}).Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := replayed[0].Est[isa.SRAM]
+	p, _ := replayed[0].Est.Get(isa.SRAM)
 	if p.Overhead != 3*event.Microsecond || p.MaxUseful != 7 {
 		t.Errorf("profile extras lost: %+v", p)
 	}

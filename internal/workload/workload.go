@@ -63,15 +63,21 @@ func profileFor(a apps.App, t isa.Target) sched.Profile {
 	}
 }
 
+// appEstimates profiles one application on every target.
+func appEstimates(a apps.App) *sched.Estimates {
+	est := &sched.Estimates{}
+	for _, t := range isa.Targets {
+		est.Set(t, profileFor(a, t))
+	}
+	return est
+}
+
 // Jobs expands one application into its scheduler jobs (the app
 // generates a fixed number of jobs with fixed loop counts, Section IV).
 // App job costs are deterministic, so estimates are exact and TrueTime
 // stays nil.
 func Jobs(a apps.App, startID int) []*sched.Job {
-	est := map[isa.Target]sched.Profile{}
-	for _, t := range isa.Targets {
-		est[t] = profileFor(a, t)
-	}
+	est := appEstimates(a)
 	jobs := make([]*sched.Job, a.Jobs)
 	for i := range jobs {
 		jobs[i] = &sched.Job{
@@ -107,13 +113,9 @@ func ComboJobs(name string) []*sched.Job {
 // jobs of the same app (they are read-only to the scheduler).
 func RandomJobs(rng *rand.Rand, n, startID int) []*sched.Job {
 	suite := apps.Suite()
-	ests := make([]map[isa.Target]sched.Profile, len(suite))
+	ests := make([]*sched.Estimates, len(suite))
 	for i, a := range suite {
-		est := map[isa.Target]sched.Profile{}
-		for _, t := range isa.Targets {
-			est[t] = profileFor(a, t)
-		}
-		ests[i] = est
+		ests[i] = appEstimates(a)
 	}
 	jobs := make([]*sched.Job, n)
 	for i := range jobs {
@@ -146,19 +148,15 @@ func AssignTenants(jobs []*sched.Job, n int) []*sched.Job {
 // don't recompile every kernel per request.
 type RequestPool struct {
 	suite []apps.App
-	ests  []map[isa.Target]sched.Profile
+	ests  []*sched.Estimates
 }
 
 // NewRequestPool analyses the Table II application suite once.
 func NewRequestPool() *RequestPool {
 	suite := apps.Suite()
-	p := &RequestPool{suite: suite, ests: make([]map[isa.Target]sched.Profile, len(suite))}
+	p := &RequestPool{suite: suite, ests: make([]*sched.Estimates, len(suite))}
 	for i, a := range suite {
-		est := map[isa.Target]sched.Profile{}
-		for _, t := range isa.Targets {
-			est[t] = profileFor(a, t)
-		}
-		p.ests[i] = est
+		p.ests[i] = appEstimates(a)
 	}
 	return p
 }
@@ -180,8 +178,8 @@ func (p *RequestPool) Draw(rng *rand.Rand, id int) *sched.Job {
 // setting). Working sets larger than the layer pay the scale-model
 // penalty; the shared system provides the DDR path.
 func StandaloneTime(sys *sched.System, a apps.App, t isa.Target) float64 {
-	j := &sched.Job{ID: 0, Name: a.Name, Kind: a.Name,
-		Est: map[isa.Target]sched.Profile{t: profileFor(a, t)}}
+	j := &sched.Job{ID: 0, Name: a.Name, Kind: a.Name, Est: &sched.Estimates{}}
+	j.Est.Set(t, profileFor(a, t))
 	return sys.ModelTime(j, t, sys.Layers[t].Capacity()).Seconds()
 }
 
@@ -191,7 +189,7 @@ func PreferredTarget(sys *sched.System, a apps.App) isa.Target {
 	best := isa.Targets[0]
 	bestT := -1.0
 	for _, t := range isa.Targets {
-		if _, ok := sys.Layers[t]; !ok {
+		if sys.Layers[t] == nil {
 			continue
 		}
 		sec := StandaloneTime(sys, a, t)

@@ -42,7 +42,7 @@ func TestJobsExpansion(t *testing.T) {
 			t.Error("deterministic app jobs must not carry separate truth")
 		}
 		for _, tgt := range isa.Targets {
-			p, ok := j.Est[tgt]
+			p, ok := j.Est.Get(tgt)
 			if !ok || p.UnitCycles <= 0 || p.RepUnit < 1 {
 				t.Fatalf("bad profile on %s: %+v", tgt, p)
 			}
