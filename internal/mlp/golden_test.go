@@ -1,8 +1,6 @@
 package mlp
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -14,31 +12,6 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fit.golden from the current trainer")
-
-// paramDigest hashes the bits of every weight, bias and Adam moment plus
-// the step count.
-func paramDigest(n *Net) string {
-	h := sha256.New()
-	var b []byte
-	put := func(vs []float64) {
-		for _, v := range vs {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-	}
-	for l := range n.weights {
-		for o := range n.weights[l] {
-			put(n.weights[l][o])
-			put(n.mW[l][o])
-			put(n.vW[l][o])
-		}
-		put(n.biases[l])
-		put(n.mB[l])
-		put(n.vB[l])
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(n.step))
-	h.Write(b)
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
 
 // regressionSet draws n samples of a smooth 4-input target — the
 // cycle regressor's shape.
@@ -60,18 +33,18 @@ func TestFitGolden(t *testing.T) {
 	n := New(rng, 4, 16, 8, 1)
 	xs, ys := regressionSet(rng, 256)
 	loss := n.Fit(rng, xs, ys, 20, 2e-3)
-	fitted := paramDigest(n)
+	fitted := n.Digest()
 
 	c := n.Clone()
 	cxs, cys := regressionSet(rng, 64)
 	closs := c.Fit(rng, cxs, cys, 10, 1e-3)
-	if got := paramDigest(n); got != fitted {
+	if got := n.Digest(); got != fitted {
 		t.Fatalf("training the clone changed the original: %s -> %s", fitted, got)
 	}
 
 	got := strings.Join([]string{
 		fmt.Sprintf("fit loss=%x %s", math.Float64bits(loss), fitted),
-		fmt.Sprintf("clone-fit loss=%x %s", math.Float64bits(closs), paramDigest(c)),
+		fmt.Sprintf("clone-fit loss=%x %s", math.Float64bits(closs), c.Digest()),
 	}, "\n") + "\n"
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

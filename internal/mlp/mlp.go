@@ -5,9 +5,12 @@
 package mlp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"mlimp/internal/fixed"
 )
@@ -37,6 +40,7 @@ type Net struct {
 type trainScratch struct {
 	acts        [][]float64 // acts[0] is the input, acts[l+1] weight layer l's output
 	delta, next []float64   // backpropagated deltas of two adjacent layers
+	perm        []int       // Fit's epoch order
 }
 
 // New builds a network with the given layer sizes (inputs first, output
@@ -112,6 +116,30 @@ func (n *Net) NumParams() int {
 		total += len(n.weights[l])*len(n.weights[l][0]) + len(n.biases[l])
 	}
 	return total
+}
+
+// Digest returns a hex SHA-256 of the bits of every weight, bias and
+// Adam moment plus the step count. Two nets with equal digests predict
+// and keep training identically.
+func (n *Net) Digest() string {
+	var b []byte
+	put := func(vs []float64) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	for l := range n.weights {
+		for o := range n.weights[l] {
+			put(n.weights[l][o])
+			put(n.mW[l][o])
+			put(n.vW[l][o])
+		}
+		put(n.biases[l])
+		put(n.mB[l])
+		put(n.vB[l])
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(n.step))
+	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
 func (n *Net) checkInput(x []float64) {
@@ -198,9 +226,67 @@ const (
 	eps   = 1e-8
 )
 
+// Adam's bias corrections 1-β1^s and 1-β2^s depend only on the step s,
+// and in float64 they reach exactly 1.0 once β^s drops below half an
+// ulp of 1, where they stay: from step sat1 for β1 and sat2 for β2.
+// corr1 and corr2 hold the corrections of the steps before that. They
+// are fixed-size arrays, so the 300 KB of corr2 is not GC heap and costs
+// memory only in a process that trains.
+const sat1, sat2 = 356, 37_412
+
+var (
+	corrOnce sync.Once
+	corr1    [sat1 - 1]float64
+	corr2    [sat2 - 1]float64
+)
+
+// fillCorrections fills tab[s-1] with 1-β^s and checks that the
+// correction of the step after the table is 1.0.
+func fillCorrections(tab []float64, beta float64) {
+	for i := range tab {
+		tab[i] = 1 - math.Pow(beta, float64(i+1))
+	}
+	if tab[len(tab)-1] == 1 || 1-math.Pow(beta, float64(len(tab)+1)) != 1 {
+		panic("mlp: Adam bias corrections do not saturate where sat1/sat2 say")
+	}
+}
+
+func correction(tab []float64, step int) float64 {
+	if step <= len(tab) {
+		return tab[step-1]
+	}
+	return 1
+}
+
+// adamStep is one step's bias-corrected Adam update rule.
+type adamStep struct {
+	lr, c1, c2 float64
+	corrected  bool // false once c1 and c2 are both 1.0: x/1.0 == x
+}
+
+func newAdamStep(step int, lr float64) adamStep {
+	corrOnce.Do(func() { fillCorrections(corr1[:], beta1); fillCorrections(corr2[:], beta2) })
+	c1, c2 := correction(corr1[:], step), correction(corr2[:], step)
+	return adamStep{lr: lr, c1: c1, c2: c2, corrected: c1 != 1 || c2 != 1}
+}
+
+// update advances one parameter's moments m and v by its gradient g and
+// returns the amount to subtract from the parameter.
+func (a adamStep) update(m, v *float64, g float64) float64 {
+	*m = beta1**m + (1-beta1)*g
+	*v = beta2**v + (1-beta2)*g*g
+	mHat, vHat := *m, *v
+	if a.corrected {
+		mHat, vHat = mHat/a.c1, vHat/a.c2
+	}
+	return a.lr * mHat / (math.Sqrt(vHat) + eps)
+}
+
 // TrainStep performs one Adam update on a single (x, y) pair with mean
-// squared error loss and returns the sample loss before the update. It
-// allocates nothing once the net's training scratch exists.
+// squared error loss and returns the sample loss before the update. The
+// backward pass updates each weight as soon as its old value has been
+// propagated to the layer below. It allocates nothing once the net's
+// training scratch exists.
 func (n *Net) TrainStep(x, y []float64, lr float64) float64 {
 	n.checkInput(x)
 	sc := n.scratch()
@@ -224,6 +310,7 @@ func (n *Net) TrainStep(x, y []float64, lr float64) float64 {
 	loss /= float64(len(out))
 
 	n.step++
+	adam := newAdamStep(n.step, lr)
 	for l := len(n.weights) - 1; l >= 0; l-- {
 		in := acts[l]
 		var next []float64
@@ -238,12 +325,9 @@ func (n *Net) TrainStep(x, y []float64, lr float64) float64 {
 				if next != nil {
 					next[i] += row[i] * d
 				}
-				g := d * in[i]
-				mw[i] = beta1*mw[i] + (1-beta1)*g
-				vw[i] = beta2*vw[i] + (1-beta2)*g*g
+				row[i] -= adam.update(&mw[i], &vw[i], d*in[i])
 			}
-			n.mB[l][o] = beta1*n.mB[l][o] + (1-beta1)*d
-			n.vB[l][o] = beta2*n.vB[l][o] + (1-beta2)*d*d
+			n.biases[l][o] -= adam.update(&n.mB[l][o], &n.vB[l][o], d)
 		}
 		// Apply tanh derivative for the layer below (its outputs were
 		// tanh-activated).
@@ -255,25 +339,16 @@ func (n *Net) TrainStep(x, y []float64, lr float64) float64 {
 			sc.delta, sc.next = sc.next, sc.delta
 		}
 	}
-	n.apply(lr)
 	return loss
 }
 
-// apply performs the bias-corrected Adam parameter update.
-func (n *Net) apply(lr float64) {
-	c1 := 1 - math.Pow(beta1, float64(n.step))
-	c2 := 1 - math.Pow(beta2, float64(n.step))
-	for l := range n.weights {
-		for o := range n.weights[l] {
-			for i := range n.weights[l][o] {
-				mHat := n.mW[l][o][i] / c1
-				vHat := n.vW[l][o][i] / c2
-				n.weights[l][o][i] -= lr * mHat / (math.Sqrt(vHat) + eps)
-			}
-			mHat := n.mB[l][o] / c1
-			vHat := n.vB[l][o] / c2
-			n.biases[l][o] -= lr * mHat / (math.Sqrt(vHat) + eps)
-		}
+// shuffle fills perm with the permutation rng.Perm(len(perm)) returns,
+// drawing the same random numbers, without allocating.
+func shuffle(rng *rand.Rand, perm []int) {
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
 	}
 }
 
@@ -284,9 +359,14 @@ func (n *Net) Fit(rng *rand.Rand, xs, ys [][]float64, epochs int, lr float64) fl
 	if len(xs) != len(ys) || len(xs) == 0 {
 		panic("mlp: bad training set")
 	}
+	sc := n.scratch()
+	if cap(sc.perm) < len(xs) {
+		sc.perm = make([]int, len(xs))
+	}
+	perm := sc.perm[:len(xs)]
 	var last float64
 	for e := 0; e < epochs; e++ {
-		perm := rng.Perm(len(xs))
+		shuffle(rng, perm)
 		var sum float64
 		for _, i := range perm {
 			sum += n.TrainStep(xs[i], ys[i], lr)

@@ -63,6 +63,11 @@ type MLP struct {
 	hw     *mlp.Net
 	cycles map[isa.Target]*mlp.Net
 	f      int
+
+	// Refit's training set for one target at a time, reused across
+	// refits. Its rows are the x and y arrays of the observations Refit
+	// was last given.
+	refitX, refitY [][]float64
 }
 
 // TrainConfig controls regressor training.
@@ -122,15 +127,26 @@ func (p *MLP) Clone() *MLP {
 	return c
 }
 
-// Observation is one ground-truth sample harvested from serving: the
-// implied unit-allocation cycle count of subgraph Adj's aggregation
-// SpMM on Target, inverted from an observed execution span by
-// sched.ObservedUnitCycles.
+// Observation is one ground-truth sample harvested from serving, kept
+// ready to train on: the implied unit-allocation cycle count of a
+// subgraph's aggregation SpMM on Target (inverted from an observed
+// execution span by sched.ObservedUnitCycles) as the cycles regressor's
+// input features and label. Build it with Observe.
 type Observation struct {
-	Adj    *tensor.CSR
-	F      int
 	Target isa.Target
-	Cycles int64
+	x      [4]float64 // cycleFeatures
+	y      [1]float64 // lg(cycles)
+}
+
+// Observe builds the training sample for an observed cycle count of
+// subgraph adj's aggregation at feature width f on target t. Refit never
+// trains the H_w regressor, so the features it predicts are fixed when
+// the sample is observed.
+func (p *MLP) Observe(adj *tensor.CSR, f int, t isa.Target, cycles int64) Observation {
+	o := Observation{Target: t}
+	copy(o.x[:], cycleFeatures(adj, f, p.predictHw(adj)))
+	o.y[0] = lg(float64(cycles))
+	return o
 }
 
 // Refit fine-tunes the per-memory cycle regressors on observed serving
@@ -138,28 +154,29 @@ type Observation struct {
 // H_w regressor is left alone (its ground truth is structural, not
 // latency-derived); each observation updates only its target's net.
 // A few epochs at a low learning rate suffice: Refit corrects drift,
-// it does not retrain from scratch.
+// it does not retrain from scratch. Refit allocates nothing once it has
+// run on a window at least as large.
 func (p *MLP) Refit(rng *rand.Rand, obs []Observation, epochs int, lr float64) {
 	if len(obs) == 0 || epochs <= 0 {
 		return
 	}
-	byTarget := make(map[isa.Target][]Observation)
-	for _, o := range obs {
-		byTarget[o.Target] = append(byTarget[o.Target], o)
+	if cap(p.refitX) < len(obs) {
+		p.refitX, p.refitY = make([][]float64, 0, len(obs)), make([][]float64, 0, len(obs))
 	}
 	for _, t := range isa.Targets { // canonical order: determinism
-		os := byTarget[t]
 		net := p.cycles[t]
-		if len(os) == 0 || net == nil {
+		if net == nil {
 			continue
 		}
-		xs := make([][]float64, len(os))
-		ys := make([][]float64, len(os))
-		for i, o := range os {
-			xs[i] = cycleFeatures(o.Adj, o.F, p.predictHw(o.Adj))
-			ys[i] = []float64{lg(float64(o.Cycles))}
+		xs, ys := p.refitX[:0], p.refitY[:0]
+		for i := range obs {
+			if o := &obs[i]; o.Target == t {
+				xs, ys = append(xs, o.x[:]), append(ys, o.y[:])
+			}
 		}
-		net.Fit(rng, xs, ys, epochs, lr)
+		if len(xs) > 0 {
+			net.Fit(rng, xs, ys, epochs, lr)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // sampleSubgraphs draws n subgraph adjacencies from the ogbl-collab
 // stand-in mother graph.
-func sampleSubgraphs(t *testing.T, seed int64, n int) []*tensor.CSR {
+func sampleSubgraphs(t testing.TB, seed int64, n int) []*tensor.CSR {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	d, ok := graph.DatasetByName("ogbl-collab")
@@ -166,5 +166,18 @@ func TestMLPBeatsNaiveOnPreference(t *testing.T) {
 	mlpAcc := float64(correct) / float64(len(test))
 	if mlpAcc+0.05 < naiveAcc {
 		t.Errorf("MLP accuracy %.2f well below naive %.2f", mlpAcc, naiveAcc)
+	}
+}
+
+// TestRefitAllocatesNothing pins that a refit of a predictor that has
+// already refitted on a window this size allocates nothing.
+func TestRefitAllocatesNothing(t *testing.T) {
+	subs := sampleSubgraphs(t, 51, 64)
+	rng := rand.New(rand.NewSource(54))
+	p := Train(rng, subs[:32], 128, TrainConfig{Epochs: 5, LR: 2e-3})
+	obs := driftedObservations(p, rng, subs[32:], 128, 256)
+	p.Refit(rng, obs, 1, 1e-3)
+	if a := testing.AllocsPerRun(5, func() { p.Refit(rng, obs, 1, 1e-3) }); a != 0 {
+		t.Errorf("warmed-up Refit allocates %v times, want 0", a)
 	}
 }

@@ -412,7 +412,8 @@ func (fe *FrontEnd) onDone(info cluster.DoneInfo) {
 }
 
 // harvest inverts each completed GNN job's observed span into implied
-// unit cycles and appends the observation, keeping a bounded window.
+// unit cycles and appends it as a ready-to-train observation, keeping a
+// bounded window.
 func (fe *FrontEnd) harvest(rec *batchRec, res runtime.BatchResult) {
 	for _, a := range res.Assignments {
 		var r *Request
@@ -430,7 +431,7 @@ func (fe *FrontEnd) harvest(rec *batchRec, res runtime.BatchResult) {
 			continue
 		}
 		cyc := fe.cfg.Mirror.ObservedUnitCycles(p, a.Target, a.Arrays, a.End-a.Start)
-		fe.obs = append(fe.obs, predict.Observation{Adj: r.Adj, F: r.F, Target: a.Target, Cycles: cyc})
+		fe.obs = append(fe.obs, fe.cfg.Predictor.Observe(r.Adj, r.F, a.Target, cyc))
 	}
 	if w := fe.cfg.obsWindow(); len(fe.obs) > w {
 		fe.obs = append(fe.obs[:0], fe.obs[len(fe.obs)-w:]...)
