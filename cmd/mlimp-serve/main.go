@@ -89,18 +89,9 @@ func parseFleet(spec string) ([]cluster.NodeConfig, error) {
 			scale = s
 			layerSpec = nodeSpec[:at]
 		}
-		var targets []isa.Target
-		for _, name := range strings.Split(layerSpec, ",") {
-			switch strings.ToLower(strings.TrimSpace(name)) {
-			case "sram":
-				targets = append(targets, isa.SRAM)
-			case "dram":
-				targets = append(targets, isa.DRAM)
-			case "reram":
-				targets = append(targets, isa.ReRAM)
-			default:
-				return nil, fmt.Errorf("node %d: unknown layer %q", i, name)
-			}
+		targets, err := isa.ParseTargets(layerSpec)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", i, err)
 		}
 		cfgs = append(cfgs, cluster.NodeConfig{
 			Name:    fmt.Sprintf("node%d(%s)", i, layerSpec),

@@ -54,6 +54,8 @@ func TestExitCodes(t *testing.T) {
 			cluster.ErrEdgeFaultNeedsDeadline.Error()},
 		{"delay-only edge on one hub", []string{"-edge-fault", "hub0>node3(reram)@1:5:0:0.1"}, 0, ""},
 		{"hubs 3 on 4 nodes", []string{"-hubs", "3"}, 2, cluster.ErrTopologyMismatch.Error()},
+		{"unknown layer", []string{"-nodes", "sram,foo"}, 1, `node 0: unknown layer "foo"`},
+		{"bad scale", []string{"-nodes", "sram/dram@-2"}, 1, `node 1: bad scale "-2"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

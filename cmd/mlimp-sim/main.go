@@ -11,7 +11,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"strings"
 
 	"mlimp/internal/baseline"
 	"mlimp/internal/core"
@@ -46,19 +45,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	var targets []isa.Target
-	for _, name := range strings.Split(*layers, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "sram":
-			targets = append(targets, isa.SRAM)
-		case "dram":
-			targets = append(targets, isa.DRAM)
-		case "reram":
-			targets = append(targets, isa.ReRAM)
-		default:
-			fmt.Fprintf(os.Stderr, "mlimp-sim: unknown layer %q\n", name)
-			os.Exit(1)
-		}
+	targets, err := isa.ParseTargets(*layers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mlimp-sim: %v\n", err)
+		os.Exit(1)
 	}
 
 	var sc sched.Scheduler

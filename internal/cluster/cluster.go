@@ -77,7 +77,6 @@ type Node struct {
 	down         bool
 	detectedDown bool
 	lastBeat     event.Time
-	arraysLost   int
 	failures     int // exec errors + deadline timeouts attributed here
 	crashes      int
 	breaker      *breaker
@@ -107,7 +106,7 @@ func (h Health) String() string {
 }
 
 // ArraysLost returns the arrays currently lost to injected faults.
-func (n *Node) ArraysLost() int { return n.arraysLost }
+func (n *Node) ArraysLost() int { return n.Sys.LostTotal() }
 
 // crash halts the node at the current instant: the executing batch
 // loses its work and nothing further starts until revive. Work already
@@ -136,16 +135,14 @@ func (n *Node) revive() {
 // invalidates the estimate cache: stale idle-node estimates against the
 // healthy capacity would misroute every later admission.
 func (n *Node) degrade(t isa.Target, arrays int) {
-	if removed := n.Sys.Degrade(t, arrays); removed > 0 {
-		n.arraysLost += removed
+	if n.Sys.Degrade(t, arrays) > 0 {
 		n.est.reset()
 	}
 }
 
 // restore returns previously lost arrays to a layer.
 func (n *Node) restore(t isa.Target, arrays int) {
-	if returned := n.Sys.Restore(t, arrays); returned > 0 {
-		n.arraysLost -= returned
+	if n.Sys.Restore(t, arrays) > 0 {
 		n.est.reset()
 	}
 }

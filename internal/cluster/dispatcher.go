@@ -115,27 +115,20 @@ type tracker struct {
 	done         bool
 }
 
-// tenantCounts tracks one tenant's batch terminal states plus the
-// failure-driven re-dispatches its batches consumed on the way there.
+// tenantCounts is one tenant's batch ledger row: terminal states plus
+// the failure-driven re-dispatches its batches consumed on the way
+// there. Untenanted batches count under the "" row.
 type tenantCounts struct {
 	submitted, completed, shed, deadLettered int
 	redispatches                             int
 }
 
-// bumpTenant returns (creating on first use) a tenant's counter row;
-// untenanted batches ("" tag) are not tracked, so single-tenant runs
-// carry no tenant machinery at all.
-func bumpTenant(m *map[string]*tenantCounts, tenant string) *tenantCounts {
-	if tenant == "" {
-		return nil
-	}
-	if *m == nil {
-		*m = map[string]*tenantCounts{}
-	}
-	c := (*m)[tenant]
+// row returns (creating on first use) a tenant's ledger row in m.
+func row(m map[string]*tenantCounts, tenant string) *tenantCounts {
+	c := m[tenant]
 	if c == nil {
 		c = &tenantCounts{}
-		(*m)[tenant] = c
+		m[tenant] = c
 	}
 	return c
 }
@@ -275,18 +268,6 @@ func (s Summary) String() string {
 	return sb.String()
 }
 
-// nodeRollup is one node's contribution to the fleet summary: execution
-// facts come from the node shard, failure attribution from the hub's
-// view.
-type nodeRollup struct {
-	name                          string
-	rt                            runtime.Summary
-	busy                          event.Time
-	failures, crashes, arraysLost int
-	lostByTarget                  [isa.NumTargets]int
-	health                        string // "" outside failure-aware mode
-}
-
 // lostRollup snapshots a system's per-target lost-array counts for the
 // fleet summary.
 func lostRollup(sys *sched.System) (lost [isa.NumTargets]int) {
@@ -296,24 +277,19 @@ func lostRollup(sys *sched.System) (lost [isa.NumTargets]int) {
 	return lost
 }
 
-// summarize folds per-node rollups into s — makespan, per-node lines,
-// utilization, fleet-wide latency/queue percentiles, and per-tenant
-// rows when the run carried tenant-tagged batches. s arrives with the
-// policy name and admission counters already filled in.
-func summarize(s Summary, rollups []nodeRollup, tenants map[string]*tenantCounts) Summary {
+// summarize folds the home nodes' execution records (in s.Nodes order)
+// into s — makespan, utilization, fleet-wide latency/queue percentiles
+// — and the fleet ledger into the admission totals and the per-tenant
+// rows. s arrives with the policy name, the remaining fleet counters and
+// the node rows filled in.
+func summarize(s Summary, rts []runtime.Summary, tenants map[string]*tenantCounts) Summary {
 	var lats, queues []float64
 	tenantLats := map[string][]float64{}
-	for _, r := range rollups {
-		if r.rt.Makespan > s.Makespan {
-			s.Makespan = r.rt.Makespan
+	for _, rt := range rts {
+		if rt.Makespan > s.Makespan {
+			s.Makespan = rt.Makespan
 		}
-		s.Nodes = append(s.Nodes, NodeSummary{
-			Name: r.name, Batches: r.rt.Batches, BusyTime: r.busy, MeanLatMs: r.rt.MeanLatMs,
-			Failures: r.failures, Crashes: r.crashes, ArraysLost: r.arraysLost,
-			LostByTarget: r.lostByTarget,
-			Health:       r.health,
-		})
-		for _, res := range r.rt.Results {
+		for _, res := range rt.Results {
 			lats = append(lats, res.Latency().Millis())
 			queues = append(queues, res.QueueDelay().Millis())
 			if res.Tenant != "" {
@@ -333,32 +309,27 @@ func summarize(s Summary, rollups []nodeRollup, tenants map[string]*tenantCounts
 	s.P99LatMs = lat.P99
 	s.P50QueMs = que.P50
 	s.P99QueMs = que.P99
-	if len(tenants) > 0 || len(tenantLats) > 0 {
-		names := map[string]bool{}
-		for k := range tenants {
-			names[k] = true
+	var names []string
+	for name, c := range tenants {
+		s.Submitted += c.submitted
+		s.Completed += c.completed
+		s.Shed += c.shed
+		s.DeadLettered += c.deadLettered
+		s.Redispatches += c.redispatches
+		if name != "" {
+			names = append(names, name)
 		}
-		for k := range tenantLats {
-			names[k] = true
-		}
-		order := make([]string, 0, len(names))
-		for k := range names {
-			order = append(order, k)
-		}
-		sort.Strings(order)
-		for _, name := range order {
-			c := tenants[name]
-			if c == nil {
-				c = &tenantCounts{}
-			}
-			tl := stats.SummarizeLatency(tenantLats[name])
-			s.Tenants = append(s.Tenants, TenantSummary{
-				Tenant: name, Submitted: c.submitted, Completed: c.completed,
-				Shed: c.shed, DeadLettered: c.deadLettered,
-				Redispatches: c.redispatches,
-				MeanLatMs:    tl.Mean, P99LatMs: tl.P99,
-			})
-		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		c := tenants[name]
+		tl := stats.SummarizeLatency(tenantLats[name])
+		s.Tenants = append(s.Tenants, TenantSummary{
+			Tenant: name, Submitted: c.submitted, Completed: c.completed,
+			Shed: c.shed, DeadLettered: c.deadLettered,
+			Redispatches: c.redispatches,
+			MeanLatMs:    tl.Mean, P99LatMs: tl.P99,
+		})
 	}
 	return s
 }

@@ -36,9 +36,9 @@ var (
 //   - a fault plan (internal/fault) drives deterministic node crashes,
 //     revivals, and array-capacity faults in simulated time;
 //   - ping/pong liveness: the hub pings every Heartbeat and live nodes
-//     pong; a monitor declares a node dead after HeartbeatMiss silent
-//     periods, evicts its stranded batches, and re-dispatches them
-//     elsewhere;
+//     pong; a monitor declares a node dead after DefaultHeartbeatMiss
+//     silent periods, evicts its stranded batches, and re-dispatches
+//     them elsewhere;
 //   - per-dispatch deadlines: a batch that has not completed Deadline
 //     after acceptance is aborted and re-dispatched;
 //   - per-node circuit breakers: BreakerK consecutive failures eject a
@@ -83,9 +83,6 @@ type FaultConfig struct {
 	// Heartbeat is the ping and monitor period. 0 means
 	// DefaultHeartbeat.
 	Heartbeat event.Time
-	// HeartbeatMiss is how many silent periods declare a node dead.
-	// 0 means DefaultHeartbeatMiss.
-	HeartbeatMiss int
 }
 
 func (fc FaultConfig) maxRedispatch() int {
@@ -114,13 +111,6 @@ func (fc FaultConfig) heartbeat() event.Time {
 		return fc.Heartbeat
 	}
 	return DefaultHeartbeat
-}
-
-func (fc FaultConfig) heartbeatMiss() int {
-	if fc.HeartbeatMiss > 0 {
-		return fc.HeartbeatMiss
-	}
-	return DefaultHeartbeatMiss
 }
 
 // execFn resolves the execution-error coin.
@@ -387,11 +377,11 @@ func (r *region) startLiveness() {
 		if !r.down {
 			for i, sn := range r.sns {
 				i, sn := i, sn
-				r.hub.SendAfter(sn.shard, r.hop, func() {
+				r.hub.SendAfter(sn.shard, DefaultHop, func() {
 					if sn.node.down {
 						return
 					}
-					sn.shard.SendAfter(r.hub, r.hop, func() {
+					sn.shard.SendAfter(r.hub, DefaultHop, func() {
 						if r.down {
 							return
 						}
@@ -424,13 +414,13 @@ func (r *region) startLiveness() {
 // pongs again rejoins routing.
 func (r *region) monitorOnce() {
 	now := r.hub.Engine().Now()
-	limit := event.Time(r.faults.heartbeatMiss())*r.faults.heartbeat() + 2*r.hop
+	limit := DefaultHeartbeatMiss*r.faults.heartbeat() + 2*DefaultHop
 	for i, v := range r.views {
 		silent := now - v.lastBeat
 		if !v.detectedDown && silent > limit {
 			v.detectedDown = true
 			sn := r.sns[i]
-			r.hub.SendAfter(sn.shard, r.hop, func() {
+			r.hub.SendAfter(sn.shard, DefaultHop, func() {
 				for _, b := range sn.node.rt.Evict() {
 					delete(sn.tokens, b.ID)
 					delete(sn.attempts, b.ID)
@@ -456,7 +446,7 @@ func (r *region) monitorOnce() {
 // abortOn tells a node shard, one hop later, to drop a booking the hub
 // has abandoned.
 func (r *region) abortOn(sn *shardNode, id int) {
-	r.hub.SendAfter(sn.shard, r.hop, func() {
+	r.hub.SendAfter(sn.shard, DefaultHop, func() {
 		delete(sn.tokens, id)
 		delete(sn.attempts, id)
 		delete(sn.homes, id)
@@ -495,10 +485,7 @@ func (r *region) redispatch(tr *tracker, avoid *Node) {
 		return
 	}
 	tr.redispatches++
-	r.redispatches++
-	if c := bumpTenant(&r.tenants, tr.b.Tenant); c != nil {
-		c.redispatches++
-	}
+	row(r.tenants, tr.b.Tenant).redispatches++
 	tr.gen++ // invalidate any armed deadline for the old booking
 	r.dispatch(tr.b, 0, avoid)
 }
@@ -510,7 +497,7 @@ func mergedHealth(real, view *Node) Health {
 	if real.down || view.detectedDown {
 		return DownHealth
 	}
-	if real.arraysLost > 0 || (view.breaker != nil && view.breaker.state != breakerClosed) {
+	if real.ArraysLost() > 0 || (view.breaker != nil && view.breaker.state != breakerClosed) {
 		return Degraded
 	}
 	return Healthy

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -77,6 +78,24 @@ func heteroRun(t *testing.T, policy string, workers int) string {
 // a crash with revival, a permanent kill, 15% exec errors and a 50ms
 // dispatch deadline over three full nodes.
 func chaosGoldenRun(t *testing.T, policy string, workers int) string {
+	return chaosRun(t, policy, workers, false)
+}
+
+// tenantTag names batch or request i's tenant in the tenanted goldens:
+// three tenants round-robin, every fourth one untenanted, so the fleet
+// totals must count work that no tenant row lists.
+func tenantTag(i int) string {
+	if i%4 == 3 {
+		return ""
+	}
+	return fmt.Sprintf("t%d", i%4)
+}
+
+// chaosRun drives the chaos cascade. tenanted tags the batches with
+// tenantTag and cuts the re-dispatch budget to one, so tenant rows
+// carry both re-dispatches and dead-letters, and adds a permanent DRAM
+// fault on b, so a node row ends the run with arrays lost.
+func chaosRun(t *testing.T, policy string, workers int, tenanted bool) string {
 	p, _ := cluster.PolicyByName(policy)
 	d := flat(p, cluster.Admission{MaxRetries: 6}, workers, full("a"), full("b"), full("c"))
 	plan := &fault.Plan{
@@ -90,11 +109,21 @@ func chaosGoldenRun(t *testing.T, policy string, workers int) string {
 		},
 		ExecErrorProb: 0.15,
 	}
+	fc := &cluster.FaultConfig{Plan: plan, Deadline: 50 * event.Millisecond}
 	var bs []*runtime.Batch
 	for i := 0; i < 30; i++ {
-		bs = append(bs, goldenBatch(i, event.Time(i)*200*event.Microsecond, 4))
+		b := goldenBatch(i, event.Time(i)*200*event.Microsecond, 4)
+		if tenanted {
+			b.Tenant = tenantTag(i)
+		}
+		bs = append(bs, b)
 	}
-	return mustRun(t, d, &cluster.FaultConfig{Plan: plan, Deadline: 50 * event.Millisecond}, bs)
+	if tenanted {
+		fc.MaxRedispatch = 1
+		plan.ArrayFaults = append(plan.ArrayFaults,
+			fault.ArrayFault{Node: "b", Target: isa.DRAM, Fraction: 0.25, At: 1500 * event.Microsecond})
+	}
+	return mustRun(t, d, fc, bs)
 }
 
 // edgeDelayRun slows the hub->b dispatch edge for a window: a delay-only
@@ -114,6 +143,14 @@ func edgeDelayRun(t *testing.T, workers int) string {
 // serveRun is one open-loop front-end run: Table II app requests with
 // predictor admission over a 3-node heterogeneous fleet.
 func serveRun(t *testing.T, workers int) string {
+	return serveFleetRun(t, workers, false)
+}
+
+// serveFleetRun drives the front-end run. tenanted tags the requests
+// with tenantTag and adds 20% exec errors under a one-re-dispatch
+// budget, so the serving tenant rows carry re-dispatches and
+// dead-letters too.
+func serveFleetRun(t *testing.T, workers int, tenanted bool) string {
 	sys := sched.NewSystem(isa.Targets...)
 	src := serve.NewAppSource(sys)
 	rng := rand.New(rand.NewSource(11))
@@ -123,6 +160,15 @@ func serveRun(t *testing.T, workers int) string {
 		full("full"),
 		cluster.NodeConfig{Name: "sram-dram", Targets: []isa.Target{isa.SRAM, isa.DRAM}},
 		cluster.NodeConfig{Name: "reram", Targets: []isa.Target{isa.ReRAM}})
+	if tenanted {
+		for i, r := range reqs {
+			r.Tenant = tenantTag(i)
+		}
+		fc := cluster.FaultConfig{Plan: &fault.Plan{Seed: 5, ExecErrorProb: 0.2}, MaxRedispatch: 1}
+		if err := d.EnableFaults(fc); err != nil {
+			t.Fatal(err)
+		}
+	}
 	fe, err := serve.New(d, serve.Config{
 		Requests: reqs, Budget: 200 * event.Microsecond, BatchMax: 4,
 		PredictorAdmission: true, BuildJob: src.BuildJob, Seed: 3,
@@ -139,8 +185,10 @@ func serveRun(t *testing.T, workers int) string {
 // go test ./internal/cluster -run TestFlatFabricGolden -update.
 func TestFlatFabricGolden(t *testing.T) {
 	runs := map[string]func(t *testing.T, workers int) string{
-		"edge-delay": edgeDelayRun,
-		"serve":      serveRun,
+		"edge-delay":    edgeDelayRun,
+		"serve":         serveRun,
+		"serve-tenants": func(t *testing.T, w int) string { return serveFleetRun(t, w, true) },
+		"chaos-tenants": func(t *testing.T, w int) string { return chaosRun(t, "predicted-cost", w, true) },
 	}
 	for _, p := range cluster.PolicyNames() {
 		p := p

@@ -41,7 +41,6 @@ import (
 //     node accepts.
 type ShardedDispatcher struct {
 	drv          *parsim.Driver
-	hop          event.Time
 	summaryEvery event.Time
 	policy       Policy // the caller's policy (multi-region trees route through clones)
 	regions      []*region
@@ -69,7 +68,6 @@ type region struct {
 	fleet  *ShardedDispatcher
 	idx    int
 	hub    *parsim.Shard
-	hop    event.Time
 	policy Policy
 	adm    Admission
 	faults *FaultConfig
@@ -94,15 +92,12 @@ type region struct {
 	lastArrival event.Time
 	onDone      func(DoneInfo)
 
-	submitted    int
-	completed    int
-	shed         int
-	retries      int
-	redispatches int
-	deadLettered int
-	execErrors   int
-	timeouts     int
-	tenants      map[string]*tenantCounts
+	retries    int
+	execErrors int
+	timeouts   int
+	// tenants is the region's batch ledger, one row per tenant; untenanted
+	// batches count under "". Fleet totals are sums over these rows.
+	tenants map[string]*tenantCounts
 
 	// Cross-region state (tree.go): beliefs about sibling load, ring
 	// neighbours, overflow counters, and the hub-crash and takeover
@@ -219,28 +214,15 @@ type ShardConfig struct {
 	// serially on the calling goroutine (the -j 1 fallback) while
 	// keeping the exact same windowed semantics and event order.
 	Workers int
-	// Hop is the cross-shard network latency and PDES lookahead.
-	// 0 means DefaultHop.
-	Hop event.Time
 	// Hubs splits the fleet into that many regional sub-hubs, each
 	// owning a contiguous equal slice of the nodes and making routing
 	// decisions locally (see tree.go). 0 or 1 is the flat single-hub
 	// fleet. Hubs must evenly divide the node count.
 	Hubs int
-	// HubFanout optionally pins nodes-per-hub; 0 derives it from Hubs.
-	// When both are set, Hubs x HubFanout must equal the node count.
-	HubFanout int
 	// SummaryEvery is the hub-tree beacon period (belief broadcasts and
 	// batched completion echoes). 0 means DefaultSummaryEvery. Ignored
 	// by a one-region fleet.
 	SummaryEvery event.Time
-}
-
-func (sc ShardConfig) hop() event.Time {
-	if sc.Hop > 0 {
-		return sc.Hop
-	}
-	return DefaultHop
 }
 
 func (sc ShardConfig) summaryEvery() event.Time {
@@ -265,13 +247,12 @@ func NewShardedDispatcher(policy Policy, adm Admission, sc ShardConfig, cfgs ...
 	if len(cfgs) == 0 {
 		panic("cluster: fleet needs at least one node")
 	}
-	hubs, fanout, err := ValidateTopology(sc.Hubs, sc.HubFanout, len(cfgs))
+	hubs, fanout, err := ValidateTopology(sc.Hubs, 0, len(cfgs))
 	if err != nil {
 		panic(err.Error())
 	}
 	d := &ShardedDispatcher{
-		drv:          parsim.NewDriver(sc.hop(), sc.Workers),
-		hop:          sc.hop(),
+		drv:          parsim.NewDriver(DefaultHop, sc.Workers),
 		summaryEvery: sc.summaryEvery(),
 		policy:       policy,
 		seen:         map[int]bool{},
@@ -298,9 +279,9 @@ func NewShardedDispatcher(policy Policy, adm Admission, sc ShardConfig, cfgs ...
 // newRegion builds one hub shard plus its node shards on the driver.
 func (d *ShardedDispatcher) newRegion(idx int, policy Policy, adm Admission, cfgs []NodeConfig) *region {
 	r := &region{
-		fleet: d, idx: idx, hub: d.drv.AddShard(), hop: d.hop, policy: policy, adm: adm,
+		fleet: d, idx: idx, hub: d.drv.AddShard(), policy: policy, adm: adm,
 		homeN: len(cfgs), cfgs: cfgs, estimating: policyUsesEstimates(policy),
-		trk: map[int]*tracker{}, lastBeacon: -1,
+		trk: map[int]*tracker{}, tenants: map[string]*tenantCounts{}, lastBeacon: -1,
 	}
 	for _, cfg := range cfgs {
 		shard := d.drv.AddShard()
@@ -370,7 +351,7 @@ func (d *ShardedDispatcher) Workers() int { return d.drv.Workers() }
 func (d *ShardedDispatcher) WindowStats() parsim.Stats { return d.drv.Stats() }
 
 // Hop returns the cross-shard network latency (the PDES lookahead).
-func (d *ShardedDispatcher) Hop() event.Time { return d.hop }
+func (d *ShardedDispatcher) Hop() event.Time { return DefaultHop }
 
 // Nodes returns the real (execution-side) nodes in configuration order.
 // Between construction and Run their state is safe to read; during Run
@@ -492,7 +473,7 @@ func (d *ShardedDispatcher) PredictedCompletion(jobs []*sched.Job) (event.Time, 
 		if !r.eligible(v, probe) {
 			continue
 		}
-		at := now + r.hop + v.PredictedDrain(now) + v.EstimateCost(jobs)
+		at := now + DefaultHop + v.PredictedDrain(now) + v.EstimateCost(jobs)
 		if !found || at < best {
 			best, found = at, true
 		}
@@ -511,28 +492,27 @@ func (d *ShardedDispatcher) OnDone(fn func(DoneInfo)) { d.onDone = fn }
 // and merges the regional summaries in region order, which is node
 // configuration order. Execution facts (latency results, busy time,
 // crashes, lost arrays) come from the node shards; failure attribution
-// and terminal-state counters from the hubs.
+// and the batch ledgers from the hubs.
 func (d *ShardedDispatcher) Run() Summary {
 	d.prepare()
 	d.drv.Run()
 	s := Summary{Policy: d.policy.Name()}
-	var rollups []nodeRollup
-	var tenants map[string]*tenantCounts
+	var rts []runtime.Summary
+	tenants := map[string]*tenantCounts{}
 	for _, r := range d.regions {
-		s.Submitted += r.submitted
-		s.Completed += r.completed
-		s.Shed += r.shed
 		s.Retries += r.retries
-		s.Redispatches += r.redispatches
-		s.DeadLettered += r.deadLettered
 		s.ExecErrors += r.execErrors
 		s.Timeouts += r.timeouts
 		s.HubCrashes += r.hubCrashes
 		s.Takeovers += r.takeovers
 		s.Rehomed += r.rehomed
-		rollups = append(rollups, r.rollups()...)
+		for i, sn := range r.sns[:r.homeN] {
+			rt := sn.node.rt.Summarize()
+			rts = append(rts, rt)
+			s.Nodes = append(s.Nodes, r.nodeSummary(i, rt))
+		}
 		for name, c := range r.tenants {
-			m := bumpTenant(&tenants, name)
+			m := row(tenants, name)
 			m.submitted += c.submitted
 			m.completed += c.completed
 			m.shed += c.shed
@@ -540,26 +520,22 @@ func (d *ShardedDispatcher) Run() Summary {
 			m.redispatches += c.redispatches
 		}
 	}
-	return summarize(s, rollups, tenants)
+	return summarize(s, rts, tenants)
 }
 
-// rollups assembles the per-node summary rows for this hub's home
-// nodes; adopted entries past homeN are reported by their home region.
-func (r *region) rollups() []nodeRollup {
-	rollups := make([]nodeRollup, 0, r.homeN)
-	for i, sn := range r.sns[:r.homeN] {
-		v := r.views[i]
-		nr := nodeRollup{
-			name: sn.node.Name, rt: sn.node.rt.Summarize(), busy: sn.node.busy,
-			failures: v.failures, crashes: sn.node.crashes, arraysLost: sn.node.arraysLost,
-			lostByTarget: lostRollup(sn.node.Sys),
-		}
-		if r.faults != nil {
-			nr.health = mergedHealth(sn.node, v).String()
-		}
-		rollups = append(rollups, nr)
+// nodeSummary builds the summary row of home node i: execution facts
+// from the node shard, failure attribution from the hub's view.
+func (r *region) nodeSummary(i int, rt runtime.Summary) NodeSummary {
+	n, v := r.sns[i].node, r.views[i]
+	ns := NodeSummary{
+		Name: n.Name, Batches: rt.Batches, BusyTime: n.busy, MeanLatMs: rt.MeanLatMs,
+		Failures: v.failures, Crashes: n.crashes, ArraysLost: n.ArraysLost(),
+		LostByTarget: lostRollup(n.Sys),
 	}
-	return rollups
+	if r.faults != nil {
+		ns.Health = mergedHealth(n, v).String()
+	}
+	return ns
 }
 
 // track opens a batch's tracker on this region's hub: from here the
@@ -567,10 +543,7 @@ func (r *region) rollups() []nodeRollup {
 func (r *region) track(b *runtime.Batch, at event.Time) {
 	r.trk[b.ID] = &tracker{b: b}
 	r.pending++
-	r.submitted++
-	if c := bumpTenant(&r.tenants, b.Tenant); c != nil {
-		c.submitted++
-	}
+	row(r.tenants, b.Tenant).submitted++
 	if at > r.lastArrival {
 		r.lastArrival = at
 	}
@@ -586,30 +559,21 @@ func (r *region) finish(tr *tracker) bool {
 	return true
 }
 
-// settle finishes a batch into the given outcome, credits the counter,
-// and notifies the OnDone observer. Exactly one settle succeeds per
-// batch.
+// settle finishes a batch into the given outcome, credits the tenant's
+// ledger row, and notifies the OnDone observer. Exactly one settle
+// succeeds per batch.
 func (r *region) settle(tr *tracker, o Outcome, node string, res runtime.BatchResult) bool {
 	if !r.finish(tr) {
 		return false
 	}
-	c := bumpTenant(&r.tenants, tr.b.Tenant)
+	c := row(r.tenants, tr.b.Tenant)
 	switch o {
 	case OutcomeCompleted:
-		r.completed++
-		if c != nil {
-			c.completed++
-		}
+		c.completed++
 	case OutcomeShed:
-		r.shed++
-		if c != nil {
-			c.shed++
-		}
+		c.shed++
 	default:
-		r.deadLettered++
-		if c != nil {
-			c.deadLettered++
-		}
+		c.deadLettered++
 	}
 	if r.onDone != nil {
 		r.onDone(DoneInfo{Batch: tr.b, Outcome: o, At: r.hub.Engine().Now(), Node: node, Result: res})
@@ -700,7 +664,7 @@ func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 	attemptIdx := tr.attempts - 1
 	sn := r.sns[idx]
 	home := echoHome{r: r, idx: idx}
-	r.hub.SendAfter(sn.shard, r.hop, func() {
+	r.hub.SendAfter(sn.shard, DefaultHop, func() {
 		sn.tokens[b.ID] = token
 		sn.attempts[b.ID] = attemptIdx
 		sn.homes[b.ID] = home

@@ -115,9 +115,9 @@ func (d *ShardedDispatcher) lowestLiveAt(at event.Time) int {
 }
 
 // receiveInject adopts a re-homed injection on the receiving region's
-// hub: full ownership (tracker, submitted count, tenant row), then a
-// normal local dispatch. The sender never created a tracker, so the
-// batch has exactly one owner fleet-wide.
+// hub: full ownership (tracker and submitted count on its ledger row),
+// then a normal local dispatch. The sender never created a tracker, so
+// the batch has exactly one owner fleet-wide.
 func (r *region) receiveInject(b *runtime.Batch) {
 	if r.down {
 		r.parked = append(r.parked, func() { r.receiveInject(b) })
@@ -218,8 +218,8 @@ func (d *ShardedDispatcher) prepare() {
 		return
 	}
 	hubs := len(d.regions)
-	prompt := parsim.EdgeLatency{Fixed: d.hop}
-	beacon := parsim.EdgeLatency{Fixed: d.hop, Grid: d.summaryEvery}
+	prompt := parsim.EdgeLatency{Fixed: DefaultHop}
+	beacon := parsim.EdgeLatency{Fixed: DefaultHop, Grid: d.summaryEvery}
 	if d.faults != nil {
 		// Fault mode needs one-region promptness: completion echoes race
 		// deadlines, pongs feed the liveness limit.
@@ -420,7 +420,7 @@ func (r *region) adopt(pi int) {
 // the re-execution's settle the only one). Liveness stamps reset first
 // so the monitor doesn't declare the whole fleet dead over pongs the
 // freeze swallowed, then the parked reliable inputs replay in arrival
-// order. Re-dispatches here charge the fleet counters but not the
+// order. Re-dispatches here charge the tenant's ledger row but not the
 // batch's own budget — the fabric failed, not the batch.
 func (r *region) reviveSweep() {
 	now := r.hub.Engine().Now()
@@ -438,10 +438,7 @@ func (r *region) reviveSweep() {
 			}
 			tr.gen++ // invalidate the booking's deadline and echoes
 			r.abortOn(r.sns[idx], id)
-			r.redispatches++
-			if c := bumpTenant(&r.tenants, tr.b.Tenant); c != nil {
-				c.redispatches++
-			}
+			row(r.tenants, tr.b.Tenant).redispatches++
 			r.dispatch(tr.b, 0, nil)
 		}
 	}
@@ -458,7 +455,7 @@ func (r *region) reviveSweep() {
 // window.
 func (d *ShardedDispatcher) armFabricFaults(fc FaultConfig) {
 	d.hubCrashes = fc.Plan.HubCrashes
-	d.suspLimit = event.Time(fc.heartbeatMiss())*d.summaryEvery + 2*d.hop
+	d.suspLimit = DefaultHeartbeatMiss*d.summaryEvery + 2*DefaultHop
 	var maxT event.Time
 	for _, h := range fc.Plan.HubCrashes {
 		r := d.regions[h.Region]

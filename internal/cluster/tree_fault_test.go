@@ -238,11 +238,45 @@ func TestTreeFlashCrowdDuringFailover(t *testing.T) {
 	}
 	// Every flash-crowd arrival was sprayed at a live hub: region 1 is
 	// frozen at 2ms, so region 0 owns all 20 burst submissions.
-	r0, r1 := d.regions[0], d.regions[1]
+	r0, r1 := row(d.regions[0].tenants, ""), row(d.regions[1].tenants, "")
 	if r0.submitted < 20 {
 		t.Errorf("live region 0 owns %d submissions, want >= 20 (burst re-sprayed)", r0.submitted)
 	}
 	if r0.submitted+r1.submitted != 30 {
 		t.Errorf("regions own %d+%d submissions, want 30", r0.submitted, r1.submitted)
+	}
+}
+
+// TestTreeReviveSweepChargesRedispatch: a completion echo lost to a
+// hub freeze leaves its booking in doubt, so the revival sweep
+// re-dispatches the batch and charges the re-dispatch to the batch's
+// tenant row; the batch still settles exactly once. The freeze is
+// shorter than the suspicion limit, so no takeover intervenes. The
+// sweep may charge more than one re-dispatch: it reads each view's
+// bookings as it reaches that view, so a fresh booking on a later view
+// is swept again.
+func TestTreeReviveSweepChargesRedispatch(t *testing.T) {
+	d := NewShardedDispatcher(NewRoundRobin(), Admission{},
+		ShardConfig{Workers: 2, Hubs: 2, SummaryEvery: 500 * event.Microsecond},
+		fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
+	plan := &fault.Plan{
+		Seed:       5,
+		HubCrashes: []fault.HubCrash{{Region: 0, At: event.Millisecond, Recover: 2 * event.Millisecond}},
+	}
+	if err := d.EnableFaults(FaultConfig{Plan: plan, Deadline: 5 * event.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	b := mkBatch(0, 960*event.Microsecond, 3)
+	b.Tenant = "t0"
+	if err := d.Submit(b); err != nil {
+		t.Fatal(err)
+	}
+	s := d.Run()
+	conserved(t, s)
+	if s.Completed != 1 || s.Takeovers != 0 || s.Timeouts+s.ExecErrors != 0 {
+		t.Fatalf("want one clean completion with no takeover, timeout or exec error: %v", s)
+	}
+	if s.Redispatches == 0 || len(s.Tenants) != 1 || s.Tenants[0].Redispatches != s.Redispatches {
+		t.Errorf("revival sweep re-dispatches not charged to tenant t0: %v", s)
 	}
 }

@@ -24,14 +24,10 @@ var (
 )
 
 // SetMultiTenant narrows the multitenant sweep: tenants lists the tenant
-// counts to run (nil keeps the default), packing names one policy or
-// "all". Rejects non-positive tenant counts and unknown packing names.
+// counts to run (nil keeps the default; each must be at least 1, which
+// the mlimp-bench -tenants parser enforces), packing names one policy
+// or "all". Rejects unknown packing names.
 func SetMultiTenant(tenants []int, packing string) error {
-	for _, k := range tenants {
-		if k < 1 {
-			return fmt.Errorf("multitenant: tenant count must be >= 1, got %d", k)
-		}
-	}
 	if packing != "" && packing != "all" {
 		if _, ok := sched.PackingByName(packing); !ok {
 			return fmt.Errorf("multitenant: unknown packing %q (have %s, all)",

@@ -23,6 +23,7 @@ package isa
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"mlimp/internal/dfg"
 )
@@ -56,6 +57,26 @@ func (t Target) String() string {
 		return "ReRAM"
 	}
 	return fmt.Sprintf("target(%d)", uint8(t))
+}
+
+// ParseTargets resolves a comma-separated layer list such as
+// "sram,dram" to targets in list order; names are case-insensitive and
+// may be padded with spaces.
+func ParseTargets(spec string) ([]Target, error) {
+	var targets []Target
+	for _, name := range strings.Split(spec, ",") {
+		switch strings.ToLower(strings.TrimSpace(name)) {
+		case "sram":
+			targets = append(targets, SRAM)
+		case "dram":
+			targets = append(targets, DRAM)
+		case "reram":
+			targets = append(targets, ReRAM)
+		default:
+			return nil, fmt.Errorf("unknown layer %q", name)
+		}
+	}
+	return targets, nil
 }
 
 // WordBits is the operand width of the common programming interface.

@@ -194,3 +194,18 @@ func TestReductionDepthTracksLaneCount(t *testing.T) {
 		t.Errorf("reduction cycles = %d/%d/%d", ps[SRAM].Cycles, ps[DRAM].Cycles, ps[ReRAM].Cycles)
 	}
 }
+
+func TestParseTargets(t *testing.T) {
+	got, err := ParseTargets(" ReRAM,sram , DRAM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Target{ReRAM, SRAM, DRAM}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Errorf("ParseTargets = %v, want %v", got, want)
+	}
+	for _, spec := range []string{"sram,foo", "", "sram,,dram"} {
+		if _, err := ParseTargets(spec); err == nil || !strings.Contains(err.Error(), "unknown layer") {
+			t.Errorf("ParseTargets(%q) err = %v, want unknown layer", spec, err)
+		}
+	}
+}

@@ -41,7 +41,9 @@ type Request struct {
 // Drift-detector EWMA weight over per-batch log prediction errors.
 const driftAlpha = 0.2
 
-// Defaults for the optional knobs of Config.
+// Defaults for the optional knobs of Config. DefaultObsWindow,
+// DefaultDriftThreshold and DefaultRetrainLR are fixed parameters of the
+// online retraining loop (see Config.RetrainEvery).
 const (
 	DefaultBatchMax       = 8
 	DefaultObsWindow      = 256
@@ -81,15 +83,13 @@ type Config struct {
 	Predictor *predict.MLP  // the model Refit fine-tunes
 	Mirror    *sched.System // cost-model mirror for span inversion
 	// RetrainEvery refits after this many completed batches (0: only on
-	// drift). DriftThreshold triggers an immediate refit when the EWMA
-	// of log(actual/predicted) batch latency exceeds it (0 means
-	// DefaultDriftThreshold). ObsWindow bounds the observation replay
-	// buffer (0 means DefaultObsWindow).
-	RetrainEvery   int
-	RetrainEpochs  int
-	RetrainLR      float64
-	ObsWindow      int
-	DriftThreshold float64
+	// drift). A refit also fires as soon as the EWMA of
+	// log(actual/predicted) batch latency exceeds DefaultDriftThreshold.
+	// Each refit runs RetrainEpochs (0 means DefaultRetrainEpochs) at
+	// learning rate DefaultRetrainLR over the last DefaultObsWindow
+	// observations.
+	RetrainEvery  int
+	RetrainEpochs int
 	// Seed drives the retraining rng (shuffle order inside Refit).
 	Seed int64
 
@@ -107,20 +107,6 @@ func (c *Config) batchMax() int {
 	return DefaultBatchMax
 }
 
-func (c *Config) obsWindow() int {
-	if c.ObsWindow > 0 {
-		return c.ObsWindow
-	}
-	return DefaultObsWindow
-}
-
-func (c *Config) driftThreshold() float64 {
-	if c.DriftThreshold > 0 {
-		return c.DriftThreshold
-	}
-	return DefaultDriftThreshold
-}
-
 func (c *Config) retrainEpochs() int {
 	if c.RetrainEpochs > 0 {
 		return c.RetrainEpochs
@@ -128,42 +114,28 @@ func (c *Config) retrainEpochs() int {
 	return DefaultRetrainEpochs
 }
 
-func (c *Config) retrainLR() float64 {
-	if c.RetrainLR > 0 {
-		return c.RetrainLR
-	}
-	return DefaultRetrainLR
-}
-
-// classQueue is one class's forming batch plus its budget-timer
-// generation (bumped at every seal to disarm the pending expiry).
+// classQueue is one class's forming batch, the ledger row of its
+// tenant, and its budget-timer generation (bumped at every seal to
+// disarm the pending expiry). Class keys fold in the tenant (classKey),
+// so one row serves the whole queue.
 type classQueue struct {
 	reqs     []*Request
+	row      *tenantTally
 	timerGen int
 }
 
-// tenantTally is one tenant's request terminal-state accounting.
+// tenantTally is one tenant's request ledger row: offered requests,
+// their terminal states, and how many met their deadline. Untenanted
+// requests count under the "" row.
 type tenantTally struct {
 	requests, shedAdmission, shedOverload, deadLettered, completed, met int
 }
 
-// tally returns (creating on first use) a tenant's accounting row.
-func (fe *FrontEnd) tally(tenant string) *tenantTally {
-	if fe.tenants == nil {
-		fe.tenants = map[string]*tenantTally{}
-	}
-	t := fe.tenants[tenant]
-	if t == nil {
-		t = &tenantTally{}
-		fe.tenants[tenant] = t
-	}
-	return t
-}
-
-// batchRec joins an in-flight batch back to its requests and to the
-// admission-time prediction.
+// batchRec joins an in-flight batch back to its requests, its tenant's
+// ledger row, and the admission-time prediction.
 type batchRec struct {
 	reqs        []*Request
+	row         *tenantTally
 	sealedAt    event.Time
 	predictedAt event.Time
 	predictedOK bool
@@ -182,16 +154,12 @@ type FrontEnd struct {
 	batches   map[int]*batchRec
 	nextBatch int
 
-	requests      int
-	sealed        int
-	shedAdmission int
-	shedOverload  int
-	deadLettered  int
-	completedReq  int
-	met           int
-	latencies     []float64
-	latTenants    []string // parallel to latencies; "" when untenanted
-	tenants       map[string]*tenantTally
+	sealed     int
+	latencies  []float64 // completion order
+	latTenants []string  // parallel to latencies; "" when untenanted
+	// tenants is the request ledger, one row per tenant including "";
+	// fleet totals are sums over the rows.
+	tenants map[string]*tenantTally
 
 	obs          []predict.Observation
 	predErrSum   float64
@@ -226,6 +194,7 @@ func New(d *cluster.ShardedDispatcher, cfg Config) (*FrontEnd, error) {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		classes: map[string]*classQueue{},
 		batches: map[int]*batchRec{},
+		tenants: map[string]*tenantTally{},
 	}
 	eng := d.HubEngine()
 	var last event.Time
@@ -263,16 +232,18 @@ func classKey(r *Request) string {
 // rule: seal on batch-full immediately, otherwise arm the budget timer
 // when the request opens a fresh batch.
 func (fe *FrontEnd) arrive(r *Request) {
-	fe.requests++
-	if r.Tenant != "" {
-		fe.tally(r.Tenant).requests++
-	}
 	key := classKey(r)
 	q := fe.classes[key]
 	if q == nil {
-		q = &classQueue{}
+		row := fe.tenants[r.Tenant]
+		if row == nil {
+			row = &tenantTally{}
+			fe.tenants[r.Tenant] = row
+		}
+		q = &classQueue{row: row}
 		fe.classes[key] = q
 	}
+	q.row.requests++
 	q.reqs = append(q.reqs, r)
 	if len(q.reqs) >= fe.cfg.batchMax() {
 		q.timerGen++ // disarm the pending budget timer
@@ -313,10 +284,7 @@ func (fe *FrontEnd) seal(class string) {
 		var keptJ []*sched.Job
 		for i, r := range reqs {
 			if r.Deadline < predictedAt {
-				fe.shedAdmission++
-				if r.Tenant != "" {
-					fe.tally(r.Tenant).shedAdmission++
-				}
+				q.row.shedAdmission++
 				continue
 			}
 			keptR = append(keptR, r)
@@ -331,7 +299,7 @@ func (fe *FrontEnd) seal(class string) {
 	fe.nextBatch++
 	fe.sealed++
 	fe.batches[id] = &batchRec{
-		reqs: reqs, sealedAt: now,
+		reqs: reqs, row: q.row, sealedAt: now,
 		predictedAt: predictedAt, predictedOK: predictedOK,
 	}
 	if err := fe.d.Inject(&runtime.Batch{ID: id, Arrival: now, Tenant: reqs[0].Tenant, Jobs: jobs}); err != nil {
@@ -354,37 +322,19 @@ func (fe *FrontEnd) onDone(info cluster.DoneInfo) {
 	delete(fe.batches, info.Batch.ID)
 	switch info.Outcome {
 	case cluster.OutcomeShed:
-		fe.shedOverload += len(rec.reqs)
-		for _, r := range rec.reqs {
-			if r.Tenant != "" {
-				fe.tally(r.Tenant).shedOverload++
-			}
-		}
+		rec.row.shedOverload += len(rec.reqs)
 		return
 	case cluster.OutcomeDeadLettered:
-		fe.deadLettered += len(rec.reqs)
-		for _, r := range rec.reqs {
-			if r.Tenant != "" {
-				fe.tally(r.Tenant).deadLettered++
-			}
-		}
+		rec.row.deadLettered += len(rec.reqs)
 		return
 	}
 	res := info.Result
+	rec.row.completed += len(rec.reqs)
 	for _, r := range rec.reqs {
-		fe.completedReq++
 		fe.latencies = append(fe.latencies, (res.Completed - r.Arrival).Millis())
 		fe.latTenants = append(fe.latTenants, r.Tenant)
-		met := res.Completed <= r.Deadline
-		if met {
-			fe.met++
-		}
-		if r.Tenant != "" {
-			t := fe.tally(r.Tenant)
-			t.completed++
-			if met {
-				t.met++
-			}
+		if res.Completed <= r.Deadline {
+			rec.row.met++
 		}
 	}
 	if rec.predictedOK {
@@ -402,7 +352,7 @@ func (fe *FrontEnd) onDone(info cluster.DoneInfo) {
 	}
 	fe.harvest(rec, res)
 	fe.sinceRetrain++
-	drifted := math.Abs(fe.ewma) > fe.cfg.driftThreshold()
+	drifted := math.Abs(fe.ewma) > DefaultDriftThreshold
 	if drifted || (fe.cfg.RetrainEvery > 0 && fe.sinceRetrain >= fe.cfg.RetrainEvery) {
 		if drifted {
 			fe.drifts++
@@ -433,8 +383,8 @@ func (fe *FrontEnd) harvest(rec *batchRec, res runtime.BatchResult) {
 		cyc := fe.cfg.Mirror.ObservedUnitCycles(p, a.Target, a.Arrays, a.End-a.Start)
 		fe.obs = append(fe.obs, fe.cfg.Predictor.Observe(r.Adj, r.F, a.Target, cyc))
 	}
-	if w := fe.cfg.obsWindow(); len(fe.obs) > w {
-		fe.obs = append(fe.obs[:0], fe.obs[len(fe.obs)-w:]...)
+	if len(fe.obs) > DefaultObsWindow {
+		fe.obs = append(fe.obs[:0], fe.obs[len(fe.obs)-DefaultObsWindow:]...)
 	}
 }
 
@@ -444,7 +394,7 @@ func (fe *FrontEnd) retrain() {
 	if len(fe.obs) == 0 {
 		return
 	}
-	fe.cfg.Predictor.Refit(fe.rng, fe.obs, fe.cfg.retrainEpochs(), fe.cfg.retrainLR())
+	fe.cfg.Predictor.Refit(fe.rng, fe.obs, fe.cfg.retrainEpochs(), DefaultRetrainLR)
 	fe.retrains++
 	fe.sinceRetrain = 0
 	fe.ewma = 0
@@ -530,18 +480,28 @@ func (s Summary) String() string {
 func (fe *FrontEnd) Run() Summary {
 	cs := fe.d.Run()
 	s := Summary{
-		Cluster:       cs,
-		Requests:      fe.requests,
-		Sealed:        fe.sealed,
-		ShedAdmission: fe.shedAdmission,
-		ShedOverload:  fe.shedOverload,
-		DeadLettered:  fe.deadLettered,
-		Completed:     fe.completedReq,
-		Drifts:        fe.drifts,
-		Retrains:      fe.retrains,
+		Cluster:  cs,
+		Sealed:   fe.sealed,
+		Drifts:   fe.drifts,
+		Retrains: fe.retrains,
 	}
-	s.SLO = stats.SummarizeSLO(fe.latencies, fe.met, fe.requests, cs.Makespan.Seconds())
-	if len(fe.tenants) > 0 {
+	totalMet := 0
+	met := map[string]int{}
+	offered := map[string]int{}
+	for name, t := range fe.tenants {
+		s.Requests += t.requests
+		s.ShedAdmission += t.shedAdmission
+		s.ShedOverload += t.shedOverload
+		s.DeadLettered += t.deadLettered
+		s.Completed += t.completed
+		totalMet += t.met
+		if name != "" {
+			met[name] = t.met
+			offered[name] = t.requests
+		}
+	}
+	s.SLO = stats.SummarizeSLO(fe.latencies, totalMet, s.Requests, cs.Makespan.Seconds())
+	if len(offered) > 0 {
 		var keys []string
 		var lats []float64
 		for i, t := range fe.latTenants {
@@ -550,12 +510,6 @@ func (fe *FrontEnd) Run() Summary {
 				lats = append(lats, fe.latencies[i])
 			}
 		}
-		met := make(map[string]int, len(fe.tenants))
-		offered := make(map[string]int, len(fe.tenants))
-		for name, t := range fe.tenants {
-			met[name] = t.met
-			offered[name] = t.requests
-		}
 		order, byKey := stats.GroupSLO(keys, lats, met, offered, cs.Makespan.Seconds())
 		redisp := make(map[string]int, len(cs.Tenants))
 		for _, ct := range cs.Tenants {
@@ -563,9 +517,6 @@ func (fe *FrontEnd) Run() Summary {
 		}
 		for _, name := range order {
 			t := fe.tenants[name]
-			if t == nil {
-				t = &tenantTally{}
-			}
 			s.Tenants = append(s.Tenants, TenantSummary{
 				Tenant:        name,
 				Requests:      t.requests,
