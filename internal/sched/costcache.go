@@ -22,25 +22,33 @@ import (
 // overwrite, never a wrong answer. Two jobs sharing a shape (every job
 // of one app does) share entries.
 //
-// The knee search does not go through this memo. Its kneeGridPoints
-// grid points are one-off allocations that would crowd the working set
-// out of the bounded map; the search calls the model directly, and its
-// result is memoized in the knee memo below instead.
+// KneeAlloc is memoized in a second profTable of its own, keyed the
+// same way by (profile, target, free-set signature): the canonical
+// signature of the layer's free array set (ArraySet.Signature) is the
+// one mutable input (internal/cluster scales capacities at node
+// construction; the fault path decommissions arrays), so a resized or
+// degraded layer can never serve a stale knee.
+//
+// The knee search does not go through the model memo. Its
+// kneeGridPoints grid points are one-off allocations that would crowd
+// the working set out of the bounded table. It builds the model's
+// allocation-independent terms once per search (modelTerms) and takes
+// the compute scales (a_repunit/m)^beta of its grid from the scale
+// table: a small least-recently-used table of per-shape scale vectors.
+// A scale depends only on (target, capacity, RepUnit, Beta), and far
+// fewer curve shapes than profiles reach the search, so most searches
+// call math.Pow at most once.
 //
 // A System is not safe for concurrent use — the DDR controller already
 // accumulates access statistics — so unsynchronised tables suffice; parallel
 // callers (experiments.RunAll, parallel kernels) each own their System.
-//
-// KneeAlloc additionally keys on the canonical signature of the layer's
-// free array set (ArraySet.Signature), the one mutable input
-// (internal/cluster scales capacities at node construction; the fault
-// path decommissions arrays) — so a resized or degraded layer can never
-// serve a stale knee.
 
+// profKey is a memo key: a profile on a target, plus the allocation
+// (model memo) or the layer's free-set signature (knee memo).
 type profKey struct {
-	p      Profile
-	t      isa.Target
-	arrays int
+	p Profile
+	t isa.Target
+	x uint64
 }
 
 // profHash mixes every key field into 64 bits with a fixed
@@ -48,36 +56,40 @@ type profKey struct {
 // pattern. Equal keys always hash equal except +0/-0 Beta, which merely
 // occupy two slots with one value; a NaN Beta never equals itself, so
 // such a key always recomputes.
-func profHash(ph uint64, t isa.Target, arrays int) uint64 {
-	return Mix(Mix(ph, uint64(t)), uint64(arrays))
+func profHash(ph uint64, t isa.Target, x uint64) uint64 {
+	return Mix(Mix(ph, uint64(t)), x)
 }
 
-// profTable is the model memo: entries stored in insertion order in
-// fixed-size chunks under an open-addressed index with linear probing,
-// holding at most one entry per key hash — a map[uint64]entry in
+// profTable is a memo table (the model memo or the knee memo): entries
+// stored in insertion order in fixed-size chunks under an
+// open-addressed index with linear probing, holding at most one entry
+// per key hash — a map[uint64]entry in
 // behaviour, but a lookup probes and compares in place instead of
 // copying the entry out of a runtime map, and growth never copies an
 // entry or allocates a large object. The index starts at profIndexMin
 // slots on the first store and doubles before its load passes one
-// half; entries are never deleted, only cleared wholesale at
-// MaxProfMemoEntries, which keeps the chunks for reuse.
+// half; entries are never deleted, only cleared wholesale at the
+// table's bound, which keeps the chunks for reuse.
 type profTable struct {
 	index  []uint32                // power-of-two length; entry number, 0 = empty
 	chunks []*[profChunk]profEntry // entry k lives at chunks[(k-1)/profChunk]
 	n      int                     // entries stored
 }
 
-// profEntry is one model memo entry: the key hash, the full key the
-// value was computed for, and the modelled time.
+// profEntry is one memo entry: the key hash, the full key the value was
+// computed for, and the modelled time or knee allocation.
 type profEntry struct {
 	h uint64
 	k profKey
-	v event.Time
+	v int64
 }
 
 const (
 	profIndexMin = 256
-	profChunk    = 128 // entries per chunk: 12 KiB, a small-object size class
+	// profChunk is the entries per chunk: 3 KiB, a small-object size
+	// class, small because a fleet node's knee memo holds a handful of
+	// entries and a System is built per node.
+	profChunk = 32
 )
 
 // at returns entry number k (1-based).
@@ -108,14 +120,24 @@ func (m *profTable) lookup(h uint64) *profEntry {
 	return nil
 }
 
-// add stores the entry of a hash not in the table, first
-// generation-clearing a full table (reporting it) or growing a
-// half-loaded index.
-func (m *profTable) add(e profEntry) (cleared bool) {
+// clear drops every entry, keeping the index and chunks for reuse.
+func (m *profTable) clear() {
+	clear(m.index)
+	m.n = 0
+}
+
+// store records value v for key k of hash h, overwriting e — the entry
+// lookup(h) returned for a different key (a hash collision) — in place,
+// or else adding a new entry, first generation-clearing a table holding
+// limit entries (reporting it) or growing a half-loaded index.
+func (m *profTable) store(e *profEntry, h uint64, k profKey, v int64, limit int) (cleared bool) {
+	if e != nil {
+		e.k, e.v = k, v
+		return false
+	}
 	switch {
-	case m.n >= MaxProfMemoEntries:
-		clear(m.index)
-		m.n = 0
+	case m.n >= limit:
+		m.clear()
 		cleared = true
 	case 2*(m.n+1) > len(m.index):
 		m.index = make([]uint32, max(2*len(m.index), profIndexMin))
@@ -127,8 +149,8 @@ func (m *profTable) add(e profEntry) (cleared bool) {
 		m.chunks = append(m.chunks, new([profChunk]profEntry))
 	}
 	m.n++
-	*m.at(uint32(m.n)) = e
-	*m.find(e.h) = uint32(m.n)
+	*m.at(uint32(m.n)) = profEntry{h: h, k: k, v: v}
+	*m.find(h) = uint32(m.n)
 	return cleared
 }
 
@@ -165,17 +187,11 @@ func Mix(h, v uint64) uint64 {
 	return h ^ h>>32
 }
 
-type kneeKey struct {
-	p   Profile
-	t   isa.Target
-	sig uint64 // free-set signature of the layer at search time
-}
-
-// MaxProfMemoEntries and MaxKneeMemoEntries bound the memo maps. The
+// MaxProfMemoEntries and MaxKneeMemoEntries bound the memo tables. The
 // entries are pure-function results, so eviction can never produce a
 // wrong answer — the only cost is a recomputation — but without a bound
 // a long sweep over many job shapes and fault-mutated capacities grows
-// the maps without limit. When a map reaches its bound it is
+// the tables without limit. When a table reaches its bound it is
 // generation-cleared (dropped wholesale): the working set at any
 // instant is a few dozen shapes, so an LRU's per-hit bookkeeping would
 // cost more on the hot path than the rare full rebuild after a clear.
@@ -198,58 +214,114 @@ type CacheStats struct {
 func (s *System) CacheStats() CacheStats { return s.cacheStats }
 
 // memoProfileTime answers ModelTime from the memo, computing and
-// filling on miss; ph is p.hash(0). A slot holding a different key (a
-// hash collision) is overwritten in place. The memos are lazily
-// initialised because Systems are also built as composite literals
-// (single-layer oracle systems).
+// filling on miss; ph is p.hash(0). The memos are lazily initialised
+// because Systems are also built as composite literals (single-layer
+// oracle systems).
 func (s *System) memoProfileTime(p *Profile, ph uint64, t isa.Target, arrays int) event.Time {
-	h := profHash(ph, t, arrays)
+	h := profHash(ph, t, uint64(arrays))
 	e := s.profMemo.lookup(h)
-	if e != nil && e.k.p == *p && e.k.t == t && e.k.arrays == arrays {
+	if e != nil && e.k.p == *p && e.k.t == t && e.k.x == uint64(arrays) {
 		s.cacheStats.ModelHits++
-		return e.v
+		return event.Time(e.v)
 	}
 	v := s.computeProfileTime(p, t, arrays)
-	k := profKey{p: *p, t: t, arrays: arrays}
-	if e != nil {
-		e.k, e.v = k, v
-	} else if s.profMemo.add(profEntry{h: h, k: k, v: v}) {
+	k := profKey{p: *p, t: t, x: uint64(arrays)}
+	if s.profMemo.store(e, h, k, int64(v), MaxProfMemoEntries) {
 		s.cacheStats.Clears++
 	}
 	s.cacheStats.ModelMisses++
 	return v
 }
 
-// memoKneeAlloc answers KneeAlloc from the memo, keyed by the layer's
-// current free-set signature.
-func (s *System) memoKneeAlloc(p *Profile, t isa.Target, sig uint64) (int, bool) {
-	if v, ok := s.kneeMemo[kneeKey{p: *p, t: t, sig: sig}]; ok {
+// memoKneeAlloc answers KneeAlloc from the knee memo, keyed by the
+// layer's current free-set signature sig, searching the grid over
+// [1, maxM] and filling on miss; ph is p.hash(0).
+func (s *System) memoKneeAlloc(p *Profile, ph uint64, t isa.Target, sig uint64, maxM int) int {
+	h := profHash(ph, t, sig)
+	e := s.kneeMemo.lookup(h)
+	if e != nil && e.k.p == *p && e.k.t == t && e.k.x == sig {
 		s.cacheStats.KneeHits++
-		return v, true
+		return int(e.v)
 	}
-	return 0, false
-}
-
-func (s *System) storeKneeAlloc(p *Profile, t isa.Target, sig uint64, alloc int) {
-	if s.kneeMemo == nil {
-		s.kneeMemo = make(map[kneeKey]int, 64)
-	} else if len(s.kneeMemo) >= MaxKneeMemoEntries {
-		clear(s.kneeMemo)
+	v := s.kneeSearch(p, t, maxM)
+	k := profKey{p: *p, t: t, x: sig}
+	if s.kneeMemo.store(e, h, k, int64(v), MaxKneeMemoEntries) {
 		s.cacheStats.Clears++
 	}
-	s.kneeMemo[kneeKey{p: *p, t: t, sig: sig}] = alloc
 	s.cacheStats.KneeMisses++
+	return v
 }
 
 // clearKneeMemo generation-clears the knee memo after a free-set
 // change: entries keyed by signatures the layer has left behind can
 // only be hit again if that exact set returns, so Degrade/Restore
 // drops them wholesale rather than letting a churning fault plan strand
-// one map generation per free-set it visits.
+// one memo generation per free-set it visits.
 func (s *System) clearKneeMemo() {
-	if len(s.kneeMemo) == 0 {
+	if s.kneeMemo.n == 0 {
 		return
 	}
-	clear(s.kneeMemo)
+	s.kneeMemo.clear()
 	s.cacheStats.Clears++
+}
+
+// scaleSlots bounds the rows of a System's scale table. Sized by the
+// traffic: a serving node revisits a few dozen shapes, which 32 rows
+// hold (16 rows miss three times as often), while the exponents fitted
+// per batch make nearly a third of a batch stream's searches one-off
+// shapes that no size helps. Rows are allocated as shapes arrive, so a System that sees few
+// shapes pays for few rows.
+const scaleSlots = 32
+
+// scaleKey names a curve shape: the compute scales of a knee grid
+// depend on nothing else.
+type scaleKey struct {
+	t       isa.Target
+	maxM    int    // layer capacity, which fixes the grid
+	repUnit int    // RepUnit, at least 1
+	beta    uint64 // bit pattern of Beta, DefaultBeta when unset
+}
+
+// scaleRow holds one curve shape's compute scales over its knee grid ms:
+// v[i] = (repUnit/ms[i])^beta, filled for the first n points.
+type scaleRow struct {
+	k scaleKey
+	n int
+	v [kneeGridPoints]float64
+}
+
+// kneeScales returns the compute scales of the grid points ms, a prefix
+// of the knee grid of capacity maxM on target t, for mt's curve shape.
+// Each scale is mt.scale(ms[i]) — the same math.Pow call on the same
+// arguments — computed once per row and kept until the row is evicted.
+// The table is fully associative and kept in most-recently-used order,
+// so a miss evicts the least recently used row. The grid is a function
+// of maxM alone, so a capacity change can never serve a row built for
+// another grid.
+func (s *System) kneeScales(mt *modelTerms, t isa.Target, maxM int, ms []int) []float64 {
+	k := scaleKey{t: t, maxM: maxM, repUnit: mt.repUnit, beta: math.Float64bits(mt.beta)}
+	rows := s.scales
+	i := 0
+	for i < len(rows) && rows[i].k != k {
+		i++
+	}
+	if i == len(rows) { // miss: take a new row, or evict the last
+		if len(rows) < scaleSlots {
+			if rows == nil {
+				rows = make([]*scaleRow, 0, scaleSlots)
+			}
+			rows = append(rows, new(scaleRow))
+			s.scales = rows
+		} else {
+			i--
+		}
+		rows[i].k, rows[i].n = k, 0
+	}
+	r := rows[i]
+	copy(rows[1:i+1], rows[:i])
+	rows[0] = r
+	for ; r.n < len(ms); r.n++ {
+		r.v[r.n] = mt.scale(ms[r.n])
+	}
+	return r.v[:len(ms)]
 }

@@ -104,16 +104,16 @@ func TestProfMemoBounded(t *testing.T) {
 func TestProfMemoCollision(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
 	p := cacheTestJob().Est.p[isa.DRAM]
-	k := profKey{p: p, t: isa.DRAM, arrays: 4}
-	h := profHash(p.hash(0), k.t, k.arrays)
+	k := profKey{p: p, t: isa.DRAM, x: 4}
+	h := profHash(p.hash(0), k.t, k.x)
 	other := k
 	other.p.UnitCycles++
-	sys.profMemo.add(profEntry{h: h, k: other, v: 12345})
+	sys.profMemo.store(nil, h, other, 12345, MaxProfMemoEntries)
 	want := sys.computeProfileTime(&p, isa.DRAM, 4)
 	if got := sys.memoProfileTime(&p, p.hash(0), isa.DRAM, 4); got != want {
 		t.Fatalf("collision returned %v, fresh model is %v", got, want)
 	}
-	if e := sys.profMemo.lookup(h); e.k != k || e.v != want || sys.profMemo.n != 1 {
+	if e := sys.profMemo.lookup(h); e.k != k || event.Time(e.v) != want || sys.profMemo.n != 1 {
 		t.Errorf("slot after collision = %+v (%d entries), want the query's key and value", e, sys.profMemo.n)
 	}
 	if st := sys.CacheStats(); st.ModelHits != 0 || st.ModelMisses != 1 {
@@ -173,9 +173,14 @@ func TestKneeMissSkipsProfMemo(t *testing.T) {
 func TestKneeGridFollowsCapacity(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
 	for _, c := range []int{4096, 2, 100, 4096, 1} {
-		got := slices.Clone(sys.kneeGrid(isa.DRAM, c))
-		if want := NewSystem(isa.Targets...).kneeGrid(isa.DRAM, c); !slices.Equal(got, want) {
-			t.Fatalf("cap %d: grid %v, want %v", c, got, want)
+		g := sys.kneeGrid(isa.DRAM, c)
+		ms, mN := slices.Clone(g.ms), slices.Clone(g.mN)
+		want := NewSystem(isa.Targets...).kneeGrid(isa.DRAM, c)
+		if !slices.Equal(ms, want.ms) {
+			t.Fatalf("cap %d: grid %v, want %v", c, ms, want.ms)
+		}
+		if len(ms) >= 3 && !slices.Equal(mN, want.mN) {
+			t.Fatalf("cap %d: normalised grid %v, want %v", c, mN, want.mN)
 		}
 	}
 }
@@ -187,13 +192,16 @@ func TestKneeMemoBounded(t *testing.T) {
 	p := j.Est.p[isa.SRAM]
 	for i := 0; i < 2*MaxKneeMemoEntries; i++ {
 		p.UnitCycles = int64(1000 + i)
-		sys.storeKneeAlloc(&p, isa.SRAM, 64, 8)
+		sys.memoKneeAlloc(&p, p.hash(0), isa.SRAM, 64, 8)
 	}
-	if n := len(sys.kneeMemo); n > MaxKneeMemoEntries {
+	if n := sys.kneeMemo.n; n > MaxKneeMemoEntries {
 		t.Errorf("kneeMemo grew to %d entries, bound is %d", n, MaxKneeMemoEntries)
 	}
-	if st := sys.CacheStats(); st.Clears == 0 {
-		t.Error("2x overflow produced no generation clears")
+	if n := len(sys.kneeMemo.index); n > 2*MaxKneeMemoEntries {
+		t.Errorf("kneeMemo index grew to %d slots, bound is %d", n, 2*MaxKneeMemoEntries)
+	}
+	if st := sys.CacheStats(); st.Clears == 0 || st.KneeMisses != 2*MaxKneeMemoEntries {
+		t.Errorf("2x overflow: stats %+v, want clears and %d misses", st, 2*MaxKneeMemoEntries)
 	}
 }
 
@@ -204,15 +212,15 @@ func TestDegradeClearsKneeMemo(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
 	j := cacheTestJob()
 	sys.KneeAlloc(j, isa.SRAM)
-	if len(sys.kneeMemo) == 0 {
+	if sys.kneeMemo.n == 0 {
 		t.Fatal("knee search left no memo entry")
 	}
 	base := sys.CacheStats().Clears
 	if sys.Degrade(isa.SRAM, 4) == 0 {
 		t.Fatal("degrade removed nothing")
 	}
-	if len(sys.kneeMemo) != 0 {
-		t.Errorf("degrade left %d knee entries", len(sys.kneeMemo))
+	if sys.kneeMemo.n != 0 {
+		t.Errorf("degrade left %d knee entries", sys.kneeMemo.n)
 	}
 	if sys.CacheStats().Clears != base+1 {
 		t.Errorf("degrade clears = %d, want %d", sys.CacheStats().Clears, base+1)
@@ -221,8 +229,8 @@ func TestDegradeClearsKneeMemo(t *testing.T) {
 	if sys.Restore(isa.SRAM, 4) == 0 {
 		t.Fatal("restore returned nothing")
 	}
-	if len(sys.kneeMemo) != 0 {
-		t.Errorf("restore left %d knee entries", len(sys.kneeMemo))
+	if sys.kneeMemo.n != 0 {
+		t.Errorf("restore left %d knee entries", sys.kneeMemo.n)
 	}
 }
 

@@ -11,6 +11,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mlimp/internal/event"
 	"mlimp/internal/isa"
@@ -196,7 +197,8 @@ type System struct {
 	Replication ReplicationPolicy
 
 	profMemo   profTable
-	kneeMemo   map[kneeKey]int
+	kneeMemo   profTable
+	scales     []*scaleRow // knee-search scale table, most recently used first
 	cacheStats CacheStats
 	targets    []isa.Target // memoised Targets(); the layer set is fixed after construction
 	// kneeGrids caches each layer's knee-search grid for the capacity
@@ -318,50 +320,81 @@ func (s *System) ModelTime(j *Job, t isa.Target, arrays int) event.Time {
 	return s.memoProfileTime(&j.Est.p[t], j.Est.ph[t], t, arrays)
 }
 
-// profileParts evaluates the allocation-dependent pieces of Equations
-// 1-3: the load/overhead term t_ld and the compute scale factor
-// (a_repunit/m)^beta, such that t(x,m) = ld + clock.Cycles(UnitCycles)*scale.
-// Factored out so the model can be run forward (computeProfileTime) and
-// inverted (ObservedUnitCycles) from one definition.
-func (s *System) profileParts(p *Profile, t isa.Target, arrays int) (ld event.Time, scale float64, clock event.Clock) {
-	l := s.Layers[t]
-	clock = l.Cfg.Clock()
+// modelTerms is the allocation-independent part of Equations 1-3 for
+// one (profile, target): every term of t(x,m) except the compute scale
+// (a_repunit/m)^beta and the replication copy rounds. The model is run
+// forward (computeProfileTime, ReplicaTime, the knee search) and
+// inverted (ObservedUnitCycles) from this one definition.
+type modelTerms struct {
+	fixed     event.Time // Overhead + store stream: paid even on a standing replica
+	stream    event.Time // load stream + derated ReRAM programming stream
+	cycles    float64    // clock.Cycles(UnitCycles): compute time at a_repunit
+	beta      float64    // Beta, DefaultBeta when unset
+	repUnit   int        // RepUnit, at least 1
+	maxUseful int        // MaxUseful; 0 = no cap
+	rowCycles event.Time // clock.Cycles(ArrayRows): one replication copy round
+	clock     event.Clock
+}
 
-	beta := p.Beta
-	if beta == 0 {
-		beta = DefaultBeta
-	}
-	repUnit := p.RepUnit
-	if repUnit < 1 {
-		repUnit = 1
-	}
-	effArrays := arrays
-	if p.MaxUseful > 0 && effArrays > p.MaxUseful {
-		effArrays = p.MaxUseful
-	}
-	scale = math.Pow(float64(repUnit)/float64(effArrays), beta)
-
-	ld = p.Overhead + s.DDR.StreamTime(p.LoadBytes) + s.DDR.StreamTime(p.StoreBytes)
+// init sets mt to the allocation-independent model terms of p on
+// layer t of s.
+func (mt *modelTerms) init(s *System, p *Profile, t isa.Target) {
+	cfg := &s.Layers[t].Cfg
+	mt.clock = cfg.Clock()
+	mt.fixed = p.Overhead + s.DDR.StreamTime(p.StoreBytes)
+	mt.stream = s.DDR.StreamTime(p.LoadBytes)
 	if p.ProgramBytes > 0 {
-		ld += s.DDR.StreamTime(p.ProgramBytes) * programWriteSlowdown
+		mt.stream += s.DDR.StreamTime(p.ProgramBytes) * programWriteSlowdown
 	}
-	if replicas := effArrays / repUnit; replicas > 1 {
-		// Replication doubles the copy fan-out each round (1->2->4->...),
-		// each round moving one working set row-parallel across arrays.
-		rounds := int64(0)
-		for v := replicas - 1; v > 0; v >>= 1 {
-			rounds++
-		}
-		ld += clock.Cycles(rounds * int64(l.Cfg.ArrayRows))
+	mt.cycles = float64(mt.clock.Cycles(p.UnitCycles))
+	mt.beta = p.Beta
+	if mt.beta == 0 {
+		mt.beta = DefaultBeta
 	}
-	return ld, scale, clock
+	mt.repUnit = max(p.RepUnit, 1)
+	mt.maxUseful = p.MaxUseful
+	mt.rowCycles = mt.clock.Cycles(int64(cfg.ArrayRows))
+}
+
+// eff caps an allocation at MaxUseful, past which the power law stops
+// applying.
+func (mt *modelTerms) eff(arrays int) int {
+	if mt.maxUseful > 0 && arrays > mt.maxUseful {
+		return mt.maxUseful
+	}
+	return arrays
+}
+
+// scale is the compute scale factor (a_repunit/m)^beta at effective
+// allocation eff.
+func (mt *modelTerms) scale(eff int) float64 {
+	return math.Pow(float64(mt.repUnit)/float64(eff), mt.beta)
+}
+
+// ld is the load/overhead term t_ld at effective allocation eff:
+// replication doubles the copy fan-out each round (1->2->4->...), each
+// round moving one working set row-parallel across arrays.
+func (mt *modelTerms) ld(eff int) event.Time {
+	ld := mt.fixed + mt.stream
+	if replicas := eff / mt.repUnit; replicas > 1 {
+		ld += event.Time(bits.Len(uint(replicas-1))) * mt.rowCycles
+	}
+	return ld
+}
+
+// at evaluates t(x,m) = t_ld + clock.Cycles(UnitCycles)*scale at
+// effective allocation eff, given scale = mt.scale(eff).
+func (mt *modelTerms) at(eff int, scale float64) event.Time {
+	return mt.ld(eff) + event.Time(mt.cycles*scale)
 }
 
 // computeProfileTime evaluates Equations 1-3 from scratch — pure in
 // (p, t, arrays) given the layer's immutable configuration.
 func (s *System) computeProfileTime(p *Profile, t isa.Target, arrays int) event.Time {
-	ld, scale, clock := s.profileParts(p, t, arrays)
-	return ld + event.Time(float64(clock.Cycles(p.UnitCycles))*scale)
+	var mt modelTerms
+	mt.init(s, p, t)
+	eff := mt.eff(arrays)
+	return mt.at(eff, mt.scale(eff))
 }
 
 // ObservedUnitCycles inverts the cost model: given the observed span of
@@ -372,12 +405,15 @@ func (s *System) computeProfileTime(p *Profile, t isa.Target, arrays int) event.
 // as training observations. Spans at or below the load/overhead term
 // imply no measurable compute and floor at one cycle.
 func (s *System) ObservedUnitCycles(p Profile, t isa.Target, arrays int, span event.Time) int64 {
-	ld, scale, clock := s.profileParts(&p, t, arrays)
-	cmpt := span - ld
+	var mt modelTerms
+	mt.init(s, &p, t)
+	eff := mt.eff(arrays)
+	scale := mt.scale(eff)
+	cmpt := span - mt.ld(eff)
 	if cmpt <= 0 || scale <= 0 {
 		return 1
 	}
-	c := clock.CyclesAt(event.Time(float64(cmpt) / scale))
+	c := mt.clock.CyclesAt(event.Time(float64(cmpt) / scale))
 	if c < 1 {
 		c = 1
 	}
@@ -425,43 +461,41 @@ func (s *System) KneeAlloc(j *Job, t isa.Target) int {
 	if !j.Est.Has(t) {
 		return 1
 	}
-	return s.kneeForProfile(&j.Est.p[t], t)
+	return s.kneeForProfile(&j.Est.p[t], j.Est.ph[t], t)
 }
 
-// kneeForProfile is KneeAlloc on a bare profile — shared with the
-// replica planner, which sizes replicas for a stage profile without a
-// job in hand.
-func (s *System) kneeForProfile(p *Profile, t isa.Target) int {
+// kneeForProfile is KneeAlloc on a bare profile with hash ph =
+// p.hash(0) — shared with the replica planner, which sizes replicas for
+// a stage profile without a job in hand.
+func (s *System) kneeForProfile(p *Profile, ph uint64, t isa.Target) int {
 	l := s.Layers[t]
 	maxM := l.Capacity()
 	if maxM < 1 {
 		return 1
 	}
-	if knee, ok := s.memoKneeAlloc(p, t, l.sig); ok {
-		return knee
-	}
-	knee := s.kneeSearch(p, t, maxM)
-	s.storeKneeAlloc(p, t, l.sig, knee)
-	return knee
+	return s.memoKneeAlloc(p, ph, t, l.sig, maxM)
 }
 
 // kneeGrid is the geometric grid over [1, maxM] the knee search
-// samples; it depends only on maxM, so each layer keeps the last one.
+// samples, with each point's position normalised to [0,1]; it depends
+// only on maxM, so each layer keeps the last one.
 type kneeGrid struct {
 	maxM int
 	ms   []int
+	mN   []float64 // (ms[i]-ms[0]) / (ms[len-1]-ms[0])
 }
 
-// kneeGrid returns the geometric grid over [1, maxM] for layer t,
-// rebuilding the layer's cached grid when its capacity has changed.
-func (s *System) kneeGrid(t isa.Target, maxM int) []int {
+// kneeGrid returns the knee grid over [1, maxM] for layer t, rebuilding
+// the layer's cached grid when its capacity has changed.
+func (s *System) kneeGrid(t isa.Target, maxM int) *kneeGrid {
 	g := &s.kneeGrids[t]
 	if g.maxM == maxM {
-		return g.ms
+		return g
 	}
 	ms := g.ms[:0]
 	if ms == nil {
 		ms = make([]int, 0, kneeGridPoints)
+		g.mN = make([]float64, 0, kneeGridPoints)
 	}
 	prev := 0
 	for i := 0; i < kneeGridPoints; i++ {
@@ -475,42 +509,78 @@ func (s *System) kneeGrid(t isa.Target, maxM int) []int {
 		ms = append(ms, m)
 		prev = m
 	}
-	g.maxM, g.ms = maxM, ms
-	return ms
+	mN := g.mN[:0]
+	mLo, mHi := float64(ms[0]), float64(ms[len(ms)-1])
+	for _, m := range ms {
+		mN = append(mN, (float64(m)-mLo)/(mHi-mLo))
+	}
+	g.maxM, g.ms, g.mN = maxM, ms, mN
+	return g
 }
 
 // kneeSearch runs the grid search for the knee of t(x,m) on [1, maxM].
-// It evaluates the model directly rather than through the model memo:
-// grid points are one-off allocations, and the search result is
-// memoized in the knee memo.
+// The search result is memoized in the knee memo, so the search itself
+// bypasses the model memo (see costcache.go).
 func (s *System) kneeSearch(p *Profile, t isa.Target, maxM int) int {
-	ms := s.kneeGrid(t, maxM)
-	if len(ms) < 3 {
+	g := s.kneeGrid(t, maxM)
+	if len(g.ms) < 3 {
 		return maxM
 	}
 	var buf [kneeGridPoints]float64
-	ts := buf[:len(ms)]
-	for i, m := range ms {
-		ts[i] = float64(s.computeProfileTime(p, t, m))
+	ts := buf[:len(g.ms)]
+	s.kneeCurve(p, t, maxM, g.ms, ts)
+	return g.knee(ts)
+}
+
+// kneeCurve fills ts[i] with t(x, ms[i]) over the knee grid ms of a
+// layer of capacity maxM. The allocation-independent terms are built
+// once; the compute scales of the grid points below MaxUseful come from
+// the scale table, and every point past MaxUseful evaluates at
+// MaxUseful, so they share one value.
+func (s *System) kneeCurve(p *Profile, t isa.Target, maxM int, ms []int, ts []float64) {
+	var mt modelTerms
+	mt.init(s, p, t)
+	n := len(ms)
+	if mt.maxUseful > 0 {
+		n = 0
+		for n < len(ms) && ms[n] <= mt.maxUseful {
+			n++
+		}
 	}
+	for i, scale := range s.kneeScales(&mt, t, maxM, ms[:n]) {
+		ts[i] = float64(mt.at(ms[i], scale))
+	}
+	if n < len(ms) {
+		capped := float64(mt.at(mt.maxUseful, mt.scale(mt.maxUseful)))
+		for i := n; i < len(ms); i++ {
+			ts[i] = capped
+		}
+	}
+}
+
+// knee returns the knee of the curve ts sampled over the grid. The
+// samples are whole times, never NaN or -0, so plain comparisons find
+// the same extremes as math.Min and math.Max.
+func (g *kneeGrid) knee(ts []float64) int {
 	// Normalise both axes to [0,1].
 	tMin, tMax := ts[0], ts[0]
 	for _, v := range ts {
-		tMin = math.Min(tMin, v)
-		tMax = math.Max(tMax, v)
+		if v < tMin {
+			tMin = v
+		}
+		if v > tMax {
+			tMax = v
+		}
 	}
 	if tMax == tMin {
-		return ms[0] // flat curve: smallest allocation suffices
+		return g.ms[0] // flat curve: smallest allocation suffices
 	}
 	// Knee = the point of the normalised curve farthest below the chord
 	// between its endpoints — where the tangent angle changes fastest
 	// overall, i.e. the transition from "more memory buys real speedup"
 	// to "the curve has flattened".
-	mLo, mHi := float64(ms[0]), float64(ms[len(ms)-1])
-	n0 := func(m float64) float64 { return (m - mLo) / (mHi - mLo) }
 	bestIdx, bestDist := 0, math.Inf(-1)
-	for i := range ms {
-		mN := n0(float64(ms[i]))
+	for i, mN := range g.mN {
 		tN := (ts[i] - tMin) / (tMax - tMin)
 		chord := ts[0] + (ts[len(ts)-1]-ts[0])*mN // normalised chord value
 		chordN := (chord - tMin) / (tMax - tMin)
@@ -519,5 +589,5 @@ func (s *System) kneeSearch(p *Profile, t isa.Target, maxM int) int {
 			bestIdx = i
 		}
 	}
-	return ms[bestIdx]
+	return g.ms[bestIdx]
 }

@@ -182,22 +182,9 @@ func (r *replicaRouter) route(j *Job, bt isa.Target, btime event.Time) isa.Targe
 // the compute term remain. Deterministic and model-driven on both the
 // planning and execution paths, so estimates on replicas are exact.
 func (s *System) ReplicaTime(p Profile, t isa.Target, arrays int) event.Time {
-	l := s.Layers[t]
-	beta := p.Beta
-	if beta == 0 {
-		beta = DefaultBeta
-	}
-	repUnit := p.RepUnit
-	if repUnit < 1 {
-		repUnit = 1
-	}
-	eff := arrays
-	if p.MaxUseful > 0 && eff > p.MaxUseful {
-		eff = p.MaxUseful
-	}
-	scale := math.Pow(float64(repUnit)/float64(eff), beta)
-	ld := p.Overhead + s.DDR.StreamTime(p.StoreBytes)
-	return ld + event.Time(float64(l.Cfg.Clock().Cycles(p.UnitCycles))*scale)
+	var mt modelTerms
+	mt.init(s, &p, t)
+	return mt.fixed + event.Time(mt.cycles*mt.scale(mt.eff(arrays)))
 }
 
 // replicaBudget returns how many arrays of a layer's current capacity
@@ -240,7 +227,7 @@ func (s *System) EnsureReplicas(jobs []*Job) {
 		return
 	}
 	l := s.Layers[t]
-	arrays := s.kneeForProfile(&prof, t)
+	arrays := s.kneeForProfile(&prof, prof.hash(0), t)
 	if arrays < 1 {
 		arrays = 1
 	}

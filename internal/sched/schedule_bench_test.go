@@ -25,3 +25,40 @@ func BenchmarkSchedule(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKneeSearch measures one cold knee search, the grid search
+// behind a knee memo miss. Each op searches the next distinct (profile,
+// target) pair of 8 gnn-batch-shaped GCN batches in submission order,
+// rotating, on one System — so the scale table sees the curve shapes of
+// a batch stream in the order a scheduler meets them.
+func BenchmarkKneeSearch(b *testing.B) {
+	type query struct {
+		j *sched.Job
+		t isa.Target
+	}
+	type shape struct {
+		p sched.Profile
+		t isa.Target
+	}
+	var qs []query
+	seen := map[shape]bool{}
+	for _, jobs := range gcnBatches(3, 8) {
+		for _, j := range jobs {
+			for _, t := range isa.Targets {
+				p, ok := j.Est.Get(t)
+				if !ok || seen[shape{p, t}] {
+					continue
+				}
+				seen[shape{p, t}] = true
+				qs = append(qs, query{j, t})
+			}
+		}
+	}
+	sys := sched.NewSystem(isa.Targets...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		sys.KneeSearch(q.j, q.t)
+	}
+}
