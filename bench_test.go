@@ -13,7 +13,9 @@ package main_test
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	"mlimp/internal/cluster"
 	"mlimp/internal/event"
@@ -251,34 +253,45 @@ func fleetBatches(nodes, waves, jobsPerBatch int) []*runtime.Batch {
 // it; artefacts are byte-identical across worker counts (asserted
 // against the serial run's completion count).
 func benchFleet(b *testing.B, nodes, hubs, waves, jobsPerBatch, workers int) {
-	batches := fleetBatches(nodes, waves, jobsPerBatch)
-	cfgs := make([]cluster.NodeConfig, nodes)
-	for i := range cfgs {
-		cfgs[i] = cluster.NodeConfig{Name: fmt.Sprintf("node%d", i), Targets: isa.Targets}
-	}
-	// Beacons on the wave cadence: belief exchange stays off the
-	// dispatch fast path and completion echoes ride the same grid.
-	sc := cluster.ShardConfig{Workers: workers, Hubs: hubs,
-		SummaryEvery: 60 * event.Millisecond}
+	batches, cfgs := fleetBatches(nodes, waves, jobsPerBatch), fleetNodes(nodes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var avgActive float64
 	for i := 0; i < b.N; i++ {
-		d := cluster.NewShardedDispatcher(cluster.NewLeastOutstanding(), cluster.Admission{},
-			sc, cfgs...)
-		for _, bt := range batches {
-			if err := d.Submit(bt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if s := d.Run(); s.Completed != len(batches) {
-			b.Fatalf("completed %d of %d", s.Completed, len(batches))
-		}
-		avgActive = d.WindowStats().AvgActive()
+		avgActive = runFleet(b, batches, cfgs, hubs, workers)
 	}
 	// Available parallelism per window — the speedup bound a host with
 	// enough cores can realise at this worker count.
 	b.ReportMetric(avgActive, "avg-active-shards")
+}
+
+// fleetNodes configures n homogeneous full-target nodes.
+func fleetNodes(n int) []cluster.NodeConfig {
+	cfgs := make([]cluster.NodeConfig, n)
+	for i := range cfgs {
+		cfgs[i] = cluster.NodeConfig{Name: fmt.Sprintf("node%d", i), Targets: isa.Targets}
+	}
+	return cfgs
+}
+
+// runFleet runs every batch through a fresh hub tree and returns its
+// average active shards per window. Beacons ride the wave cadence, so
+// belief exchange stays off the dispatch fast path and completion
+// echoes ride the same grid.
+func runFleet(b *testing.B, batches []*runtime.Batch, cfgs []cluster.NodeConfig, hubs, workers int) float64 {
+	sc := cluster.ShardConfig{Workers: workers, Hubs: hubs,
+		SummaryEvery: 60 * event.Millisecond}
+	d := cluster.NewShardedDispatcher(cluster.NewLeastOutstanding(), cluster.Admission{},
+		sc, cfgs...)
+	for _, bt := range batches {
+		if err := d.Submit(bt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s := d.Run(); s.Completed != len(batches) {
+		b.Fatalf("completed %d of %d", s.Completed, len(batches))
+	}
+	return d.WindowStats().AvgActive()
 }
 
 // benchFleetShards is the 8-node sweep, now routed through a hub tree
@@ -302,3 +315,34 @@ func benchFleetShards64(b *testing.B, workers int) {
 func BenchmarkFleetShards64_J1(b *testing.B) { benchFleetShards64(b, 1) }
 func BenchmarkFleetShards64_J4(b *testing.B) { benchFleetShards64(b, 4) }
 func BenchmarkFleetShards64_J8(b *testing.B) { benchFleetShards64(b, 8) }
+
+// BenchmarkParsimSpeedup64 measures the wall-clock speedup that parallel
+// shard execution buys on the 64-node sweep. Each op runs the fleet
+// twice: serially, as BenchmarkFleetShards64_J1 at -cpu 1 (workers 1,
+// GOMAXPROCS 1), then in parallel, as _J4 at -cpu 2 (workers 4,
+// GOMAXPROCS 2). It reports the ratio of the two summed wall times as
+// speedup, next to the fleet's avg-active-shards; ns/op covers both
+// runs. It needs two CPUs, so it skips at GOMAXPROCS 1.
+func BenchmarkParsimSpeedup64(b *testing.B) {
+	procs := goruntime.GOMAXPROCS(0)
+	if procs < 2 {
+		b.Skip("needs GOMAXPROCS >= 2 to run shards in parallel")
+	}
+	defer goruntime.GOMAXPROCS(procs)
+	batches, cfgs := fleetBatches(64, 4, 6), fleetNodes(64)
+	b.ResetTimer()
+	var serial, parallel time.Duration
+	var avgActive float64
+	for i := 0; i < b.N; i++ {
+		goruntime.GOMAXPROCS(1)
+		start := time.Now()
+		runFleet(b, batches, cfgs, 32, 1)
+		serial += time.Since(start)
+		goruntime.GOMAXPROCS(2)
+		start = time.Now()
+		avgActive = runFleet(b, batches, cfgs, 32, 4)
+		parallel += time.Since(start)
+	}
+	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup")
+	b.ReportMetric(avgActive, "avg-active-shards")
+}

@@ -20,8 +20,8 @@ const (
 // for benchRounds rounds; in each round four nodes report to their hub,
 // and the hub answers each report, so every window carries a handful of
 // cross-shard messages while most shards stay runnable.
-func buildBarrierFleet() *Driver {
-	d := NewDriver(hop, 1)
+func buildBarrierFleet(workers int) *Driver {
+	d := NewDriver(hop, workers)
 	hubs := make([]*Shard, benchHubs)
 	for i := range hubs {
 		hubs[i] = d.AddShard()
@@ -68,11 +68,18 @@ func buildBarrierFleet() *Driver {
 // runs every window to completion on one worker, so shard events are a
 // small share and the per-window horizon computation and mailbox merge
 // dominate.
-func BenchmarkBarrier(b *testing.B) {
+func BenchmarkBarrier(b *testing.B) { benchBarrier(b, 1) }
+
+// BenchmarkBarrierPool is BenchmarkBarrier at two workers, as
+// fleet-chaos runs: every multi-shard window also pays the helper
+// pool's wake and barrier.
+func BenchmarkBarrierPool(b *testing.B) { benchBarrier(b, 2) }
+
+func benchBarrier(b *testing.B, workers int) {
 	b.ReportAllocs()
 	var windows int
 	for i := 0; i < b.N; i++ {
-		d := buildBarrierFleet()
+		d := buildBarrierFleet(workers)
 		d.Run()
 		windows = d.Stats().Windows
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,17 +43,81 @@ var randClasses = []EdgeLatency{
 	{Fixed: 3 * hop, Grid: 7*hop + hop/2},
 }
 
+// twinEdges plans a twin block for an n-shard fleet: two to four twin
+// sources whose out-edges are all one destination set, split between a
+// Grid class and a second class the same way for every twin, so the
+// horizon pass meets identical (class, destination list) groups at
+// several sources. When the fleet has room, one more source declares
+// the same two lists with the classes swapped — equal lists under other
+// classes, which must stay distinct groups. Destinations never include
+// avoid (-1 for none) or a block source. It returns the block's
+// declarations and marks its sources; fleets under three shards get no
+// block. rng should be the block's own stream, so the caller's stays
+// unchanged.
+func twinEdges(rng *rand.Rand, n, avoid int) (edges []declEdge, src []bool) {
+	src = make([]bool, n)
+	if n < 3 {
+		return nil, src
+	}
+	grid := randClasses[2+rng.Intn(len(randClasses)-2)] // randClasses[2:] have a Grid
+	other := grid
+	for other == grid {
+		other = randClasses[rng.Intn(len(randClasses))]
+	}
+	perm := rng.Perm(n)
+	twins := min(2+rng.Intn(3), n-1)
+	swap := -1
+	if n-twins >= 2 {
+		swap = perm[twins]
+	}
+	var dst []int
+	for _, v := range perm[twins:] {
+		if v != swap && v != avoid && rng.Intn(10) < 7 {
+			dst = append(dst, v)
+		}
+	}
+	if len(dst) == 0 {
+		if perm[n-1] == avoid {
+			return nil, src
+		}
+		dst = []int{perm[n-1]} // never swap: that is perm[twins], n-twins >= 2
+	}
+	onGrid := make([]bool, n)
+	for _, v := range dst {
+		onGrid[v] = rng.Intn(2) == 0
+	}
+	declare := func(u int, gridCls, otherCls EdgeLatency) {
+		src[u] = true
+		for _, v := range dst {
+			lat := otherCls
+			if onGrid[v] {
+				lat = gridCls
+			}
+			edges = append(edges, declEdge{src: u, dst: v, lat: lat})
+		}
+	}
+	for _, u := range perm[:twins] {
+		declare(u, grid, other)
+	}
+	if swap >= 0 {
+		declare(swap, other, grid)
+	}
+	return edges, src
+}
+
 // buildRandom wires a seeded random fleet. With horizons it declares a
 // random directed graph over mixed Fixed/Grid classes — some shards have
 // no in-edges (unreachable), some no out-edges, some pairs are declared
 // twice with a different latency — and messages flow only on declared
-// edges; without, it is a flat fleet on the uniform lookahead. Either
-// way, random pairs carry stacked edge-fault windows, and every shard
-// runs a budgeted program of local events and sends on a hop-quantised
-// clock, so equal-time ties are common. Each event logs the window it
-// ran in and its shard's limit, so the logs pin the per-window active
-// sets and limits as well as the per-shard execution order.
-func buildRandom(seed int64, horizons bool, workers int) *randFleet {
+// edges; without, it is a flat fleet on the uniform lookahead. With
+// twins (horizons only) a twin block (see twinEdges) replaces the random
+// out-edges of its sources. Either way, random pairs carry stacked
+// edge-fault windows, and every shard runs a budgeted program of local
+// events and sends on a hop-quantised clock, so equal-time ties are
+// common. Each event logs the window it ran in and its shard's limit,
+// so the logs pin the per-window active sets and limits as well as the
+// per-shard execution order.
+func buildRandom(seed int64, horizons, twins bool, workers int) *randFleet {
 	rng := rand.New(rand.NewSource(seed))
 	n := 3 + rng.Intn(14)
 	f := &randFleet{d: NewDriver(hop, workers), logs: make([][]string, n)}
@@ -69,9 +134,14 @@ func buildRandom(seed int64, horizons bool, workers int) *randFleet {
 		if rng.Intn(4) == 0 {
 			p = 1 // dense mesh, as a hub tree declares under fabric faults
 		}
+		var block []declEdge
+		twin := make([]bool, n)
+		if twins {
+			block, twin = twinEdges(rand.New(rand.NewSource(-seed)), n, deaf)
+		}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				if u == v || v == deaf || u == mute || rng.Float64() >= p {
+				if u == v || v == deaf || u == mute || twin[u] || rng.Float64() >= p {
 					continue
 				}
 				f.setEdge(u, v, classes[rng.Intn(len(classes))])
@@ -80,6 +150,10 @@ func buildRandom(seed int64, horizons bool, workers int) *randFleet {
 					f.setEdge(u, v, classes[rng.Intn(len(classes))])
 				}
 			}
+		}
+		for _, e := range block {
+			f.setEdge(e.src, e.dst, e.lat)
+			out[e.src] = append(out[e.src], e.dst)
 		}
 		if len(f.decl) == 0 {
 			u, v := (deaf+1)%n, deaf
@@ -196,7 +270,7 @@ func goldenLines(t *testing.T, workers int) string {
 	var b strings.Builder
 	for _, horizons := range []bool{true, false} {
 		for seed := int64(1); seed <= goldenSeeds; seed++ {
-			f := buildRandom(seed, horizons, workers)
+			f := buildRandom(seed, horizons, false, workers)
 			end := f.d.Run()
 			fmt.Fprintf(&b, "seed=%d horizons=%v %s\n", seed, horizons, f.digest(end))
 		}
@@ -247,7 +321,7 @@ func TestBarrierGolden(t *testing.T) {
 func TestRandomFleetsExerciseTheBarrier(t *testing.T) {
 	var dropped, delayed, multi, deaf int
 	for seed := int64(1); seed <= goldenSeeds; seed++ {
-		f := buildRandom(seed, true, 1)
+		f := buildRandom(seed, true, false, 1)
 		f.d.Run()
 		st := f.d.Stats()
 		dropped += st.Dropped
@@ -269,5 +343,39 @@ func TestRandomFleetsExerciseTheBarrier(t *testing.T) {
 	if dropped == 0 || delayed == 0 || multi < goldenSeeds/2 || deaf == 0 {
 		t.Fatalf("random fleets too tame: dropped=%d delayed=%d multi-active=%d deaf=%d",
 			dropped, delayed, multi, deaf)
+	}
+}
+
+// TestTwinBlocksShareGroups guards twinEdges: across the golden seeds,
+// twin fleets must intern one group for several sources, Grid classes
+// included, and must hold equal destination lists under two classes.
+func TestTwinBlocksShareGroups(t *testing.T) {
+	var shared, sharedGrid, crossClass int
+	for seed := int64(1); seed <= goldenSeeds; seed++ {
+		d := buildRandom(seed, true, true, 1).d
+		d.prepare()
+		users := make([]int, len(d.groups))
+		for _, g := range d.outGroups {
+			users[g]++
+		}
+		for g, k := range users {
+			if k > 1 {
+				shared++
+				if d.groups[g].lat.Grid > 0 {
+					sharedGrid++
+				}
+			}
+		}
+		for i, a := range d.groups {
+			for _, b := range d.groups[i+1:] {
+				if a.lat != b.lat && slices.Equal(d.adj[a.lo:a.hi], d.adj[b.lo:b.hi]) {
+					crossClass++
+				}
+			}
+		}
+	}
+	if shared < goldenSeeds || sharedGrid == 0 || crossClass == 0 {
+		t.Fatalf("twin blocks too tame: shared groups=%d (grid %d), equal lists across classes=%d",
+			shared, sharedGrid, crossClass)
 	}
 }

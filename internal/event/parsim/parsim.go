@@ -39,20 +39,27 @@
 // edge then execute in one window instead of serialising into hop-wide
 // slices.
 //
-// The barrier costs what the traffic costs: a send records its pair
-// when the pair's outbox turns non-empty, so delivery walks only the
-// pairs that carried mail, and the horizon pass relaxes only the out-
-// edges of shards that can still act, once per latency class, and stops
-// once no horizon that decides the window can fall further. Per window
-// that is at most O(shards + messages + edges of shards with a finite
-// bound), never O(shards²).
+// The barrier costs what the window carries. Active shards are handed
+// to workers-1 persistent helpers by one wake each and one barrier per
+// window, not one handoff per shard. A send records its pair when the
+// pair's outbox turns non-empty, so delivery walks only the shards that
+// ran and the pairs that carried mail, and next-event times are
+// refreshed only for shards that ran or received mail. The horizon pass
+// relaxes only the out-edges of shards that can still act; sources with
+// the same latency class and destination list share one edge group,
+// relaxed once per pass (on a dense mesh every node sends to the same
+// hubs); and it stops once no horizon that decides the window can fall
+// further. Per window that is at most O(shards + messages + distinct
+// edge groups reached), never O(shards²).
 package parsim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mlimp/internal/event"
 )
@@ -89,6 +96,13 @@ func cmpMessage(a, b message) int {
 
 // inf is the horizon of a shard nothing can influence.
 const inf = event.Time(math.MaxInt64)
+
+// FNV-1a parameters, for hashing destination lists when prepare interns
+// edge groups.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // EdgeLatency describes the minimum delivery latency of one directed
 // shard edge. Fixed must be positive: it is the network latency every
@@ -177,6 +191,7 @@ type Shard struct {
 	dirty []int32    // destinations whose outbox turned non-empty since the last barrier
 	limit event.Time // this window's execution horizon (driver-owned)
 	inbox []int32    // sources with mail for this shard (driver-owned, barrier scratch)
+	runs  int        // windows this shard has executed in (owned like eng)
 
 	// Edge-fault tallies, owned by whichever goroutine executes this
 	// shard's window (like eng); summed into Stats at the end of Run.
@@ -302,26 +317,44 @@ type Driver struct {
 	faults   [][]EdgeFault
 
 	// Horizon-pass state (horizon mode), built once at Run. The out-
-	// edges are a two-level CSR: source u's latency-class groups are
-	// groups[groupStart[u]:groupStart[u+1]], and a group's destinations
-	// are adj[lo:hi]. minFixed is the least Fixed latency of any class.
-	// next/bound/horizon/settled and the heap are the per-barrier scratch.
+	// edges are a two-level CSR over interned groups: source u's latency-
+	// class groups are groups[outGroups[k]] for k in
+	// groupStart[u]:groupStart[u+1], and a group's destinations are
+	// adj[lo:hi]. Sources with the same class and destination list share
+	// one group. relaxed[g] is the pass in which group g last relaxed.
+	// minFixed is the least Fixed latency of any class.
+	// bound/horizon/settled and the heap are the per-barrier scratch.
 	groupStart []int32
+	outGroups  []int32
 	groups     []group
 	adj        []int32
+	relaxed    []uint64
+	pass       uint64
 	minFixed   event.Time
-	next       []event.Time
 	bound      []event.Time
 	horizon    []event.Time
 	settled    []bool
 	heap       boundHeap
 
-	// Window state shared with the worker pool. Each shard's limit is
-	// written by the driver goroutine before the shard is handed to a
-	// worker; the channel send/receive pair orders the write before
-	// every read.
-	work chan *Shard
-	wg   sync.WaitGroup
+	// next[i] is shard i's earliest pending event time, inf if none, in
+	// both modes: filled at Run, then kept exact by barrier.
+	next []event.Time
+
+	// Window state shared with the helper pool (workers-1 persistent
+	// goroutines, one wake channel each). Before a window the driver
+	// writes every active shard's limit, publishes the active slice in
+	// window and resets cursor; the send on a helper's wake channel
+	// orders those writes before the helper's reads. Shards are claimed
+	// by atomic increments of cursor, so each runs exactly once whichever
+	// goroutine takes it, and wg.Done (once per woken helper, not per
+	// shard) orders every engine write before the driver's barrier; a
+	// helper also calls it once on exit, which stopPool waits for.
+	// wakes counts wake sends over the run (driver goroutine only).
+	wake   []chan struct{}
+	window []*Shard
+	cursor atomic.Int64
+	wg     sync.WaitGroup
+	wakes  int
 
 	// Barrier scratch, touched only by the driver goroutine: the
 	// destinations with mail this barrier, and the merge buffer each
@@ -330,7 +363,8 @@ type Driver struct {
 	mergeBuf []message
 }
 
-// group is one source's out-edges of one latency class.
+// group is one latency class's destination list, shared by every
+// source whose out-edges of that class go to exactly those shards.
 type group struct {
 	lat    EdgeLatency
 	lo, hi int32
@@ -499,9 +533,10 @@ func (d *Driver) AddEdgeFault(src, dst *Shard, f EdgeFault) {
 // in-flight messages remain. Run may be called once.
 func (d *Driver) Run() event.Time {
 	d.prepare()
+	d.deliver(d.shards) // mail sent before Run
 	if d.workers > 1 {
 		d.startPool()
-		defer close(d.work)
+		defer d.stopPool()
 	}
 	if d.horizons {
 		d.runHorizons()
@@ -525,29 +560,56 @@ func (d *Driver) prepare() {
 			s.growRow(n)
 		}
 	}
+	d.next = make([]event.Time, n)
+	for i, s := range d.shards {
+		d.next[i] = s.nextAt()
+	}
 	if !d.horizons {
 		return
 	}
 	d.groupStart = make([]int32, n+1)
+	// Open-addressed intern table over (class, destination list) hashes:
+	// 1 + group index, 0 = empty. At most n*classes groups, so a power of
+	// two at least twice that keeps probes short.
+	table := make([]int32, 1<<bits.Len(uint(2*n*len(d.classes))))
+	mask := uint64(len(table) - 1)
 	for u, s := range d.shards {
 		for c, lat := range d.classes {
-			lo := len(d.adj)
+			lo := int32(len(d.adj))
+			h := uint64(c) + fnvOffset
 			for v := range s.links {
 				if s.links[v].class == int32(c+1) {
 					d.adj = append(d.adj, int32(v))
+					h = (h ^ uint64(v)) * fnvPrime
 				}
 			}
-			if len(d.adj) > lo {
-				d.groups = append(d.groups, group{lat: lat, lo: int32(lo), hi: int32(len(d.adj))})
+			hi := int32(len(d.adj))
+			if hi == lo {
+				continue
 			}
+			dst := d.adj[lo:hi]
+			i := h & mask
+			for ; table[i] != 0; i = (i + 1) & mask {
+				g := d.groups[table[i]-1]
+				if g.lat == lat && slices.Equal(d.adj[g.lo:g.hi], dst) {
+					break
+				}
+			}
+			if table[i] == 0 {
+				d.groups = append(d.groups, group{lat: lat, lo: lo, hi: hi})
+				table[i] = int32(len(d.groups))
+			} else {
+				d.adj = d.adj[:lo] // an earlier source already holds this list
+			}
+			d.outGroups = append(d.outGroups, table[i]-1)
 		}
-		d.groupStart[u+1] = int32(len(d.groups))
+		d.groupStart[u+1] = int32(len(d.outGroups))
 	}
+	d.relaxed = make([]uint64, len(d.groups))
 	d.minFixed = inf
 	for _, lat := range d.classes {
 		d.minFixed = min(d.minFixed, lat.Fixed)
 	}
-	d.next = make([]event.Time, n)
 	d.bound = make([]event.Time, n)
 	d.horizon = make([]event.Time, n)
 	d.settled = make([]bool, n)
@@ -573,28 +635,22 @@ func (d *Driver) finish() event.Time {
 func (d *Driver) runUniform() {
 	active := make([]*Shard, 0, len(d.shards))
 	for {
-		// Flush mailboxes first: this is the barrier after the previous
-		// window, and it also delivers messages seeded before Run.
-		d.deliver()
-		next, any := event.Time(0), false
-		for _, s := range d.shards {
-			if t, ok := s.eng.NextAt(); ok && (!any || t < next) {
-				next, any = t, true
-			}
-		}
-		if !any {
+		start := slices.Min(d.next)
+		if start == inf {
 			break
 		}
-		deadline := next + d.lookahead - 1
+		deadline := start + d.lookahead - 1
 		active = active[:0]
-		for _, s := range d.shards {
-			if t, ok := s.eng.NextAt(); ok && t <= deadline {
+		for i, t := range d.next {
+			if t <= deadline {
+				s := d.shards[i]
 				s.limit = deadline
 				active = append(active, s)
 			}
 		}
 		d.record(len(active))
 		d.runWindow(active)
+		d.barrier(active)
 	}
 }
 
@@ -606,11 +662,7 @@ func (d *Driver) runUniform() {
 // identical at every worker count.
 func (d *Driver) runHorizons() {
 	active := make([]*Shard, 0, len(d.shards))
-	for {
-		d.deliver()
-		if !d.computeHorizons() {
-			break
-		}
+	for d.computeHorizons() {
 		active = active[:0]
 		for i, s := range d.shards {
 			if d.next[i] < d.horizon[i] {
@@ -620,10 +672,30 @@ func (d *Driver) runHorizons() {
 		}
 		d.record(len(active))
 		d.runWindow(active)
+		d.barrier(active)
 	}
 }
 
-// computeHorizons fills next and horizon for one barrier and reports
+// barrier closes a window: it refreshes the next-event time of every
+// shard that ran, then delivers the mail they sent, which refreshes the
+// destinations'. Only a shard that ran or received mail can have a new
+// next event, so next stays exact at the cost of the window's traffic.
+func (d *Driver) barrier(active []*Shard) {
+	for _, s := range active {
+		d.next[s.id] = s.nextAt()
+	}
+	d.deliver(active)
+}
+
+// nextAt returns the time of the shard's earliest pending event, or inf.
+func (s *Shard) nextAt() event.Time {
+	if t, ok := s.eng.NextAt(); ok {
+		return t
+	}
+	return inf
+}
+
+// computeHorizons fills horizon from next for one barrier and reports
 // whether any shard has a pending event. bound[v] is the earliest
 // instant any event could occur on v, own or induced: the least of
 // next[v] and arrival(bound[u]) over every edge u->v. horizon[v] is the
@@ -636,10 +708,18 @@ func (d *Driver) runHorizons() {
 // negative, time-dependent edge costs and settle in one label-setting
 // (Dijkstra) pass: shards leave a (bound, shard) min-heap in bound
 // order, and a settled bound is final. Each settled shard relaxes its
-// out-edges one latency class at a time — one arrival per class, not
+// out-edges one group at a time — one arrival per latency class, not
 // per edge. Shards with no pending event and no finite bound are never
 // settled and relax nothing. The shard holding the globally earliest
 // event always clears its own horizon, so every window makes progress.
+//
+// A group shared by several sources is relaxed only from the first of
+// them to settle in a pass, and skipped after that. This is exact: pops
+// come in nondecreasing bound order and arrival is monotone, so a later
+// source's arrivals over the same class and destinations are no earlier
+// and lower no bound or horizon (no source is in its own group, since
+// self edges are illegal). The relaxed stamps are per pass, so every
+// pass relaxes each group it reaches afresh.
 //
 // Only the horizons of shards with a pending event decide the window,
 // so the pass stops as soon as none of them can fall further: once all
@@ -650,19 +730,17 @@ func (d *Driver) runHorizons() {
 // pending event are then left unfinished; nothing reads them.
 func (d *Driver) computeHorizons() bool {
 	h := d.heap[:0]
-	for i, s := range d.shards {
-		t, ok := s.eng.NextAt()
-		if !ok {
-			t = inf
-		} else {
+	for i, t := range d.next {
+		if t != inf {
 			h.push(t, int32(i))
 		}
-		d.next[i], d.bound[i], d.horizon[i], d.settled[i] = t, t, inf, false
+		d.bound[i], d.horizon[i], d.settled[i] = t, inf, false
 	}
 	unreached := len(h) // pending shards whose horizon is still inf
 	if unreached == 0 {
 		return false
 	}
+	d.pass++
 	next, bound, horizon := d.next, d.bound, d.horizon
 	limit := inf // once unreached is 0: the largest pending horizon
 	for len(h) > 0 {
@@ -674,7 +752,12 @@ func (d *Driver) computeHorizons() bool {
 			continue // stale entry: u settled at a smaller bound
 		}
 		d.settled[u] = true
-		for _, g := range d.groups[d.groupStart[u]:d.groupStart[u+1]] {
+		for _, gi := range d.outGroups[d.groupStart[u]:d.groupStart[u+1]] {
+			if d.relaxed[gi] == d.pass {
+				continue // relaxed from an earlier pop, whose bound was no later
+			}
+			d.relaxed[gi] = d.pass
+			g := d.groups[gi]
 			a := g.lat.arrival(b)
 			for _, v := range d.adj[g.lo:g.hi] {
 				if a < horizon[v] {
@@ -751,21 +834,48 @@ func (h *boundHeap) pop() (event.Time, int32) {
 }
 
 // runWindow executes every active shard up to its own limit (set by the
-// window loop just before the call). Windows with one active shard skip
-// the pool: handing a lone shard to a worker would buy no overlap and
-// cost two channel hops.
+// window loop just before the call). Windows with one active shard, and
+// serial drivers, run inline. Otherwise the driver wakes one helper per
+// shard beyond its own, up to workers-1, and claims shards alongside
+// them: a window costs one wake per helper and one barrier, whatever
+// the number of shards. Shards are independent inside a window, so
+// which goroutine runs which shard changes nothing.
 func (d *Driver) runWindow(active []*Shard) {
 	if d.workers == 1 || len(active) == 1 {
 		for _, s := range active {
-			runShard(s.eng, s.limit)
+			s.run()
 		}
 		return
 	}
-	d.wg.Add(len(active))
-	for _, s := range active {
-		d.work <- s
+	d.window = active
+	d.cursor.Store(0)
+	k := min(len(d.wake), len(active)-1)
+	d.wakes += k
+	d.wg.Add(k)
+	for _, c := range d.wake[:k] {
+		c <- struct{}{}
 	}
+	d.drain()
 	d.wg.Wait()
+}
+
+// drain runs unclaimed shards of the published window until none is
+// left.
+func (d *Driver) drain() {
+	w := d.window // read once: every claim moves cursor's cache line
+	for {
+		i := int(d.cursor.Add(1) - 1)
+		if i >= len(w) {
+			return
+		}
+		w[i].run()
+	}
+}
+
+// run executes the shard's events up to its window limit.
+func (s *Shard) run() {
+	s.runs++
+	runShard(s.eng, s.limit)
 }
 
 // runShard executes e's events up to and including deadline without
@@ -785,33 +895,51 @@ func runShard(e *event.Engine, deadline event.Time) {
 	}
 }
 
-// startPool spawns the persistent window workers.
+// startPool spawns the workers-1 persistent helpers. Each wake channel
+// holds one slot: a helper has at most one wake outstanding, and the
+// slot lets the driver post it without waiting for the helper to park.
 func (d *Driver) startPool() {
-	d.work = make(chan *Shard, len(d.shards))
-	for i := 0; i < d.workers; i++ {
+	d.wake = make([]chan struct{}, d.workers-1)
+	for i := range d.wake {
+		c := make(chan struct{}, 1)
+		d.wake[i] = c
 		go func() {
-			for s := range d.work {
-				runShard(s.eng, s.limit)
+			for range c {
+				d.drain()
 				d.wg.Done()
 			}
+			d.wg.Done()
 		}()
 	}
 }
 
-// deliver is the window barrier: every destination's incoming messages,
-// gathered across all sources, are merged in canonical (at, src, seq)
-// order and inserted into the destination engine. Insertion order fixes
-// the engine-level tie-break, so equal-timestamp deliveries execute in
-// source-shard order on every run regardless of worker count.
+// stopPool closes every wake channel and returns once every helper has
+// exited.
+func (d *Driver) stopPool() {
+	d.wg.Add(len(d.wake))
+	for _, c := range d.wake {
+		close(c)
+	}
+	d.wg.Wait()
+}
+
+// deliver is the barrier's mailbox merge: every destination's incoming
+// messages, gathered across all sources, are merged in canonical (at,
+// src, seq) order and inserted into the destination engine, and the
+// destination's next-event time is lowered to the earliest of them.
+// Insertion order fixes the engine-level tie-break, so equal-timestamp
+// deliveries execute in source-shard order on every run regardless of
+// worker count.
 //
 // Only pairs that carried mail are visited: each source's dirty list
 // names the destinations its outboxes filled since the last barrier,
-// and regrouping those lists by destination costs one pass over the
-// shards plus one step per dirty pair. Destinations are merged in first-
-// touched order; engines are private and the sort key is total, so that
-// order changes nothing.
-func (d *Driver) deliver() {
-	for _, src := range d.shards {
+// and only srcs can have sent — every shard before the first window,
+// then the shards that ran in the last one. Regrouping their lists by
+// destination costs one step per source plus one per dirty pair.
+// Destinations are merged in first-touched order; engines are private
+// and the sort key is total, so that order changes nothing.
+func (d *Driver) deliver(srcs []*Shard) {
+	for _, src := range srcs {
 		for _, dst := range src.dirty {
 			to := d.shards[dst]
 			if len(to.inbox) == 0 {
@@ -836,6 +964,7 @@ func (d *Driver) deliver() {
 		for i := range batch {
 			dst.eng.At(batch[i].at, batch[i].fn)
 		}
+		d.next[id] = min(d.next[id], batch[0].at)
 		clear(batch) // drop the closure refs; keep the capacity
 		d.mergeBuf = batch[:0]
 	}

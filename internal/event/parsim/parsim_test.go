@@ -2,6 +2,7 @@ package parsim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -488,5 +489,124 @@ func TestParallelStress(t *testing.T) {
 	want := int64(nShards * (rounds + 1))
 	if got := fired.Load(); got != want {
 		t.Fatalf("fired %d events, want %d", got, want)
+	}
+}
+
+// poolMark is what one event of a pool fleet observes: the window it ran
+// in, its shard's run count, and the driver's wake count so far.
+type poolMark struct{ window, runs, wakes int }
+
+// buildPoolFleet wires a seeded fleet of 2-16 shards, on the uniform
+// lookahead or a full mesh of prompt and slow edges, where every shard
+// runs a budgeted program of local events and sends to random peers.
+// Every event appends a poolMark to its shard's list.
+func buildPoolFleet(seed int64, horizons bool, workers int) (*Driver, [][]poolMark) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(15)
+	d := NewDriver(hop, workers)
+	shards := make([]*Shard, n)
+	for i := range shards {
+		shards[i] = d.AddShard()
+	}
+	if horizons {
+		for _, u := range shards {
+			for _, v := range shards {
+				if u != v {
+					d.SetEdge(u, v, randClasses[rng.Intn(2)])
+				}
+			}
+		}
+	}
+	marks := make([][]poolMark, n)
+	budget := make([]int, n)
+	rngs := make([]*rand.Rand, n)
+	var step func(s int) func()
+	step = func(s int) func() {
+		return func() {
+			sh := shards[s]
+			marks[s] = append(marks[s], poolMark{d.stats.Windows, sh.runs, d.wakes})
+			if budget[s] == 0 {
+				return
+			}
+			budget[s]--
+			r := rngs[s]
+			if r.Intn(3) == 0 {
+				sh.Engine().After(event.Time(r.Intn(3))*hop/2, step(s))
+			}
+			for k := r.Intn(3); k > 0; k-- {
+				dst := shards[(s+1+r.Intn(n-1))%n]
+				sh.Send(dst, sh.EarliestTo(dst)+event.Time(r.Intn(3))*hop, step(dst.id))
+			}
+		}
+	}
+	for i, s := range shards {
+		rngs[i] = rand.New(rand.NewSource(seed*1000 + int64(i)))
+		budget[i] = 5 + rng.Intn(30)
+		s.Engine().At(event.Time(rng.Intn(4))*hop/2, step(i))
+	}
+	return d, marks
+}
+
+// TestPoolRunsEachActiveShardOnce checks the helper pool at workers
+// 1/2/4/8: every shard runs exactly once in each window it is active in
+// (each run executes at least one event, so its events see the run
+// count step by one per window and never twice in one), the active
+// counts rebuild the Stats histogram, and each window wakes exactly
+// min(workers-1, active-1) helpers — none at one worker or one active
+// shard.
+func TestPoolRunsEachActiveShardOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, horizons := range []bool{true, false} {
+			for seed := int64(1); seed <= 40; seed++ {
+				d, marks := buildPoolFleet(seed, horizons, workers)
+				d.Run()
+				where := fmt.Sprintf("workers=%d horizons=%v seed=%d", workers, horizons, seed)
+				st := d.Stats()
+				active := make([]int, st.Windows+1)
+				wakes := make([]int, st.Windows+1)
+				for w := range wakes {
+					wakes[w] = -1
+				}
+				for s, ms := range marks {
+					runs, last := 0, 0
+					for _, m := range ms {
+						if m.window != last {
+							runs, last = runs+1, m.window
+							active[m.window]++
+						}
+						if m.runs != runs {
+							t.Fatalf("%s: shard %d in window %d is on run %d, want %d", where, s, m.window, m.runs, runs)
+						}
+						if wakes[m.window] >= 0 && wakes[m.window] != m.wakes {
+							t.Fatalf("%s: window %d saw wake counts %d and %d", where, m.window, wakes[m.window], m.wakes)
+						}
+						wakes[m.window] = m.wakes
+					}
+					if got := d.shards[s].runs; got != runs {
+						t.Fatalf("%s: shard %d ran %d times over %d windows", where, s, got, runs)
+					}
+				}
+				hist := make([]int, len(d.shards)+1)
+				prev := 0
+				for w := 1; w <= st.Windows; w++ {
+					hist[active[w]]++
+					want := 0
+					if workers > 1 {
+						want = min(workers-1, active[w]-1)
+					}
+					if got := wakes[w] - prev; got != want {
+						t.Fatalf("%s: window %d with %d active shards woke %d helpers, want %d",
+							where, w, active[w], got, want)
+					}
+					prev = wakes[w]
+				}
+				if !reflect.DeepEqual(hist, st.Hist) {
+					t.Fatalf("%s: active counts give histogram %v, Stats %v", where, hist, st.Hist)
+				}
+				if d.wakes != prev {
+					t.Fatalf("%s: driver counted %d wakes, windows saw %d", where, d.wakes, prev)
+				}
+			}
+		}
 	}
 }

@@ -105,7 +105,7 @@ func refRun(d *Driver, decl []declEdge) event.Time {
 	d.prepare()
 	if d.workers > 1 {
 		d.startPool()
-		defer close(d.work)
+		defer d.stopPool()
 	}
 	edges := refEdges(decl)
 	next := make([]event.Time, len(d.shards))
@@ -148,23 +148,25 @@ func refRun(d *Driver, decl []declEdge) event.Time {
 }
 
 // TestBarrierMatchesReference runs every seeded random fleet, in both
-// modes and at workers 1/2/4, once with the driver's barrier and once
-// with the reference barrier: every shard's execution log (which pins
-// each window's active set and limits), the Stats (histogram, drops and
-// delays included) and the end time must agree.
+// modes (horizon fleets with and without a twin block) and at workers
+// 1/2/4, once with the driver's barrier and once with the reference
+// barrier: every shard's execution log (which pins each window's active
+// set and limits), the Stats (histogram, drops and delays included) and
+// the end time must agree.
 func TestBarrierMatchesReference(t *testing.T) {
 	seeds := int64(160)
 	if testing.Short() {
 		seeds = 40
 	}
+	shapes := []struct{ horizons, twins bool }{{true, false}, {true, true}, {false, false}}
 	for seed := int64(1); seed <= seeds; seed++ {
-		for _, horizons := range []bool{true, false} {
+		for _, sh := range shapes {
 			for _, workers := range []int{1, 2, 4} {
-				got := buildRandom(seed, horizons, workers)
+				got := buildRandom(seed, sh.horizons, sh.twins, workers)
 				gotEnd := got.d.Run()
-				ref := buildRandom(seed, horizons, workers)
+				ref := buildRandom(seed, sh.horizons, sh.twins, workers)
 				refEnd := refRun(ref.d, ref.decl)
-				where := fmt.Sprintf("seed=%d horizons=%v workers=%d", seed, horizons, workers)
+				where := fmt.Sprintf("seed=%d horizons=%v twins=%v workers=%d", seed, sh.horizons, sh.twins, workers)
 				for s := range ref.logs {
 					if !reflect.DeepEqual(got.logs[s], ref.logs[s]) {
 						t.Fatalf("%s: shard %d log diverges from the reference:\n got %v\nwant %v",
@@ -185,9 +187,10 @@ func TestBarrierMatchesReference(t *testing.T) {
 // TestHorizonsMatchFixpoint checks one horizon pass against the
 // reference fixpoint on many random static states: larger graphs than
 // the run tests, sparse and full meshes, every class mixed in, heavy
-// equal-time ties, idle shards, and redeclared pairs.
+// equal-time ties, idle shards, and redeclared pairs. Seeds past 400 add
+// a twin block (see twinEdges), so sources share out-edge groups.
 func TestHorizonsMatchFixpoint(t *testing.T) {
-	for seed := int64(1); seed <= 400; seed++ {
+	for seed := int64(1); seed <= 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
 		d := NewDriver(hop, 1)
@@ -200,9 +203,14 @@ func TestHorizonsMatchFixpoint(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			p = 1
 		}
+		var block []declEdge
+		twin := make([]bool, n)
+		if seed > 400 {
+			block, twin = twinEdges(rand.New(rand.NewSource(-seed)), n, -1)
+		}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				if u == v || rng.Float64() >= p {
+				if u == v || twin[u] || rng.Float64() >= p {
 					continue
 				}
 				for k := 1 + rng.Intn(2); k > 0; k-- { // a second call redeclares
@@ -211,6 +219,10 @@ func TestHorizonsMatchFixpoint(t *testing.T) {
 					decl = append(decl, declEdge{src: u, dst: v, lat: lat})
 				}
 			}
+		}
+		for _, e := range block {
+			d.SetEdge(shards[e.src], shards[e.dst], e.lat)
+			decl = append(decl, e)
 		}
 		if len(decl) == 0 {
 			d.SetEdge(shards[0], shards[1], randClasses[0])
@@ -225,23 +237,27 @@ func TestHorizonsMatchFixpoint(t *testing.T) {
 			}
 		}
 		d.prepare()
-		any := d.computeHorizons()
 		_, horizon := refFixpoint(next, refEdges(decl))
-		if want := slices.Min(next) != inf; any != want {
-			t.Fatalf("seed %d: any=%v, want %v", seed, any, want)
-		}
-		if !any {
-			continue
-		}
-		// Only pending shards' horizons decide a window; the pass may
-		// stop before the rest are final.
-		if !reflect.DeepEqual(d.next, next) {
-			t.Fatalf("seed %d: next %v, want %v", seed, d.next, next)
-		}
-		for i := range next {
-			if next[i] != inf && d.horizon[i] != horizon[i] {
-				t.Fatalf("seed %d (%d shards, %d edges): shard %d horizon %d, want %d\n next %v\nhorizon %v\n   want %v",
-					seed, n, len(decl), i, d.horizon[i], horizon[i], next, d.horizon, horizon)
+		// A second pass over the same state must agree with the first:
+		// nothing a pass records may carry into the next.
+		for pass := 1; pass <= 2; pass++ {
+			any := d.computeHorizons()
+			if want := slices.Min(next) != inf; any != want {
+				t.Fatalf("seed %d: any=%v, want %v", seed, any, want)
+			}
+			if !any {
+				break
+			}
+			// Only pending shards' horizons decide a window; the pass may
+			// stop before the rest are final.
+			if !reflect.DeepEqual(d.next, next) {
+				t.Fatalf("seed %d: next %v, want %v", seed, d.next, next)
+			}
+			for i := range next {
+				if next[i] != inf && d.horizon[i] != horizon[i] {
+					t.Fatalf("seed %d pass %d (%d shards, %d edges): shard %d horizon %d, want %d\n next %v\nhorizon %v\n   want %v",
+						seed, pass, n, len(decl), i, d.horizon[i], horizon[i], next, d.horizon, horizon)
+				}
 			}
 		}
 	}
