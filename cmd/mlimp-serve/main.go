@@ -395,8 +395,11 @@ func main() {
 			if *tenants > 1 {
 				tenant = fmt.Sprintf("t%d", i%*tenants)
 			}
-			if err := d.Submit(&runtime.Batch{ID: i, Arrival: at, Tenant: tenant,
-				Jobs: workload.RandomJobs(rng, *batchSize, i*1000)}); err != nil {
+			jobs := workload.RandomJobs(rng, *batchSize, i*1000)
+			for _, j := range jobs {
+				j.Tenant = tenant
+			}
+			if err := d.Submit(&runtime.Batch{ID: i, Arrival: at, Tenant: tenant, Jobs: jobs}); err != nil {
 				fmt.Fprintf(os.Stderr, "mlimp-serve: %v\n", err)
 				os.Exit(1)
 			}

@@ -11,6 +11,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"strings"
 
 	"mlimp/internal/baseline"
 	"mlimp/internal/core"
@@ -36,21 +37,22 @@ func main() {
 		"serve batches online at this arrival interval instead of one offline run")
 	flag.Parse()
 
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "mlimp-sim: "+format+"\n", args...)
+		os.Exit(2)
+	}
 	d, ok := graph.DatasetByName(*dataset)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "mlimp-sim: unknown dataset %q; available:\n", *dataset)
-		for _, dd := range graph.Datasets {
-			fmt.Fprintf(os.Stderr, "  %s\n", dd.Name)
+		names := make([]string, len(graph.Datasets))
+		for i, dd := range graph.Datasets {
+			names[i] = dd.Name
 		}
-		os.Exit(1)
+		fail("unknown -dataset %q (available: %s)", *dataset, strings.Join(names, ", "))
 	}
-
 	targets, err := isa.ParseTargets(*layers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlimp-sim: %v\n", err)
-		os.Exit(1)
+		fail("-layers: %v", err)
 	}
-
 	var sc sched.Scheduler
 	switch *scheduler {
 	case "ljf":
@@ -62,8 +64,19 @@ func main() {
 	case "global":
 		sc = sched.NewGlobal()
 	default:
-		fmt.Fprintf(os.Stderr, "mlimp-sim: unknown scheduler %q\n", *scheduler)
-		os.Exit(1)
+		fail("unknown -scheduler %q (want ljf | naive-ljf | adaptive | global)", *scheduler)
+	}
+	if *predictor != "oracle" && *predictor != "mlp" {
+		fail("unknown -predictor %q (want oracle | mlp)", *predictor)
+	}
+	if *batches <= 0 {
+		fail("-batches must be positive (got %d)", *batches)
+	}
+	if *batchSize <= 0 {
+		fail("-batch-size must be positive (got %d)", *batchSize)
+	}
+	if !(*intervalMs >= 0) {
+		fail("-interval-ms must be >= 0 (got %g)", *intervalMs)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

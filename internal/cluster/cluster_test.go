@@ -36,6 +36,16 @@ func mkBatch(id int, at event.Time, n int, targets ...isa.Target) *runtime.Batch
 	return &runtime.Batch{ID: id, Arrival: at, Jobs: jobs}
 }
 
+// withTenant tags a batch and each of its jobs with tenant, as batch
+// builders must before Submit (a submitted batch is immutable).
+func withTenant(b *runtime.Batch, tenant string) *runtime.Batch {
+	b.Tenant = tenant
+	for _, j := range b.Jobs {
+		j.Tenant = tenant
+	}
+	return b
+}
+
 func fullNode(name string) NodeConfig { return NodeConfig{Name: name, Targets: isa.Targets} }
 
 func TestRoundRobinSpreadsEvenly(t *testing.T) {

@@ -115,6 +115,9 @@ func chaosRun(t *testing.T, policy string, workers int, tenanted bool) string {
 		b := goldenBatch(i, event.Time(i)*200*event.Microsecond, 4)
 		if tenanted {
 			b.Tenant = tenantTag(i)
+			for _, j := range b.Jobs {
+				j.Tenant = b.Tenant
+			}
 		}
 		bs = append(bs, b)
 	}

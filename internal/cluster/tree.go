@@ -428,8 +428,14 @@ func (r *region) reviveSweep() {
 		v.lastBeat = now
 		v.detectedDown = false
 	}
+	// Snapshot every view's bookings before aborting any: a batch the
+	// sweep re-dispatches onto a later view is a fresh booking, not one
+	// in doubt, and must not be swept a second time.
+	inDoubt := make([][]int, len(r.views))
 	for idx := range r.views {
-		ids := append([]int(nil), r.bookings[idx]...)
+		inDoubt[idx] = append([]int(nil), r.bookings[idx]...)
+	}
+	for idx, ids := range inDoubt {
 		for _, id := range ids {
 			tr := r.trk[id]
 			r.release(idx, id)

@@ -252,9 +252,9 @@ func TestTreeFlashCrowdDuringFailover(t *testing.T) {
 // re-dispatches the batch and charges the re-dispatch to the batch's
 // tenant row; the batch still settles exactly once. The freeze is
 // shorter than the suspicion limit, so no takeover intervenes. The
-// sweep may charge more than one re-dispatch: it reads each view's
-// bookings as it reaches that view, so a fresh booking on a later view
-// is swept again.
+// sweep snapshots every view's bookings before it aborts any, so the
+// batch is re-dispatched exactly once even when its fresh booking lands
+// on a view the sweep has not reached yet.
 func TestTreeReviveSweepChargesRedispatch(t *testing.T) {
 	d := NewShardedDispatcher(NewRoundRobin(), Admission{},
 		ShardConfig{Workers: 2, Hubs: 2, SummaryEvery: 500 * event.Microsecond},
@@ -266,8 +266,7 @@ func TestTreeReviveSweepChargesRedispatch(t *testing.T) {
 	if err := d.EnableFaults(FaultConfig{Plan: plan, Deadline: 5 * event.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	b := mkBatch(0, 960*event.Microsecond, 3)
-	b.Tenant = "t0"
+	b := withTenant(mkBatch(0, 960*event.Microsecond, 3), "t0")
 	if err := d.Submit(b); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +275,7 @@ func TestTreeReviveSweepChargesRedispatch(t *testing.T) {
 	if s.Completed != 1 || s.Takeovers != 0 || s.Timeouts+s.ExecErrors != 0 {
 		t.Fatalf("want one clean completion with no takeover, timeout or exec error: %v", s)
 	}
-	if s.Redispatches == 0 || len(s.Tenants) != 1 || s.Tenants[0].Redispatches != s.Redispatches {
+	if s.Redispatches != 1 || len(s.Tenants) != 1 || s.Tenants[0].Redispatches != 1 {
 		t.Errorf("revival sweep re-dispatches not charged to tenant t0: %v", s)
 	}
 }

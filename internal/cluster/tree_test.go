@@ -127,8 +127,7 @@ func TestTreeTenantMerge(t *testing.T) {
 		fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
 	tenants := []string{"t0", "t1", "t2"}
 	for i := 0; i < 12; i++ {
-		b := mkBatch(i, event.Time(i)*event.Millisecond, 2)
-		b.Tenant = tenants[i%len(tenants)]
+		b := withTenant(mkBatch(i, event.Time(i)*event.Millisecond, 2), tenants[i%len(tenants)])
 		if err := d.Submit(b); err != nil {
 			panic(err)
 		}

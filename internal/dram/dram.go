@@ -30,7 +30,6 @@ type Bank struct {
 	t           [3][]bool // TRA compute rows
 	d           []bool    // dual-contact (NOT) row
 	activations int64
-	bad         map[int]bool // failed wordlines (see fault.go)
 }
 
 // NewBank builds a zeroed bank.
@@ -67,7 +66,6 @@ func (b *Bank) row(r int) []bool {
 // as a compute activation; data movement is billed by internal/mainmem).
 func (b *Bank) WriteRow(r int, bits []bool) {
 	copy(b.row(r), bits)
-	b.scrub(r)
 }
 
 // ReadRow returns a copy of a row.
@@ -79,7 +77,6 @@ func (b *Bank) ReadRow(r int) []bool {
 // (counted as one compute activation step).
 func (b *Bank) RowClone(dst, src int) {
 	copy(b.row(dst), b.row(src))
-	b.scrub(dst)
 	b.activations++
 }
 
@@ -92,7 +89,6 @@ func (b *Bank) cloneToT(i, src int) {
 // cloneFromT copies TRA row i out to a data row.
 func (b *Bank) cloneFromT(i, dst int) {
 	copy(b.row(dst), b.t[i])
-	b.scrub(dst)
 	b.activations++
 }
 
@@ -135,7 +131,6 @@ func (b *Bank) Not(dst, src int) {
 		b.d[c] = !s[c]
 	}
 	copy(d, b.d)
-	b.scrub(dst)
 	b.activations += 2 // activate into dual-contact cell, copy out
 }
 
@@ -183,7 +178,6 @@ func (b *Bank) StoreVector(base int, vals []fixed.Num) {
 		for c, v := range vals {
 			row[c] = uint16(v)&(1<<i) != 0
 		}
-		b.scrub(base + i)
 	}
 }
 

@@ -27,14 +27,15 @@ func refTrueSpMMTime(sys *sched.System, adj *tensor.CSR, f int, t isa.Target, ar
 // TestSpMMTruthMatchesDirect drives the memoised ground truth of every
 // job of a workload through random (target, arrays) sequences — half
 // the calls repeat the previous pair, as placement does — on two
-// Systems with different DDR controllers, from four goroutines at once.
+// Systems with different DDR configurations, from four goroutines at
+// once.
 // Every call must equal the direct computation on the System passed in.
 func TestSpMMTruthMatchesDirect(t *testing.T) {
 	w := testWorkload(t, 11, 2, 4)
 	ddr := mainmem.DDR4_2400()
 	ddr.Channels = 1
 	slow := sched.NewSystem(isa.Targets...)
-	slow.DDR = mainmem.NewController(ddr)
+	slow.DDR = ddr
 	systems := []*sched.System{sched.NewSystem(isa.Targets...), slow}
 
 	type job struct {

@@ -19,7 +19,8 @@ import (
 // Estimate is the cost of one kernel invocation on one device at one
 // allocation size. Compute time is Cycles at the device clock; data
 // movement (LoadBytes/StoreBytes through DDR4, ProgramBytes through the
-// ReRAM write path) is billed by the caller via internal/mainmem.
+// ReRAM write path) is billed by the scheduler's cost model through the
+// closed-form mainmem.Config.StreamTime.
 type Estimate struct {
 	Target       isa.Target
 	Cycles       int64

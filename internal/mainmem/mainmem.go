@@ -1,17 +1,15 @@
-// Package mainmem is the "ramulator-lite" DDR4 timing model: a bank/row-
-// buffer main-memory simulator supplying load/store latency and bandwidth
-// to the rest of MLIMP ("Load and store bandwidth for the main memory
+// Package mainmem is the DDR4 main-memory timing model that supplies
+// load/store latency and bandwidth to the rest of MLIMP, in place of the
+// paper's Ramulator ("Load and store bandwidth for the main memory
 // communication is simulated using Ramulator integrated into our
-// simulator", Section IV). It models per-bank open rows, row-hit/miss/
-// conflict timing, channel interleaving, and a closed-form streaming
-// model for the bulk transfers the scheduler's load-time term uses.
+// simulator", Section IV). It is stateless: a Config of organisation and
+// timing parameters, and a closed-form row-streaming model for the bulk
+// transfers the scheduler's load-time term uses. A bank-level
+// row-buffer replay with per-channel data buses (mainmem_test.go) is
+// the streaming model's test oracle.
 package mainmem
 
-import (
-	"fmt"
-
-	"mlimp/internal/event"
-)
+import "mlimp/internal/event"
 
 // Config holds the DDR4 organisation and timing parameters.
 type Config struct {
@@ -57,120 +55,38 @@ func DDR4_2400() Config {
 // cluster fabric's network hop (cluster.DefaultHop) sits three orders
 // of magnitude above it, so the fleet-level lookahead is safely
 // conservative for any shard granularity down to single devices.
-func (c Config) RoundTrip() event.Time {
+func (c *Config) RoundTrip() event.Time {
 	return c.TRP + c.TRCD + c.TCAS + c.Burst
 }
 
 // PeakBandwidthGBs returns the aggregate pin bandwidth in GB/s.
-func (c Config) PeakBandwidthGBs() float64 {
+func (c *Config) PeakBandwidthGBs() float64 {
 	perChannel := float64(c.LineBytes) / c.Burst.Seconds() // B/s
 	return float64(c.Channels) * perChannel / 1e9
-}
-
-// bank tracks one bank's open row and availability.
-type bank struct {
-	openRow int64 // -1 = closed
-	freeAt  event.Time
-}
-
-// Controller is a sequentially simulated memory controller with open-page
-// policy and line-interleaved channel mapping.
-type Controller struct {
-	cfg   Config
-	banks [][]bank
-	// Stats.
-	Hits, Misses, Conflicts int64
-}
-
-// NewController builds a controller with all rows closed.
-func NewController(cfg Config) *Controller {
-	if cfg.Channels <= 0 || cfg.BanksPerChannel <= 0 {
-		panic("mainmem: bad configuration")
-	}
-	c := &Controller{cfg: cfg, banks: make([][]bank, cfg.Channels)}
-	for ch := range c.banks {
-		c.banks[ch] = make([]bank, cfg.BanksPerChannel)
-		for b := range c.banks[ch] {
-			c.banks[ch][b].openRow = -1
-		}
-	}
-	return c
-}
-
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// decode maps a physical address to (channel, bank, row) with line-level
-// channel interleaving and an XOR fold of row bits into the bank index to
-// spread strided accesses (the XOR-based mapping of Section III-B2).
-func (c *Controller) decode(addr int64) (ch, bk int, row int64) {
-	line := addr / c.cfg.LineBytes
-	ch = int(line % int64(c.cfg.Channels))
-	line /= int64(c.cfg.Channels)
-	linesPerRow := c.cfg.RowBytes / c.cfg.LineBytes
-	row = line / linesPerRow
-	bk = int((line/linesPerRow ^ line) % int64(c.cfg.BanksPerChannel))
-	if bk < 0 {
-		bk = -bk
-	}
-	return ch, bk, row
-}
-
-// Access simulates one line read/write issued at time now and returns
-// the completion time. Row hits pay CAS+burst; misses add activation;
-// conflicts add precharge of the currently open row.
-func (c *Controller) Access(now event.Time, addr int64) event.Time {
-	ch, bk, row := c.decode(addr)
-	b := &c.banks[ch][bk]
-	start := now
-	if b.freeAt > start {
-		start = b.freeAt
-	}
-	var lat event.Time
-	switch {
-	case b.openRow == row:
-		c.Hits++
-		lat = c.cfg.TCAS + c.cfg.Burst
-	case b.openRow == -1:
-		c.Misses++
-		lat = c.cfg.TRCD + c.cfg.TCAS + c.cfg.Burst
-	default:
-		c.Conflicts++
-		lat = c.cfg.TRP + c.cfg.TRCD + c.cfg.TCAS + c.cfg.Burst
-	}
-	b.openRow = row
-	done := start + lat
-	b.freeAt = done
-	return done
 }
 
 // StreamTime returns the closed-form time to move bytes sequentially
 // between main memory and an in-memory compute region: per-row activation
 // costs amortised over full-row bursts, pipelined across all channels,
 // derated by the refresh overhead. This is the t_ld building block of
-// the scheduler's analytical model.
-func (c *Controller) StreamTime(bytes int64) event.Time {
+// the scheduler's analytical model. A transfer is billed in whole row
+// stripes (one row on every channel, 32 KiB for DDR4_2400), so anything
+// smaller costs a full stripe.
+func (c *Config) StreamTime(bytes int64) event.Time {
 	if bytes <= 0 {
 		return 0
 	}
-	cfg := c.cfg
-	linesPerRow := cfg.RowBytes / cfg.LineBytes
-	perRow := event.Time(linesPerRow)*cfg.Burst + cfg.TRP + cfg.TRCD
-	rows := (bytes + cfg.RowBytes*int64(cfg.Channels) - 1) / (cfg.RowBytes * int64(cfg.Channels))
-	t := event.Time(rows)*perRow + cfg.TCAS // pipeline fill
-	return event.Time(float64(t) * (1 + cfg.RefreshOverhead))
+	linesPerRow := c.RowBytes / c.LineBytes
+	perRow := event.Time(linesPerRow)*c.Burst + c.TRP + c.TRCD
+	stripe := c.RowBytes * int64(c.Channels)
+	rows := (bytes + stripe - 1) / stripe
+	t := event.Time(rows)*perRow + c.TCAS // pipeline fill
+	return event.Time(float64(t) * (1 + c.RefreshOverhead))
 }
 
 // EffectiveBandwidthGBs reports the streaming bandwidth implied by
 // StreamTime for large transfers.
-func (c *Controller) EffectiveBandwidthGBs() float64 {
+func (c *Config) EffectiveBandwidthGBs() float64 {
 	const probe = 1 << 30
 	return probe / c.StreamTime(probe).Seconds() / 1e9
-}
-
-// String summarises controller state.
-func (c *Controller) String() string {
-	return fmt.Sprintf("ddr4(ch=%d banks=%d peak=%.1fGB/s eff=%.1fGB/s hits=%d misses=%d conflicts=%d)",
-		c.cfg.Channels, c.cfg.BanksPerChannel, c.cfg.PeakBandwidthGBs(),
-		c.EffectiveBandwidthGBs(), c.Hits, c.Misses, c.Conflicts)
 }

@@ -1,14 +1,12 @@
 // Package mem defines the common abstraction over MLIMP's computable
-// memories: the Table III device configurations, the Figure 1 technology
-// characteristics, and the scratchpad allocation scheme that lets
-// in-memory compute regions co-exist with the conventional cache/memory
-// system (Section III-B2, VLS-style coarse partitions).
+// memories: the Table III device configurations and the Figure 1
+// technology characteristics. Arrays are allocated by the scheduler
+// (sched.Layer's ArraySet free lists), not here.
 package mem
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mlimp/internal/event"
 	"mlimp/internal/isa"
@@ -91,122 +89,6 @@ func ConfigFor(t isa.Target) Config {
 		return ReRAMConfig
 	}
 	panic("mem: unknown target")
-}
-
-// Allocation is a scratchpad reservation of whole arrays on one device —
-// the coarse-grained partition of Section III-B2 that avoids integrating
-// compute lines with set-associative caching.
-type Allocation struct {
-	Device *Device
-	Arrays int
-	id     int64
-}
-
-// ALUs returns the SIMD lanes available to this allocation.
-func (a *Allocation) ALUs() int64 {
-	return int64(a.Arrays) * int64(a.Device.Config.ALUsPerArray)
-}
-
-// Bytes returns the scratchpad capacity of this allocation.
-func (a *Allocation) Bytes() int64 {
-	return int64(a.Arrays) * a.Device.Config.ArrayBytes()
-}
-
-// Device is an allocatable in-memory compute resource. It tracks array
-// ownership and enforces the outstanding-job limit. Device methods are
-// safe for concurrent use so schedulers may run in parallel with the
-// simulation loop.
-type Device struct {
-	Config Config
-
-	mu       sync.Mutex
-	universe int // allocatable IDs are [0, universe); reserve sits above
-	free     int
-	jobs     int
-	nextID   int64
-	granted  map[int64]int
-
-	// Failure-injection state (fault.go): arrays out of service, and the
-	// portion still held by running jobs, to be collected on Release.
-	failed      int
-	pendingFail int
-}
-
-// NewDevice builds a device with all arrays free. A fraction of arrays
-// can be withheld for the conventional cache/memory system via reserve
-// (e.g. keeping half the LLC as a general cache).
-func NewDevice(c Config, reserve int) *Device {
-	if reserve < 0 || reserve >= c.NumArrays {
-		panic("mem: invalid reservation")
-	}
-	u := c.NumArrays - reserve
-	return &Device{Config: c, universe: u, free: u, granted: make(map[int64]int)}
-}
-
-// FreeArrays returns the number of currently unallocated arrays.
-func (d *Device) FreeArrays() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.free
-}
-
-// CapacityArrays returns the total allocatable arrays (after
-// reservation, excluding failed arrays — see fault.go).
-func (d *Device) CapacityArrays() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.capLocked()
-}
-
-// ActiveJobs returns the number of outstanding allocations.
-func (d *Device) ActiveJobs() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.jobs
-}
-
-// Alloc reserves arrays for one job. It fails when fewer arrays are free
-// or the outstanding-job limit is reached.
-func (d *Device) Alloc(arrays int) (*Allocation, error) {
-	if arrays <= 0 {
-		return nil, fmt.Errorf("mem: allocation must be positive, got %d", arrays)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.jobs >= d.Config.MaxJobs {
-		return nil, fmt.Errorf("mem: %s job limit %d reached", d.Config.Target, d.Config.MaxJobs)
-	}
-	if arrays > d.free {
-		return nil, fmt.Errorf("mem: %s wants %d arrays, %d free", d.Config.Target, arrays, d.free)
-	}
-	d.free -= arrays
-	d.jobs++
-	d.nextID++
-	d.granted[d.nextID] = arrays
-	return &Allocation{Device: d, Arrays: arrays, id: d.nextID}, nil
-}
-
-// Release returns an allocation's arrays to the pool. Releasing twice
-// panics: it would corrupt accounting silently.
-func (d *Device) Release(a *Allocation) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n, ok := d.granted[a.id]
-	if !ok {
-		panic("mem: double release")
-	}
-	delete(d.granted, a.id)
-	d.free += n
-	d.jobs--
-	// Collect failures that were waiting on running jobs (fault.go).
-	if d.pendingFail > 0 {
-		take := d.pendingFail
-		if take > d.free {
-			take = d.free
-		}
-		d.free -= take
-		d.pendingFail -= take
-	}
 }
 
 // Technology characterises one memory technology for the Figure 1

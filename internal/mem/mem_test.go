@@ -60,66 +60,6 @@ func TestClockMatchesFrequency(t *testing.T) {
 	}
 }
 
-func TestDeviceAllocRelease(t *testing.T) {
-	d := NewDevice(Config{Target: isa.SRAM, ArrayRows: 256, ArrayCols: 256,
-		BitsPerCell: 1, NumArrays: 100, FreqMHz: 2500, ALUsPerArray: 256, MaxJobs: 2}, 10)
-	if d.FreeArrays() != 90 || d.CapacityArrays() != 90 {
-		t.Fatalf("free=%d cap=%d", d.FreeArrays(), d.CapacityArrays())
-	}
-	a1, err := d.Alloc(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.ALUs() != 40*256 {
-		t.Errorf("ALUs = %d", a1.ALUs())
-	}
-	if a1.Bytes() != 40*8192 {
-		t.Errorf("Bytes = %d", a1.Bytes())
-	}
-	a2, err := d.Alloc(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Alloc(1); err == nil {
-		t.Error("third alloc should hit the job limit")
-	}
-	d.Release(a1)
-	if d.FreeArrays() != 40 || d.ActiveJobs() != 1 {
-		t.Errorf("after release free=%d jobs=%d", d.FreeArrays(), d.ActiveJobs())
-	}
-	if _, err := d.Alloc(41); err == nil {
-		t.Error("over-capacity alloc should fail")
-	}
-	if _, err := d.Alloc(0); err == nil {
-		t.Error("zero alloc should fail")
-	}
-	d.Release(a2)
-	if d.FreeArrays() != 90 || d.ActiveJobs() != 0 {
-		t.Error("accounting broken after full release")
-	}
-}
-
-func TestDoubleReleasePanics(t *testing.T) {
-	d := NewDevice(SRAMConfig, 0)
-	a, _ := d.Alloc(1)
-	d.Release(a)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on double release")
-		}
-	}()
-	d.Release(a)
-}
-
-func TestNewDevicePanicsOnBadReserve(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewDevice(SRAMConfig, SRAMConfig.NumArrays)
-}
-
 func TestTechnologies(t *testing.T) {
 	ts := Technologies()
 	if len(ts) != 5 {

@@ -34,9 +34,13 @@ var ErrEmptyBatch = errors.New("runtime: empty batch")
 var ErrNilBatch = errors.New("runtime: nil batch")
 
 // Batch is one arriving unit of work. Tenant, when non-empty, names
-// the tenant the batch belongs to; the runtime stamps it onto the
-// batch's jobs before scheduling so the scheduler can pack tenants
-// onto disjoint array sets.
+// the tenant the batch belongs to; whoever builds the batch stamps the
+// same tenant on each of its jobs (sched.Job.Tenant), so the scheduler
+// can pack tenants onto disjoint array sets.
+//
+// A submitted Batch and its Jobs are immutable. After a re-dispatch the
+// same batch may run on two node shards in one window, so nothing
+// downstream of Submit or Inject may write to either.
 type Batch struct {
 	ID      int
 	Arrival event.Time
@@ -261,11 +265,6 @@ func (r *Runtime) pump() {
 	start := r.eng.Now()
 	if r.OnStart != nil {
 		r.OnStart(b, start)
-	}
-	if b.Tenant != "" {
-		for _, j := range b.Jobs {
-			j.Tenant = b.Tenant
-		}
 	}
 	res := r.Scheduler.Schedule(r.Sys, b.Jobs)
 	r.eng.After(res.Makespan, func() {

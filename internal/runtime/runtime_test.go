@@ -3,10 +3,12 @@ package runtime
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mlimp/internal/event"
+	"mlimp/internal/event/parsim"
 	"mlimp/internal/isa"
 	"mlimp/internal/sched"
 )
@@ -369,5 +371,49 @@ func TestDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("nondeterministic runtime: %v vs %v", a, b)
+	}
+}
+
+// TestSharedBatchTwoShards: one tenanted batch starts on two node shards
+// in the same parsim window, as after a re-dispatch whose old node still
+// holds the batch. A submitted Batch and its Jobs are read-only, so both
+// runtimes schedule the shared jobs concurrently without a data race
+// (run under -race) and finish at the same instant with the jobs
+// unchanged.
+func TestSharedBatchTwoShards(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		b := mkBatch(0, 0, 6, rand.New(rand.NewSource(3)))
+		b.Tenant = "t0"
+		for _, j := range b.Jobs {
+			j.Tenant = b.Tenant
+		}
+		before := make([]sched.Job, len(b.Jobs))
+		for i, j := range b.Jobs {
+			before[i] = *j
+		}
+		drv := parsim.NewDriver(event.Microsecond, workers)
+		var done [2]BatchResult
+		for i := range done {
+			r := mustNewOn(t, drv.AddShard().Engine(), sched.NewSystem(isa.Targets...), sched.NewGlobal())
+			r.OnComplete = func(res BatchResult, err error) {
+				if err != nil {
+					t.Errorf("workers=%d shard %d: %v", workers, i, err)
+				}
+				done[i] = res
+			}
+			mustSubmit(t, r, b)
+		}
+		drv.Run()
+		if st := drv.Stats(); st.MaxActive != 2 {
+			t.Errorf("workers=%d: max active shards = %d, want both in one window", workers, st.MaxActive)
+		}
+		if done[0].Completed == 0 || !reflect.DeepEqual(done[0], done[1]) {
+			t.Errorf("workers=%d: shard results differ: %+v vs %+v", workers, done[0], done[1])
+		}
+		for i, j := range b.Jobs {
+			if !reflect.DeepEqual(*j, before[i]) {
+				t.Errorf("workers=%d: job %d mutated after submission", workers, j.ID)
+			}
+		}
 	}
 }

@@ -39,9 +39,10 @@ import (
 // fewer curve shapes than profiles reach the search, so most searches
 // call math.Pow at most once.
 //
-// A System is not safe for concurrent use — the DDR controller already
-// accumulates access statistics — so unsynchronised tables suffice; parallel
-// callers (experiments.RunAll, parallel kernels) each own their System.
+// A System is not safe for concurrent use — its memo tables, free sets
+// and replica state are mutated by every schedule — so unsynchronised
+// tables suffice; parallel callers (experiments.RunAll, parallel kernels)
+// each own their System.
 
 // profKey is a memo key: a profile on a target, plus the allocation
 // (model memo) or the layer's free-set signature (knee memo).

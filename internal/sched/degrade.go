@@ -6,8 +6,8 @@ import "mlimp/internal/isa"
 // (internal/fault), the scheduler must re-plan against the shrunk layer
 // rather than keep issuing knee-sized allocations the device can no
 // longer grant. Degrade names the exact physical IDs it decommissions —
-// deterministically, the highest in-service IDs first, mirroring
-// mem.FailArrays — and pushes each removed set onto a LIFO stack, so
+// deterministically, the highest in-service IDs first — and pushes each
+// removed set onto a LIFO stack, so
 // Restore returns precisely the IDs that were lost. Because KneeAlloc
 // is memoized per (profile, target, free-set signature), the next
 // lookup after a Degrade/Restore misses under the new signature and

@@ -177,13 +177,13 @@ func (j *Job) String() string { return fmt.Sprintf("job%d(%s)", j.ID, j.Name) }
 
 // System is the set of memory layers available to the scheduler plus the
 // shared DDR4 path for loads and stores. It memoizes the analytical
-// cost model (see costcache.go); like the DDR controller it wraps, a
-// System is not safe for concurrent use.
+// cost model (see costcache.go), so a System is not safe for concurrent
+// use.
 type System struct {
 	// Layers holds one layer per target, indexed by isa.Target; nil
 	// means the system has no such layer.
 	Layers [isa.NumTargets]*Layer
-	DDR    *mainmem.Controller
+	DDR    mainmem.Config
 
 	// Packing selects the multi-tenant array packing policy applied by
 	// the placement simulation (packing.go). The zero value, PackFirstFit,
@@ -261,7 +261,7 @@ func (l *Layer) Avail() ArraySet { return l.avail.Clone() }
 // allocating every array of each device to in-memory compute except the
 // SRAM half reserved for the conventional cache (Section V-A).
 func NewSystem(targets ...isa.Target) *System {
-	s := &System{DDR: mainmem.NewController(mainmem.DDR4_2400())}
+	s := &System{DDR: mainmem.DDR4_2400()}
 	for _, t := range targets {
 		cfg := mem.ConfigFor(t)
 		capacity := cfg.NumArrays

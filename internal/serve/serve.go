@@ -274,6 +274,7 @@ func (fe *FrontEnd) seal(class string) {
 	jobs := make([]*sched.Job, len(reqs))
 	for i, r := range reqs {
 		jobs[i] = fe.cfg.BuildJob(r)
+		jobs[i].Tenant = r.Tenant
 	}
 	predictedAt, predictedOK := fe.d.PredictedCompletion(jobs)
 	if fe.cfg.PredictorAdmission && predictedOK {

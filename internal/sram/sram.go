@@ -23,8 +23,7 @@ const WordBits = 16
 // 256-element vectors.
 type Array struct {
 	Rows, Cols int
-	bits       [][]bool          // [row][col]
-	stuck      map[cellAddr]bool // stuck-at cell faults (see fault.go)
+	bits       [][]bool // [row][col]
 }
 
 // NewArray builds a zeroed compute array.
@@ -64,7 +63,6 @@ func (a *Array) StoreVector(slot int, vals []fixed.Num) {
 			a.bits[base+i][c] = u&(1<<i) != 0
 		}
 	}
-	a.pin()
 }
 
 // LoadVector reads a slot back as fixed-point values.
@@ -103,13 +101,6 @@ func (a *Array) setColumn(slot, col int, w [WordBits]bool) {
 	for i := range w {
 		a.bits[base+i][col] = w[i]
 	}
-	if a.stuck != nil {
-		for c, v := range a.stuck {
-			if c.col == col && c.row >= base && c.row < base+WordBits {
-				a.bits[c.row][c.col] = v
-			}
-		}
-	}
 }
 
 // Copy copies slot src to dst, one wordline per cycle.
@@ -120,7 +111,6 @@ func (a *Array) Copy(dst, src int) int64 {
 	for i := 0; i < WordBits; i++ {
 		copy(a.bits[base+i], a.bits[sbase+i])
 	}
-	a.pin()
 	return WordBits
 }
 
