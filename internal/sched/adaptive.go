@@ -65,12 +65,16 @@ func planAlloc(sys *System, j *Job, t isa.Target) int {
 }
 
 // partition assigns every job to its best layer at the planned
-// allocation. Items live in one arena allocation: the batch-path
-// schedulers run per dispatched batch, so per-item heap traffic is the
-// fleet benchmarks' dominant allocation source.
+// allocation. The queues and their items live in the System's
+// workspace: the batch-path schedulers run per dispatched batch, so
+// per-item heap traffic would be the fleet's dominant allocation source.
 func partition(sys *System, jobs []*Job) *queues {
-	qs := &queues{}
-	arena := make([]queueItem, len(jobs))
+	ws := &sys.ws
+	qs := &ws.qs
+	for t := range qs {
+		qs[t] = qs[t][:0]
+	}
+	ws.items = resize(ws.items, len(jobs))
 	router := &replicaRouter{sys: sys}
 	for i, j := range jobs {
 		// A job whose stage has a standing replica may route to the
@@ -80,8 +84,8 @@ func partition(sys *System, jobs []*Job) *queues {
 		// beat the job's best pool target.
 		bt, btime := sys.BestTarget(j)
 		t := router.route(j, bt, btime)
-		arena[i] = queueItem{job: j, arrays: planAlloc(sys, j, t)}
-		qs[t] = append(qs[t], &arena[i])
+		ws.items[i] = queueItem{job: j, arrays: planAlloc(sys, j, t)}
+		qs[t] = append(qs[t], &ws.items[i])
 	}
 	return qs
 }
@@ -245,16 +249,21 @@ func tryMigrate(sys *System, qs *queues, src, dst isa.Target, maxMean float64) b
 	if bestIdx < 0 {
 		return false
 	}
+	// Trial queues in the workspace; the candidate is re-planned for dst
+	// in place and put back if the move does not pay.
+	ws := &sys.ws
 	cand := srcQ[bestIdx]
-	newSrc := append(append([]*queueItem(nil), srcQ[:bestIdx]...), srcQ[bestIdx+1:]...)
-	moved := &queueItem{job: cand.job, arrays: planAlloc(sys, cand.job, dst)}
-	newDst := append(append([]*queueItem(nil), qs[dst]...), moved)
-	newMax := math.Max(queueMean(sys, src, newSrc), queueMean(sys, dst, newDst))
+	oldArrays := cand.arrays
+	cand.arrays = planAlloc(sys, cand.job, dst)
+	ws.migSrc = append(append(ws.migSrc[:0], srcQ[:bestIdx]...), srcQ[bestIdx+1:]...)
+	ws.migDst = append(append(ws.migDst[:0], qs[dst]...), cand)
+	newMax := math.Max(queueMean(sys, src, ws.migSrc), queueMean(sys, dst, ws.migDst))
 	if newMax >= maxMean {
+		cand.arrays = oldArrays
 		return false
 	}
-	qs[src] = newSrc
-	qs[dst] = newDst
+	qs[src] = append(srcQ[:bestIdx], srcQ[bestIdx+1:]...)
+	qs[dst] = append(qs[dst], cand)
 	return true
 }
 
@@ -351,9 +360,9 @@ func rebalanceRuntime(sys *System, st *simState, qs *queues, o Opts) {
 			return
 		}
 		cand := srcQ[bestIdx]
+		cand.arrays = planAlloc(sys, cand.job, minT)
 		qs[maxT] = append(srcQ[:bestIdx], srcQ[bestIdx+1:]...)
-		qs[minT] = append(qs[minT], &queueItem{
-			job: cand.job, arrays: planAlloc(sys, cand.job, minT)})
+		qs[minT] = append(qs[minT], cand)
 	}
 }
 
@@ -399,8 +408,7 @@ type dispatchOpts struct {
 // behaviour flags. The original job slice rides along so the simulation
 // state derives tenant pools in deterministic (submission) order.
 func dispatchWith(sys *System, qs *queues, jobs []*Job, o dispatchOpts) *Result {
-	st := newSim(sys, jobs)
-	st.estMode = o.estMode
+	st := newSim(sys, jobs, o.estMode)
 	// Sort every queue descending by estimated time (larger jobs first).
 	for _, t := range sys.Targets() {
 		q := qs[t]
@@ -490,5 +498,5 @@ func dispatchWith(sys *System, qs *queues, jobs []*Job, o dispatchOpts) *Result 
 			}
 		}
 	}
-	return st.result
+	return st.finish()
 }

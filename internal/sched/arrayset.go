@@ -68,23 +68,29 @@ func (a *ArraySet) TakeLowest(n int) ArraySet {
 
 // takeLowestAppend removes the n lowest IDs, appending the taken spans
 // to buf and returning the extended buffer — the allocation-free path
-// behind TakeLowest that the scheduler sim feeds from a per-Schedule
-// arena.
+// behind TakeLowest that the scheduler sim feeds from its workspace
+// arena. Spans taken whole are dropped by shifting the rest down, not by
+// advancing the slice start, so the set keeps all of its storage's room
+// for later Adds.
 func (a *ArraySet) takeLowestAppend(buf []Span, n int) []Span {
+	k := 0 // spans taken whole
 	for n > 0 {
-		if len(a.spans) == 0 {
+		if k == len(a.spans) {
 			panic("sched: TakeLowest past end of ArraySet")
 		}
-		s := &a.spans[0]
+		s := &a.spans[k]
 		if c := s.count(); c <= n {
 			buf = append(buf, *s)
 			n -= c
-			a.spans = a.spans[1:]
+			k++
 		} else {
 			buf = append(buf, Span{s.Lo, s.Lo + n})
 			s.Lo += n
 			n = 0
 		}
+	}
+	if k > 0 {
+		a.spans = a.spans[:copy(a.spans, a.spans[k:])]
 	}
 	return buf
 }

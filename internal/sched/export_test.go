@@ -8,3 +8,7 @@ import "mlimp/internal/isa"
 func (s *System) KneeSearch(j *Job, t isa.Target) int {
 	return s.kneeSearch(&j.Est.p[t], t, s.Layers[t].Capacity())
 }
+
+// DropWorkspace discards the System's scheduling workspace, so the next
+// Schedule call builds all of its scratch state afresh.
+func (s *System) DropWorkspace() { s.ws = workspace{} }

@@ -48,30 +48,33 @@ func (g *Global) Schedule(sys *System, jobs []*Job) *Result {
 // dispatchEst simulates the greedy dispatch entirely on estimated times
 // and returns the per-layer planned order.
 func dispatchEst(sys *System, qs *queues, jobs []*Job) *queues {
-	// Copy the queues: dispatch consumes them. One arena per copy keeps
-	// the per-item heap traffic out of the per-batch hot path.
-	cp := &queues{}
+	// Copy the queues into the workspace: dispatch consumes them.
+	ws := &sys.ws
+	cp := &ws.cp
 	n := 0
 	for _, t := range sys.Targets() {
 		n += len(qs[t])
 	}
-	arena := make([]queueItem, n)
+	ws.cpItems = resize(ws.cpItems, n)
 	i := 0
 	for _, t := range sys.Targets() {
-		items := make([]*queueItem, len(qs[t]))
-		for k, it := range qs[t] {
-			arena[i] = queueItem{job: it.job, arrays: it.arrays}
-			items[k] = &arena[i]
+		items := cp[t][:0]
+		for _, it := range qs[t] {
+			ws.cpItems[i] = queueItem{job: it.job, arrays: it.arrays}
+			items = append(items, &ws.cpItems[i])
 			i++
 		}
 		cp[t] = items
 	}
 	res := dispatchWith(sys, cp, jobs, dispatchOpts{expand: true, estMode: true})
-	planArena := make([]queueItem, len(res.Assignments))
-	plan := &queues{}
+	ws.planItems = resize(ws.planItems, len(res.Assignments))
+	plan := &ws.plan
+	for t := range plan {
+		plan[t] = plan[t][:0]
+	}
 	for i, a := range res.Assignments {
-		planArena[i] = queueItem{job: a.Job, arrays: a.Arrays, start: a.Start}
-		plan[a.Target] = append(plan[a.Target], &planArena[i])
+		ws.planItems[i] = queueItem{job: a.Job, arrays: a.Arrays, start: a.Start}
+		plan[a.Target] = append(plan[a.Target], &ws.planItems[i])
 	}
 	// Assignments are completion-ordered; re-order by planned start.
 	for _, q := range plan {
@@ -83,7 +86,8 @@ func dispatchEst(sys *System, qs *queues, jobs []*Job) *queues {
 // executePlan runs the fixed plan with actual job durations, starting
 // each layer's jobs strictly in planned order.
 func executePlan(sys *System, plan *queues, jobs []*Job) *Result {
-	st := newSim(sys, jobs)
+	st := newSim(sys, jobs, false)
+	var next [isa.NumTargets]int // each layer's first unstarted plan item
 	pending := 0
 	for _, q := range plan {
 		pending += len(q)
@@ -91,11 +95,11 @@ func executePlan(sys *System, plan *queues, jobs []*Job) *Result {
 	for pending > 0 || st.flying.Len() > 0 {
 		for _, t := range sys.Targets() { // canonical order: determinism
 			q := plan[t]
-			for len(q) > 0 {
-				head := q[0]
+			for next[t] < len(q) {
+				head := q[next[t]]
 				arrays := clampAlloc(sys, t, minInt(head.arrays, st.maxGrant(t, head.job.Tenant)))
 				if st.placeReplica(head.job, t, arrays) {
-					q = q[1:]
+					next[t]++
 					pending--
 					continue
 				}
@@ -103,26 +107,29 @@ func executePlan(sys *System, plan *queues, jobs []*Job) *Result {
 					break
 				}
 				st.place(head.job, t, arrays)
-				q = q[1:]
+				next[t]++
 				pending--
 			}
-			plan[t] = q
 		}
 		if !st.advance() && pending > 0 {
 			panic("sched: plan execution deadlock")
 		}
 	}
-	return st.result
+	return st.finish()
 }
 
-// invAllocForTime returns the smallest allocation m that brings job j's
-// modelled time on t at or below target — t_max^{-1}(mean_t) of
-// Algorithm 2 — found by bisection on the monotone model, capped at the
-// layer capacity.
+// invAllocForTime returns an allocation m that brings job j's modelled
+// time on t at or below target — t_max^{-1}(mean_t) of Algorithm 2 —
+// found by bisection over [1, usefulCap(capacity)]. Bisection assumes
+// time falls as arrays rise, and the model does not: each doubling of
+// replicas adds a copy round to t_ld (modelTerms.ld), so curves can be
+// U-shaped. Then m need not be the smallest feasible allocation, and a
+// target missed at the cap returns the cap even where a smaller
+// allocation meets it (TestInvAllocForTimeNonMonotone pins a case).
 func invAllocForTime(sys *System, j *Job, t isa.Target, target float64) int {
 	lo, hi := 1, usefulCap(j, t, sys.Layers[t].Capacity())
 	if float64(sys.ModelTime(j, t, hi)) > target {
-		return hi // unreachable even at full capacity
+		return hi // missed at the cap, whatever smaller m may do
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -177,8 +177,8 @@ func (j *Job) String() string { return fmt.Sprintf("job%d(%s)", j.ID, j.Name) }
 
 // System is the set of memory layers available to the scheduler plus the
 // shared DDR4 path for loads and stores. It memoizes the analytical
-// cost model (see costcache.go), so a System is not safe for concurrent
-// use.
+// cost model (see costcache.go) and keeps one scheduling workspace
+// (sim.go), so a System is not safe for concurrent use.
 type System struct {
 	// Layers holds one layer per target, indexed by isa.Target; nil
 	// means the system has no such layer.
@@ -204,6 +204,8 @@ type System struct {
 	// kneeGrids caches each layer's knee-search grid for the capacity
 	// it was last built for.
 	kneeGrids [isa.NumTargets]kneeGrid
+	// ws is the scratch memory Schedule calls reset and reuse (sim.go).
+	ws workspace
 }
 
 // Layer is one computable memory exposed to the scheduler. Capacity is

@@ -39,6 +39,14 @@ func aUnit(sys *System, t isa.Target) int {
 	return u
 }
 
+// ljfItem is one job in LJF's single queue with its best layer and its
+// estimated time there.
+type ljfItem struct {
+	job  *Job
+	best isa.Target
+	est  event.Time
+}
+
 // ljfGrant clamps the fixed unit allocation to what the job's tenant
 // can ever hold on t (multi-tenant packing caps), flooring at one.
 func ljfGrant(sys *System, st *simState, j *Job, t isa.Target) int {
@@ -61,15 +69,11 @@ func estAtUnit(sys *System, j *Job, t isa.Target) event.Time {
 // Schedule implements Scheduler.
 func (l LJF) Schedule(sys *System, jobs []*Job) *Result {
 	sys.EnsureReplicas(jobs)
-	st := newSim(sys, jobs)
+	st := newSim(sys, jobs, false)
 	// Single queue, descending estimated time (the descending order of
 	// the shortest execution time across memories).
-	type ljfItem struct {
-		job  *Job
-		best isa.Target
-		est  event.Time
-	}
-	queue := make([]ljfItem, len(jobs))
+	sys.ws.ljf = resize(sys.ws.ljf, len(jobs))
+	queue := sys.ws.ljf
 	router := &replicaRouter{sys: sys}
 	for i, j := range jobs {
 		bt, bv := isa.Target(0), event.Time(math.MaxInt64)
@@ -104,7 +108,7 @@ func (l LJF) Schedule(sys *System, jobs []*Job) *Result {
 			panic("sched: ljf deadlock") // cannot happen: aUnit always fits an idle layer
 		}
 	}
-	return st.result
+	return st.finish()
 }
 
 // pick chooses where to run the head job now, if anywhere.

@@ -363,6 +363,45 @@ func TestInvAllocForTime(t *testing.T) {
 	}
 }
 
+// TestInvAllocForTimeNonMonotone pins, without fixing, what bisection
+// does on a U-shaped curve. The profile is a ReRAM GEMM of the seed-7
+// GCN batch in TestScheduleGolden (job50, gemm-105x256x256). Replication
+// copy rounds lift its time at the full 86,016-array layer above the
+// target, so invAllocForTime returns the cap, although 40 arrays (the
+// smallest feasible allocation) meet it. A change to this behaviour moves Algorithm 2's placements:
+// see ROADMAP item 2 before updating the pins.
+func TestInvAllocForTimeNonMonotone(t *testing.T) {
+	sys := fullSystem()
+	j := &Job{ID: 50, Name: "gemm-105x256x256", Est: estOf(map[isa.Target]Profile{isa.ReRAM: {
+		UnitCycles: 840, RepUnit: 32, LoadBytes: 184832, StoreBytes: 53760,
+		ProgramBytes: 131072, Beta: 0.8, Overhead: event.Microsecond,
+	}})}
+	const target = 47905167
+	capacity := sys.Layers[isa.ReRAM].Capacity()
+	if capacity != 86016 {
+		t.Fatalf("ReRAM capacity %d, want 86016", capacity)
+	}
+	if got := invAllocForTime(sys, j, isa.ReRAM, target); got != capacity {
+		t.Errorf("invAllocForTime = %d, want the cap %d", got, capacity)
+	}
+	if got := sys.ModelTime(j, isa.ReRAM, capacity); got != 89379199 {
+		t.Errorf("t(cap) = %d ps, want 89379199", got)
+	}
+	if got := sys.ModelTime(j, isa.ReRAM, 40); got != 47636881 {
+		t.Errorf("t(40) = %d ps, want 47636881 (meets the target)", got)
+	}
+	smallest := 0
+	for m := 1; m <= capacity; m++ {
+		if sys.ModelTime(j, isa.ReRAM, m) <= target {
+			smallest = m
+			break
+		}
+	}
+	if smallest != 40 {
+		t.Errorf("smallest feasible m = %d, want 40", smallest)
+	}
+}
+
 func TestOracleFraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	jobs := paretoBatch(rng, 48)

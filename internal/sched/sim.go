@@ -138,11 +138,6 @@ type pool struct {
 	free  int
 }
 
-func (p *pool) take(n int) ArraySet {
-	p.free -= n
-	return p.avail.TakeLowest(n)
-}
-
 func (p *pool) put(set ArraySet) {
 	p.free += set.Count()
 	p.avail.Add(set)
@@ -150,10 +145,11 @@ func (p *pool) put(set ArraySet) {
 
 // tenantState is the per-tenant packing state of one simulation.
 type tenantState struct {
-	// region points at the tenant's private pool per target under
-	// PackPartitioned; nil means the shared pool (first-fit fallback on
-	// layers too small to split).
-	region [isa.NumTargets]*pool
+	// region is the tenant's private pool on each target in regional
+	// under PackPartitioned; elsewhere the tenant uses the shared pool
+	// (first-fit fallback on layers too small to split).
+	region   [isa.NumTargets]pool
+	regional TargetMask
 	// cap is the largest allocation this tenant can ever hold on a
 	// target (region size / weighted-fair quota) — the grant clamp that
 	// keeps strict plan execution deadlock-free.
@@ -190,24 +186,73 @@ type simState struct {
 	estMode bool
 	// arena backs every span slice the sim creates — the pool free sets
 	// (carved with headroom for fragmentation) and each placement's taken
-	// set — so one allocation serves the whole Schedule call instead of
-	// one per take. Taken sub-slices outlive the sim inside Result
-	// assignments; the arena is never recycled.
+	// set — so the pools grow and take without allocating. It belongs to
+	// the System's workspace and is reset by the next sim, so finish
+	// copies the taken sets a returned Result keeps out of it.
 	arena []Span
 }
 
-// newSim builds execution state for one batch. The jobs are scanned for
-// tenant tags (first-appearance order, so the partition layout is
-// deterministic in job order); a batch where every job shares one
-// tenant — tagged or not — runs on the shared-pool fast path identical
-// to the pre-tenant scheduler.
-func newSim(sys *System, jobs []*Job) *simState {
-	st := &simState{
+// workspace is the scratch memory one System reuses across Schedule
+// calls: everything a call builds and throws away — the partition's
+// queues and items, the migration trial queues, the planning copies and
+// plan, the simulation state with its flight heap and span arena, the
+// tenant tables and the planning Result. Each call resets what it uses
+// instead of reallocating it, so a warm Schedule allocates only the
+// Result it returns. Like the cost-model memos, it makes a System
+// unsafe for concurrent use.
+type workspace struct {
+	qs, cp, plan   queues
+	items          []queueItem // partition's items
+	cpItems        []queueItem // dispatchEst's copies of them
+	planItems      []queueItem // the planned dispatch
+	migSrc, migDst []*queueItem
+	ljf            []ljfItem
+
+	sim     simState
+	planRes Result
+
+	tenantOrder []string
+	tenantCount map[string]int
+	tenantMap   map[string]*tenantState
+	tenantBuf   []tenantState
+}
+
+// resize returns buf with length n, reusing its storage when it is
+// large enough. The contents are left as they were.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// newSim resets the System's simulation state for one batch. The jobs
+// are scanned for tenant tags (first-appearance order, so the partition
+// layout is deterministic in job order); a batch where every job shares
+// one tenant — tagged or not — runs on the shared-pool fast path
+// identical to the pre-tenant scheduler. A planning sim (estMode)
+// records into the workspace's Result; any other sim records into a
+// fresh Result for the caller.
+func newSim(sys *System, jobs []*Job, estMode bool) *simState {
+	ws := &sys.ws
+	st := &ws.sim
+	*st = simState{
 		sys:     sys,
 		packing: sys.Packing,
-		result:  &Result{},
+		estMode: estMode,
+		reps:    st.reps,
+		flying:  st.flying[:0],
+		arena:   st.arena[:0],
 	}
-	st.arena = make([]Span, 0, 8*len(jobs)+64)
+	if estMode {
+		ws.planRes = Result{Assignments: ws.planRes.Assignments[:0]}
+		st.result = &ws.planRes
+	} else {
+		st.result = &Result{Assignments: make([]Assignment, 0, len(jobs))}
+	}
+	if n := 8*len(jobs) + 64; cap(st.arena) < n {
+		st.arena = make([]Span, 0, n)
+	}
 	// Free-set fragmentation is bounded by the number of concurrent
 	// flights, so each pool gets that much in-place growth before an
 	// Add has to reallocate it away from the arena.
@@ -216,38 +261,42 @@ func newSim(sys *System, jobs []*Job) *simState {
 		l := sys.Layers[t]
 		start := len(st.arena)
 		st.arena = append(st.arena, l.avail.Spans()...)
-		end := len(st.arena)
-		for i := 0; i < head; i++ {
-			st.arena = append(st.arena, Span{})
-		}
-		st.shared[t].avail = ArraySet{spans: st.arena[start : end : end+head]}
-		st.shared[t].free = l.avail.Count()
+		st.shared[t] = pool{avail: st.carve(start, head), free: l.avail.Count()}
 		st.slots[t] = l.Slots
-		if len(l.replicas) > 0 {
-			rs := make([]repSim, len(l.replicas))
-			for i, r := range l.replicas {
-				rs[i] = repSim{stage: r.Stage, arrays: r.Arrays, set: r.Set}
-			}
-			st.reps[t] = rs
+		rs := st.reps[t][:0]
+		for _, r := range l.replicas {
+			rs = append(rs, repSim{stage: r.Stage, arrays: r.Arrays, set: r.Set})
 		}
+		st.reps[t] = rs
 	}
 	if st.packing == PackFirstFit {
 		return st // tenant-agnostic: one shared pool, lowest IDs first
 	}
-	var order []string
-	count := map[string]int{}
+	order := ws.tenantOrder[:0]
+	if ws.tenantCount == nil {
+		ws.tenantCount = map[string]int{}
+	}
+	count := ws.tenantCount
+	clear(count)
 	for _, j := range jobs {
 		if _, ok := count[j.Tenant]; !ok {
 			order = append(order, j.Tenant)
 		}
 		count[j.Tenant]++
 	}
+	ws.tenantOrder = order
 	if len(order) <= 1 {
 		return st
 	}
-	st.tenants = make(map[string]*tenantState, len(order))
-	for _, name := range order {
-		st.tenants[name] = &tenantState{}
+	if ws.tenantMap == nil {
+		ws.tenantMap = map[string]*tenantState{}
+	}
+	st.tenants = ws.tenantMap
+	clear(st.tenants)
+	ws.tenantBuf = resize(ws.tenantBuf, len(order))
+	for i, name := range order {
+		ws.tenantBuf[i] = tenantState{}
+		st.tenants[name] = &ws.tenantBuf[i]
 	}
 	for _, t := range sys.Targets() {
 		total := st.shared[t].free
@@ -268,7 +317,11 @@ func newSim(sys *System, jobs []*Job) *simState {
 					share++
 				}
 				ts := st.tenants[name]
-				ts.region[t] = &pool{avail: st.shared[t].take(share), free: share}
+				start := len(st.arena)
+				st.arena = st.shared[t].avail.takeLowestAppend(st.arena, share)
+				st.shared[t].free -= share
+				ts.region[t] = pool{avail: st.carve(start, head), free: share}
+				ts.regional |= 1 << t
 				ts.cap[t] = share
 			}
 		case PackWeightedFair:
@@ -285,11 +338,22 @@ func newSim(sys *System, jobs []*Job) *simState {
 	return st
 }
 
+// carve follows the spans the arena holds from start on with head spare
+// spans, and returns them as a set whose in-place growth stays inside
+// that room.
+func (st *simState) carve(start, head int) ArraySet {
+	end := len(st.arena)
+	for i := 0; i < head; i++ {
+		st.arena = append(st.arena, Span{})
+	}
+	return ArraySet{spans: st.arena[start : end : end+head]}
+}
+
 // poolFor returns the pool a tenant allocates from on target t.
 func (st *simState) poolFor(t isa.Target, tenant string) *pool {
 	if st.tenants != nil && st.packing == PackPartitioned {
-		if ts := st.tenants[tenant]; ts != nil && ts.region[t] != nil {
-			return ts.region[t]
+		if ts := st.tenants[tenant]; ts != nil && ts.regional.Has(t) {
+			return &ts.region[t]
 		}
 	}
 	return &st.shared[t]
@@ -307,7 +371,7 @@ func (st *simState) freeFor(t isa.Target, tenant string) int {
 	}
 	switch st.packing {
 	case PackPartitioned:
-		if ts.region[t] != nil {
+		if ts.regional.Has(t) {
 			return ts.region[t].free
 		}
 		return st.shared[t].free
@@ -458,4 +522,28 @@ func (st *simState) earliestEnd(t isa.Target) (event.Time, bool) {
 		}
 	}
 	return best, found
+}
+
+// finish returns the sim's Result. A planning sim's Result stays in the
+// workspace and is read before the next sim resets it. Any other Result
+// goes to the caller, so its ArrayIDs are copied out of the workspace
+// arena (and off the layers' replica sets) into one span slice of its
+// own: a returned Result never aliases the workspace.
+func (st *simState) finish() *Result {
+	res := st.result
+	if st.estMode {
+		return res
+	}
+	n := 0
+	for _, a := range res.Assignments {
+		n += len(a.ArrayIDs.spans)
+	}
+	spans := make([]Span, 0, n)
+	for i := range res.Assignments {
+		ids := &res.Assignments[i].ArrayIDs
+		start := len(spans)
+		spans = append(spans, ids.spans...)
+		ids.spans = spans[start:len(spans):len(spans)]
+	}
+	return res
 }

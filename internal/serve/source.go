@@ -103,14 +103,25 @@ func NewAppSource(sys *sched.System) *AppSource {
 	return &AppSource{Sys: sys, pool: workload.NewRequestPool()}
 }
 
-// Requests pre-generates one uniformly drawn app job per arrival.
+// Requests pre-generates one uniformly drawn app job per arrival. The
+// requests and their jobs each live in one slab, and the class is worked
+// out once per app: every job of an app shares its Est, and bestTarget
+// reads nothing else of the job.
 func (s *AppSource) Requests(rng *rand.Rand, arrivals []event.Time, slo event.Time) []*Request {
 	reqs := make([]*Request, len(arrivals))
+	slab := make([]Request, len(arrivals))
+	jobs := make([]sched.Job, len(arrivals))
+	class := map[*sched.Estimates]string{}
 	for i, at := range arrivals {
-		j := s.pool.Draw(rng, i)
-		r := &Request{ID: i, Arrival: at, Deadline: at + slo, Job: j}
-		r.Class = bestTarget(s.Sys, j).String()
-		reqs[i] = r
+		j := &jobs[i]
+		s.pool.DrawInto(rng, i, j)
+		c, ok := class[j.Est]
+		if !ok {
+			c = bestTarget(s.Sys, j).String()
+			class[j.Est] = c
+		}
+		slab[i] = Request{ID: i, Arrival: at, Deadline: at + slo, Job: j, Class: c}
+		reqs[i] = &slab[i]
 	}
 	return reqs
 }

@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"mlimp/internal/apps"
 	"mlimp/internal/isa"
@@ -164,13 +165,19 @@ func NewRequestPool() *RequestPool {
 // Draw builds one job for a uniformly drawn app. Deterministic for a
 // seeded rng; the shared profiles are read-only to the scheduler.
 func (p *RequestPool) Draw(rng *rand.Rand, id int) *sched.Job {
+	j := &sched.Job{}
+	p.DrawInto(rng, id, j)
+	return j
+}
+
+// DrawInto is Draw into the caller's Job, for callers that build jobs
+// in slabs. The job is named "<app>-<id>".
+func (p *RequestPool) DrawInto(rng *rand.Rand, id int, j *sched.Job) {
 	k := rng.Intn(len(p.suite))
-	return &sched.Job{
-		ID:   id,
-		Name: fmt.Sprintf("%s-%d", p.suite[k].Name, id),
-		Kind: p.suite[k].Name,
-		Est:  p.ests[k],
-	}
+	app := p.suite[k].Name
+	var buf [32]byte
+	name := strconv.AppendInt(append(append(buf[:0], app...), '-'), int64(id), 10)
+	*j = sched.Job{ID: id, Name: string(name), Kind: app, Est: p.ests[k]}
 }
 
 // StandaloneTime returns the modelled kernel time of one app job on one
