@@ -376,18 +376,7 @@ func (r *region) startLiveness() {
 		// (the revival sweep resets every view's lastBeat first).
 		if !r.down {
 			for i, sn := range r.sns {
-				i, sn := i, sn
-				r.hub.SendAfter(sn.shard, DefaultHop, func() {
-					if sn.node.down {
-						return
-					}
-					sn.shard.SendAfter(r.hub, DefaultHop, func() {
-						if r.down {
-							return
-						}
-						r.views[i].lastBeat = r.hub.Engine().Now()
-					})
-				})
+				r.hub.SendAfter(sn.shard, DefaultHop, r.pings[i])
 			}
 		}
 		if r.ticking() {

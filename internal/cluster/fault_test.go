@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -315,5 +316,43 @@ func TestEnableFaultsErrors(t *testing.T) {
 	}
 	if err := d.EnableFaults(FaultConfig{}); err == nil {
 		t.Error("double EnableFaults accepted")
+	}
+}
+
+// TestLivenessAllocsFlatInPeriods pins that fault-mode heartbeats cost
+// no heap per period: every ping and pong is a handler built once per
+// hub–node pair. Two runs differ only in when a late batch arrives, so
+// the longer one keeps the ping and monitor loops ticking for three
+// times as many extra periods; its allocations may exceed the shorter
+// run's by less than one per extra period.
+func TestLivenessAllocsFlatInPeriods(t *testing.T) {
+	const periods = 40
+	var batches []*runtime.Batch
+	for i := 0; i < 8; i++ {
+		batches = append(batches, mkBatch(i, event.Time(i)*200*event.Microsecond, 4))
+	}
+	run := func(late event.Time) func() {
+		all := append(batches[:len(batches):len(batches)], mkBatch(len(batches), late, 1))
+		return func() {
+			d := NewShardedDispatcher(NewLeastOutstanding(), Admission{}, ShardConfig{Workers: 1},
+				fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
+			if err := d.EnableFaults(FaultConfig{}); err != nil {
+				panic(err)
+			}
+			for _, b := range all {
+				if err := d.Submit(b); err != nil {
+					panic(err)
+				}
+			}
+			if s := d.Run(); s.Completed != len(all) {
+				panic(fmt.Sprintf("completed %d of %d batches", s.Completed, len(all)))
+			}
+		}
+	}
+	short := testing.AllocsPerRun(3, run(periods*DefaultHeartbeat))
+	long := testing.AllocsPerRun(3, run(4*periods*DefaultHeartbeat))
+	if extra := long - short; extra >= 3*periods {
+		t.Errorf("%v extra allocations over %d extra heartbeat periods (%v vs %v), want < one per period",
+			extra, 3*periods, long, short)
 	}
 }

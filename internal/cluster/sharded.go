@@ -74,7 +74,8 @@ type region struct {
 
 	sns      []*shardNode
 	views    []*Node
-	bookings [][]int // per-view outstanding batch IDs in booking order
+	bookings [][]int  // per-view outstanding batch IDs in booking order
+	pings    []func() // per-view liveness ping, built by join
 	// homeN is how many of sns/views are this region's own nodes. Region
 	// takeover (tree.go) appends adopted ring-neighbour entries past
 	// homeN; summaries and Nodes() report home nodes only, so every node
@@ -292,12 +293,35 @@ func (d *ShardedDispatcher) newRegion(idx int, policy Policy, adm Admission, cfg
 			attempts: map[int]int{},
 			homes:    map[int]echoHome{},
 		}
-		r.sns = append(r.sns, sn)
-		r.views = append(r.views, newView(cfg))
-		r.bookings = append(r.bookings, nil)
+		r.join(sn, newView(cfg))
 		wireNode(sn)
 	}
 	return r
+}
+
+// join adds a node shard and the hub's view of it at the next view
+// index, and builds the pair's liveness handlers once: the ping runs on
+// the node shard and answers with the pong, which stamps the view at
+// that index on the hub. Both read the hub's and the node's state when
+// they run, so every heartbeat sends the same two func values instead
+// of allocating new ones.
+func (r *region) join(sn *shardNode, v *Node) {
+	i := len(r.views)
+	pong := func() {
+		if r.down {
+			return
+		}
+		r.views[i].lastBeat = r.hub.Engine().Now()
+	}
+	r.pings = append(r.pings, func() {
+		if sn.node.down {
+			return
+		}
+		sn.shard.SendAfter(r.hub, DefaultHop, pong)
+	})
+	r.sns = append(r.sns, sn)
+	r.views = append(r.views, v)
+	r.bookings = append(r.bookings, nil)
 }
 
 // wireNode installs the node's runtime hooks. They run on the node's

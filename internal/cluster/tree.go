@@ -406,9 +406,7 @@ func (r *region) adopt(pi int) {
 	now := r.hub.Engine().Now()
 	for _, a := range r.adoptees[pi] {
 		a.view.lastBeat = now
-		r.sns = append(r.sns, a.sn)
-		r.views = append(r.views, a.view)
-		r.bookings = append(r.bookings, nil)
+		r.join(a.sn, a.view)
 	}
 }
 

@@ -279,3 +279,56 @@ func TestTreeReviveSweepChargesRedispatch(t *testing.T) {
 		t.Errorf("revival sweep re-dispatches not charged to tenant t0: %v", s)
 	}
 }
+
+// TestTakeoverPongsStampAdopterView pins the per-pair pong handlers
+// across a takeover: once region 0 adopts frozen region 1's nodes, the
+// pongs answering region 0's pings advance lastBeat on region 0's view
+// at each adopted node's index, while region 1's views of the same
+// nodes stay as the freeze left them. Each hub snapshots its own views
+// at two instants inside the freeze, after the adoption.
+func TestTakeoverPongsStampAdopterView(t *testing.T) {
+	d := NewShardedDispatcher(NewRoundRobin(), Admission{MaxRetries: 6},
+		ShardConfig{Workers: 1, Hubs: 2, SummaryEvery: 500 * event.Microsecond},
+		fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
+	if err := d.EnableFaults(FaultConfig{Plan: hubCrashPlan(), Deadline: 5 * event.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if err := d.Submit(mkBatch(i, event.Time(i)*200*event.Microsecond, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	adopter, frozen := d.regions[0], d.regions[1]
+	crash := hubCrashPlan().HubCrashes[0]
+	t1, t2 := crash.Recover-4*DefaultHeartbeat, crash.Recover-event.Microsecond
+	// Per snapshot and per region-1 node: lastBeat on each hub's view.
+	var adopted, home [2][]event.Time
+	for k, at := range []event.Time{t1, t2} {
+		adopter.hub.Engine().At(at, func() {
+			for _, v := range adopter.views[adopter.homeN:] {
+				adopted[k] = append(adopted[k], v.lastBeat)
+			}
+		})
+		frozen.hub.Engine().At(at, func() {
+			for _, v := range frozen.views[:frozen.homeN] {
+				home[k] = append(home[k], v.lastBeat)
+			}
+		})
+	}
+	s := d.Run()
+	conserved(t, s)
+	if len(adopted[0]) != frozen.homeN {
+		t.Fatalf("region 0 had adopted %d of region 1's %d nodes by %v",
+			len(adopted[0]), frozen.homeN, t1)
+	}
+	for j := range adopted[0] {
+		if a1, a2 := adopted[0][j], adopted[1][j]; a2 <= a1 || a2 < t2-DefaultHeartbeat-2*DefaultHop {
+			t.Errorf("adopted node %d: adopter's lastBeat %v at %v and %v at %v, want pongs to advance it",
+				j, a1, t1, a2, t2)
+		}
+		if h1, h2 := home[0][j], home[1][j]; h2 != h1 || h2 > crash.At {
+			t.Errorf("node %d: frozen region's lastBeat moved %v -> %v during the freeze at %v",
+				j, h1, h2, crash.At)
+		}
+	}
+}

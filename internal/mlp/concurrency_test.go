@@ -9,7 +9,7 @@ import (
 )
 
 // TestForwardConcurrent pins that inference only reads the net: several
-// goroutines run Forward and ForwardQuant on one trained net, whose
+// goroutines run Forward, ForwardQuant and Scalar on one trained net, whose
 // training scratch already exists, and all must see the serial results.
 // Run it under -race.
 func TestForwardConcurrent(t *testing.T) {
@@ -23,9 +23,9 @@ func TestForwardConcurrent(t *testing.T) {
 	}
 	n.Fit(rng, xs, ys, 5, 1e-2)
 	q := []fixed.Format{fixed.W8}
-	want := make([][2]float64, len(xs))
+	want := make([][3]float64, len(xs))
 	for i, x := range xs {
-		want[i] = [2]float64{n.Forward(x)[0], n.ForwardQuant(x, q)[0]}
+		want[i] = [3]float64{n.Forward(x)[0], n.ForwardQuant(x, q)[0], n.Scalar(x)}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -33,7 +33,7 @@ func TestForwardConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, x := range xs {
-				if got := [2]float64{n.Forward(x)[0], n.ForwardQuant(x, q)[0]}; got != want[i] {
+				if got := [3]float64{n.Forward(x)[0], n.ForwardQuant(x, q)[0], n.Scalar(x)}; got != want[i] {
 					t.Errorf("input %d: concurrent inference %v, serial %v", i, got, want[i])
 					return
 				}

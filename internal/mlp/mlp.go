@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"mlimp/internal/fixed"
@@ -174,6 +175,33 @@ func (n *Net) Forward(x []float64) []float64 {
 		cur = next
 	}
 	return cur
+}
+
+// stackWidth is the widest layer Scalar keeps on the stack; the
+// predictor's nets are at most 16 wide.
+const stackWidth = 32
+
+// Scalar runs inference on a net with one output and returns it,
+// bit-identical to Forward(x)[0]. Its activations live in two stack
+// buffers, so it allocates nothing unless a layer is wider than
+// stackWidth, and like Forward it only reads the net.
+func (n *Net) Scalar(x []float64) float64 {
+	n.checkInput(x)
+	if n.sizes[len(n.sizes)-1] != 1 {
+		panic("mlp: Scalar needs a single-output net")
+	}
+	var bufA, bufB [stackWidth]float64
+	a, b := bufA[:], bufB[:]
+	if w := slices.Max(n.sizes[1:]); w > stackWidth {
+		a, b = make([]float64, w), make([]float64, w)
+	}
+	cur := x
+	for l := range n.weights {
+		next := a[:n.sizes[l+1]]
+		n.layer(l, cur, next)
+		cur, a, b = next, b, a
+	}
+	return cur[0]
 }
 
 // ForwardQuant runs inference with each layer's activations snapped to

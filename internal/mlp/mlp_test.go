@@ -153,3 +153,50 @@ func TestForwardQuant(t *testing.T) {
 		t.Errorf("tail format not applied: %v", mixed[0])
 	}
 }
+
+// TestScalarMatchesForward pins the stack-buffer inference path to
+// Forward bit for bit over seeded random single-output nets, trained a
+// little so the weights are not just their initialisation. The last
+// shape is wider than stackWidth and takes the heap fallback.
+func TestScalarMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, sizes := range [][]int{
+		{1, 1}, {3, 16, 8, 1}, {4, 16, 8, 1}, {7, stackWidth, 5, 1},
+		{2, 9, 9, 9, 9, 1}, {5, stackWidth + 9, 3, 1},
+	} {
+		n := New(rng, sizes...)
+		x, y := make([]float64, sizes[0]), []float64{rng.NormFloat64()}
+		for s := 0; s < 20; s++ {
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			n.TrainStep(x, y, 1e-2)
+		}
+		for s := 0; s < 50; s++ {
+			for i := range x {
+				x[i] = rng.Float64()*4 - 2
+			}
+			got, want := n.Scalar(x), n.Forward(x)[0]
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("sizes %v input %v: Scalar %v, Forward %v", sizes, x, got, want)
+			}
+		}
+	}
+}
+
+// TestScalarAllocatesNothing pins that inference on the predictor's
+// shape stays on the stack, and that Scalar rejects multi-output nets.
+func TestScalarAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	n := New(rng, 4, 16, 8, 1)
+	x := []float64{0.1, -0.2, 0.3, 0.4}
+	if a := testing.AllocsPerRun(100, func() { n.Scalar(x) }); a != 0 {
+		t.Errorf("Scalar allocates %v times, want 0", a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Scalar on a two-output net did not panic")
+		}
+	}()
+	New(rng, 2, 3, 2).Scalar([]float64{1, 2})
+}

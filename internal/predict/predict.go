@@ -48,12 +48,12 @@ const scale = 32.0
 
 func lg(v float64) float64 { return math.Log2(v+1) / scale }
 
-func hwFeatures(adj *tensor.CSR) []float64 {
-	return []float64{lg(PRowWidth), lg(float64(adj.Rows)), lg(float64(adj.NNZ()))}
+func hwFeatures(adj *tensor.CSR) [3]float64 {
+	return [3]float64{lg(PRowWidth), lg(float64(adj.Rows)), lg(float64(adj.NNZ()))}
 }
 
-func cycleFeatures(adj *tensor.CSR, f int, hw float64) []float64 {
-	return []float64{lg(float64(adj.Rows)), lg(float64(adj.NNZ())), lg(float64(f)), lg(hw)}
+func cycleFeatures(adj *tensor.CSR, f int, hw float64) [4]float64 {
+	return [4]float64{lg(float64(adj.Rows)), lg(float64(adj.NNZ())), lg(float64(f)), lg(hw)}
 }
 
 // MLP is the trained two-stage regressor. Train once per mother graph;
@@ -91,7 +91,8 @@ func Train(rng *rand.Rand, training []*tensor.CSR, f int, cfg TrainConfig) *MLP 
 	// Stage 1: H_w from (w, dim, nnz).
 	var hwX, hwY [][]float64
 	for _, adj := range training {
-		hwX = append(hwX, hwFeatures(adj))
+		x := hwFeatures(adj)
+		hwX = append(hwX, x[:])
 		hwY = append(hwY, []float64{lg(float64(adj.NonZeroPRows(PRowWidth)))})
 	}
 	p.hw = mlp.New(rng, 3, 16, 8, 1)
@@ -104,8 +105,8 @@ func Train(rng *rand.Rand, training []*tensor.CSR, f int, cfg TrainConfig) *MLP 
 	for _, t := range isa.Targets {
 		var xs, ys [][]float64
 		for _, adj := range training {
-			hwPred := p.predictHw(adj)
-			xs = append(xs, cycleFeatures(adj, f, hwPred))
+			x := cycleFeatures(adj, f, p.predictHw(adj))
+			xs = append(xs, x[:])
 			ys = append(ys, []float64{lg(float64(oracle.UnitCycles(adj, f, t)))})
 		}
 		net := mlp.New(rng, 4, 16, 8, 1)
@@ -143,10 +144,8 @@ type Observation struct {
 // trains the H_w regressor, so the features it predicts are fixed when
 // the sample is observed.
 func (p *MLP) Observe(adj *tensor.CSR, f int, t isa.Target, cycles int64) Observation {
-	o := Observation{Target: t}
-	copy(o.x[:], cycleFeatures(adj, f, p.predictHw(adj)))
-	o.y[0] = lg(float64(cycles))
-	return o
+	return Observation{Target: t, x: cycleFeatures(adj, f, p.predictHw(adj)),
+		y: [1]float64{lg(float64(cycles))}}
 }
 
 // Refit fine-tunes the per-memory cycle regressors on observed serving
@@ -181,7 +180,8 @@ func (p *MLP) Refit(rng *rand.Rand, obs []Observation, epochs int, lr float64) {
 }
 
 func (p *MLP) predictHw(adj *tensor.CSR) float64 {
-	out := p.hw.Forward(hwFeatures(adj))[0]
+	x := hwFeatures(adj)
+	out := p.hw.Scalar(x[:])
 	return math.Exp2(out*scale) - 1
 }
 
@@ -191,8 +191,8 @@ func (p *MLP) PredictHw(adj *tensor.CSR) float64 { return p.predictHw(adj) }
 
 // UnitCycles implements Predictor with the trained regressors.
 func (p *MLP) UnitCycles(adj *tensor.CSR, f int, t isa.Target) int64 {
-	hw := p.predictHw(adj)
-	out := p.cycles[t].Forward(cycleFeatures(adj, f, hw))[0]
+	x := cycleFeatures(adj, f, p.predictHw(adj))
+	out := p.cycles[t].Scalar(x[:])
 	c := math.Exp2(out*scale) - 1
 	if c < 1 {
 		c = 1

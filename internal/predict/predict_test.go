@@ -181,3 +181,20 @@ func TestRefitAllocatesNothing(t *testing.T) {
 		t.Errorf("warmed-up Refit allocates %v times, want 0", a)
 	}
 }
+
+// TestUnitCyclesAllocatesNothing pins that a trained predictor's
+// inference — the H_w regressor feeding a cycles regressor — and
+// building an observation allocate nothing.
+func TestUnitCyclesAllocatesNothing(t *testing.T) {
+	subs := sampleSubgraphs(t, 51, 40)
+	rng := rand.New(rand.NewSource(55))
+	p := Train(rng, subs[:32], 128, TrainConfig{Epochs: 5, LR: 2e-3})
+	adj := subs[32]
+	p.UnitCycles(adj, 128, isa.SRAM)
+	if a := testing.AllocsPerRun(100, func() { p.UnitCycles(adj, 128, isa.SRAM) }); a != 0 {
+		t.Errorf("warm UnitCycles allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { p.Observe(adj, 128, isa.ReRAM, 1000) }); a != 0 {
+		t.Errorf("Observe allocates %v times, want 0", a)
+	}
+}
