@@ -12,8 +12,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"mlimp/internal/event"
 	"mlimp/internal/isa"
@@ -268,8 +270,8 @@ func (n *Node) CanRun(jobs []*sched.Job) bool {
 //
 // Estimates are memoized per batch key (see estCache), so the repeated
 // estimates of one admission — policy comparison, booking, retries —
-// and every later batch of the same job shapes plan against each node
-// once.
+// and every later batch of the same job shapes, in any job order when
+// the batch is tenant-pure, plan against each node once.
 func (n *Node) EstimateCost(jobs []*sched.Job) event.Time {
 	if !n.CanRun(jobs) {
 		return event.Time(math.MaxInt64)
@@ -297,24 +299,38 @@ func (n *Node) EstCacheClears() int64 { return n.est.clears }
 // are. On a view that does not replicate, an entry is a pure function
 // of its key, so a clear costs only recomputation. The bound is well
 // above the largest per-view count the in-repo experiments and bench
-// workloads reach (1,707 entries, on app-serve), so none of them
+// workloads reach (638 entries, on gnn-serve, whose GNN jobs are
+// ID-keyed; app-serve's tenant-pure batches reach 470), so none of them
 // clears.
 const MaxEstCacheEntries = 8192
 
 // estCache is a node's admission-estimate cache. Its key is one tuple
-// per job of the batch, in batch order. Global.Schedule reads only a
-// job's Est, TrueTime, Tenant and Stage (Bits rides along for safety),
-// so batches whose jobs agree position by position on those fields
-// plan identically and share an entry whatever their IDs — every
-// RequestPool job of one Table II app carries the same Est. Two cases
-// are not pure functions of job content, and add the job's ID and Name
-// to its tuple:
+// per job of the batch. Global.Schedule reads only a job's Est,
+// TrueTime, Tenant and Stage (Bits rides along for safety), so batches
+// whose jobs agree on those fields plan identically and share an entry
+// whatever their IDs — every RequestPool job of one Table II app
+// carries the same Est. Two cases are not pure functions of job
+// content, and add the job's ID and Name to its tuple:
 //   - a job with a TrueTime closure, whose ground truth the content
 //     does not capture (every GNN job); job IDs identify immutable job
 //     objects for the lifetime of a dispatcher, so callers that recycle
 //     IDs across different ground truths would alias entries — don't;
 //   - every job on a ReplicateWhenIdle view, whose EnsureReplicas
 //     changes the System between calls.
+//
+// The tuples of a tenant-pure batch (no ID-keyed job, one Tenant for
+// all jobs, the empty tenant included) are keyed in a canonical order,
+// sorted by tuple hash, so every permutation of the batch shares one
+// entry. Every other batch keeps batch order. The split follows the
+// planner. A tenant-pure batch plans in one shared array pool, and no
+// permutation of one has been seen to move its makespan (see
+// TestEstimateCacheOrderFreeTenantPure). Under partitioned or
+// weighted-fair packing, a mixed-tenant batch gets one region per
+// tenant, carved in order of first appearance (sched's newSim), so
+// reordering it can hand another tenant the lowest array IDs and move
+// the makespan. A key's tuples show which rule built it (one tenant or
+// several, ID-keyed or not), so an ordered key never matches a
+// canonical query or the reverse.
 //
 // Entries sit under a 64-bit hash of the key and keep the full key, as
 // tuple numbers: each distinct tuple is stored once, in tuples. A
@@ -325,15 +341,22 @@ type estCache struct {
 	entries map[uint64]estEntry
 	tuples  []estJob          // distinct job tuples, numbered by position
 	tupleOf map[uint64]uint32 // tuple hash -> tuple number
-	hashes  []uint64          // per-job tuple hashes of the last query
+	query   []keyJob          // the last query's jobs, in key order
 
 	hits, misses, clears int64
 }
 
 // estEntry is one cached estimate and the key it was computed for.
 type estEntry struct {
-	key []uint32 // tuple numbers, in batch order
+	key []uint32 // tuple numbers, in key order
 	v   event.Time
+}
+
+// keyJob is one job of a query: its position in the batch and its
+// tuple hash.
+type keyJob struct {
+	pos  int
+	hash uint64
 }
 
 // estJob is one job's tuple. It holds the job's Est table by pointer
@@ -349,6 +372,17 @@ type estJob struct {
 
 // idKeyed reports whether job j's tuple carries its identity.
 func idKeyed(j *sched.Job, byID bool) bool { return byID || j.TrueTime != nil }
+
+// orderFree reports whether the batch is tenant-pure: no job is
+// ID-keyed and every job shares the first job's tenant.
+func orderFree(jobs []*sched.Job, byID bool) bool {
+	for _, j := range jobs {
+		if idKeyed(j, byID) || j.Tenant != jobs[0].Tenant {
+			return false
+		}
+	}
+	return true
+}
 
 // jobHash mixes every field of job j's tuple into 64 bits.
 func jobHash(j *sched.Job, byID bool) uint64 {
@@ -385,15 +419,20 @@ func (k *estJob) matches(j *sched.Job, byID bool) bool {
 	return k.byID == by && (!by || k.id == j.ID && k.name == j.Name)
 }
 
-// batchHash hashes the batch's key, leaving the per-job tuple hashes
-// in c.hashes.
+// batchHash hashes the batch's key, leaving its jobs in c.query in key
+// order: batch order, sorted by tuple hash when the batch is
+// tenant-pure (ties keep batch order).
 func (c *estCache) batchHash(jobs []*sched.Job, byID bool) uint64 {
-	c.hashes = c.hashes[:0]
+	c.query = c.query[:0]
+	for i, j := range jobs {
+		c.query = append(c.query, keyJob{pos: i, hash: jobHash(j, byID)})
+	}
+	if orderFree(jobs, byID) {
+		slices.SortStableFunc(c.query, func(a, b keyJob) int { return cmp.Compare(a.hash, b.hash) })
+	}
 	h := uint64(len(jobs))
-	for _, j := range jobs {
-		jh := jobHash(j, byID)
-		c.hashes = append(c.hashes, jh)
-		h = sched.Mix(h, jh)
+	for _, q := range c.query {
+		h = sched.Mix(h, q.hash)
 	}
 	return h
 }
@@ -404,7 +443,7 @@ func (c *estCache) get(jobs []*sched.Job, byID bool) (event.Time, bool) {
 	e, ok := c.entries[c.batchHash(jobs, byID)]
 	ok = ok && len(e.key) == len(jobs)
 	for i := 0; ok && i < len(jobs); i++ {
-		ok = c.tuples[e.key[i]].matches(jobs[i], byID)
+		ok = c.tuples[e.key[i]].matches(jobs[c.query[i].pos], byID)
 	}
 	if !ok {
 		c.misses++
@@ -426,8 +465,8 @@ func (c *estCache) put(jobs []*sched.Job, byID bool, v event.Time) {
 		c.tupleOf = map[uint64]uint32{}
 	}
 	key := make([]uint32, len(jobs))
-	for i, j := range jobs {
-		jh := c.hashes[i]
+	for i, q := range c.query {
+		j, jh := jobs[q.pos], q.hash
 		k, ok := c.tupleOf[jh]
 		if !ok || !c.tuples[k].matches(j, byID) {
 			k = uint32(len(c.tuples))

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"mlimp/internal/event"
@@ -96,13 +99,19 @@ func poolBatch(pool *workload.RequestPool, shape int64, size int, nextID *int) [
 
 // contentSig names a batch's content as the estimate cache sees it:
 // every RequestPool job of one app shares its Est, so the app and
-// tenant sequence determines the key.
+// tenant of each job determine the key — as a multiset when the batch
+// is tenant-pure, in batch order when it mixes tenants.
 func contentSig(jobs []*sched.Job) string {
-	var sig string
-	for _, j := range jobs {
-		sig += j.Kind + "/" + j.Tenant + "|"
+	parts := make([]string, len(jobs))
+	pure := true
+	for i, j := range jobs {
+		parts[i] = j.Kind + "/" + j.Tenant
+		pure = pure && j.Tenant == jobs[0].Tenant
 	}
-	return sig
+	if pure {
+		slices.Sort(parts)
+	}
+	return strings.Join(parts, "|")
 }
 
 // TestEstimateCacheContentKeyDifferential streams random batches of
@@ -147,11 +156,136 @@ func TestEstimateCacheContentKeyDifferential(t *testing.T) {
 	}
 }
 
+// permute calls f with every permutation of jobs (Heap's algorithm),
+// reordering jobs in place; the first call sees the original order.
+func permute(jobs []*sched.Job, f func()) {
+	var gen func(k int)
+	gen = func(k int) {
+		if k <= 1 {
+			f()
+			return
+		}
+		for i := 0; i < k-1; i++ {
+			gen(k - 1)
+			if k%2 == 0 {
+				jobs[i], jobs[k-1] = jobs[k-1], jobs[i]
+			} else {
+				jobs[0], jobs[k-1] = jobs[k-1], jobs[0]
+			}
+		}
+		gen(k - 1)
+	}
+	gen(len(jobs))
+}
+
+// permutationViews builds one view per cell of the estimate cache's
+// permutation matrix: the bundled cluster fleet's four layer mixes at
+// Scale 1 and 0.25, under every packing, healthy and with half of the
+// first layer's arrays lost.
+func permutationViews() []*Node {
+	mixes := []NodeConfig{
+		{Name: "full", Targets: isa.Targets},
+		{Name: "sram-dram", Targets: []isa.Target{isa.SRAM, isa.DRAM}},
+		{Name: "dram-reram", Targets: []isa.Target{isa.DRAM, isa.ReRAM}},
+		{Name: "reram", Targets: []isa.Target{isa.ReRAM}},
+	}
+	var views []*Node
+	for _, mix := range mixes {
+		for _, scale := range []float64{1, 0.25} {
+			for _, pk := range []sched.Packing{sched.PackFirstFit, sched.PackPartitioned, sched.PackWeightedFair} {
+				for _, degraded := range []bool{false, true} {
+					cfg := mix
+					cfg.Scale, cfg.Packing = scale, pk
+					cfg.Name = fmt.Sprintf("%s@%g/%v/degraded=%v", mix.Name, scale, pk, degraded)
+					n := newView(cfg)
+					if degraded {
+						first := cfg.Targets[0]
+						n.degrade(first, n.Sys.Layers[first].Capacity()/2)
+					}
+					views = append(views, n)
+				}
+			}
+		}
+	}
+	return views
+}
+
+// TestEstimateCacheOrderFreeTenantPure is the differential test behind
+// the cache's order-free keys: on every view of the permutation matrix,
+// every permutation of random tenant-pure RequestPool batches (2 to 5
+// jobs, untenanted and one-tenant) must estimate to a fresh planning
+// pass of that very permutation, and every permutation after the first
+// must hit the entry the first one left. A hit on a permuted batch
+// allocates nothing: the key order is built in the cache's own slice.
+func TestEstimateCacheOrderFreeTenantPure(t *testing.T) {
+	pool := workload.NewRequestPool()
+	rng := rand.New(rand.NewSource(26))
+	nextID := 0
+	for _, n := range permutationViews() {
+		for round := 0; round < 2; round++ {
+			for size := 2; size <= 5; size++ {
+				jobs := poolBatch(pool, rng.Int63(), size, &nextID)
+				if (size+round)%2 == 1 {
+					for _, j := range jobs {
+						j.Tenant = "t0"
+					}
+				}
+				perm := 0
+				permute(jobs, func() {
+					hits0, _ := n.EstCacheStats()
+					got := n.EstimateCost(jobs)
+					if want := sched.NewGlobal().Schedule(n.Sys, jobs).Makespan; got != want {
+						t.Fatalf("%s %s: estimate %v != fresh plan %v", n.Name, contentSig(jobs), got, want)
+					}
+					if hits, _ := n.EstCacheStats(); perm > 0 && hits != hits0+1 {
+						t.Fatalf("%s %s: permutation %d missed", n.Name, contentSig(jobs), perm)
+					}
+					perm++
+				})
+				if a := testing.AllocsPerRun(10, func() { n.EstimateCost(jobs) }); a != 0 {
+					t.Fatalf("%s: a cache hit allocated %v times", n.Name, a)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateCacheMixedTenantKeepsOrder pins why a batch that mixes
+// tenants keeps batch order in its key: under PackPartitioned the
+// planner carves one array region per tenant in order of first
+// appearance, so permutations of this two-tenant batch (fluidanimate,
+// kmeans, bitap for t0; kmeans, streamclusterA for t1) plan to more than
+// one makespan. Its five tuples are distinct, so every permutation must
+// miss and estimate to its own fresh plan.
+func TestEstimateCacheMixedTenantKeepsOrder(t *testing.T) {
+	pool := workload.NewRequestPool()
+	nextID := 0
+	jobs := workload.AssignTenants(poolBatch(pool, 6304181816417688796, 5, &nextID), 2)
+	n := newView(NodeConfig{Name: "part", Targets: isa.Targets, Packing: sched.PackPartitioned})
+	spans := map[event.Time]bool{}
+	permute(jobs, func() {
+		_, misses0 := n.EstCacheStats()
+		got := n.EstimateCost(jobs)
+		want := sched.NewGlobal().Schedule(n.Sys, jobs).Makespan
+		if got != want {
+			t.Fatalf("%s: estimate %v != fresh plan %v", contentSig(jobs), got, want)
+		}
+		if _, misses := n.EstCacheStats(); misses != misses0+1 {
+			t.Fatalf("%s: permuted two-tenant batch hit", contentSig(jobs))
+		}
+		spans[want] = true
+	})
+	if len(spans) < 2 {
+		t.Errorf("every permutation of %s plans to one makespan under PackPartitioned: mixed-tenant keys could ignore order", contentSig(jobs))
+	}
+}
+
 // TestEstimateCacheIDKeyFallbacks covers the two cases where an
 // estimate is not a function of job content: jobs with a TrueTime
 // closure, and views that replicate when idle. Content-equal batches
-// with fresh IDs must miss there, the very same batch must hit, and
-// every estimate must still equal a fresh planning pass.
+// with fresh IDs must miss there, the very same batch must hit, the
+// same jobs in reverse order must miss (ID-keyed keys keep batch
+// order), and every estimate must still equal a fresh planning pass.
 func TestEstimateCacheIDKeyFallbacks(t *testing.T) {
 	pool := workload.NewRequestPool()
 	withTruth := func(jobs []*sched.Job) []*sched.Job {
@@ -189,6 +323,14 @@ func TestEstimateCacheIDKeyFallbacks(t *testing.T) {
 			}
 			if hits, _ := n.EstCacheStats(); hits != hits0+1 {
 				t.Fatalf("%s call %d: repeat of the same batch missed", c.name, call)
+			}
+			slices.Reverse(jobs)
+			_, misses0 = n.EstCacheStats()
+			if got, want := n.EstimateCost(jobs), sched.NewGlobal().Schedule(n.Sys, jobs).Makespan; got != want {
+				t.Fatalf("%s call %d: reversed batch estimate %v != fresh plan %v", c.name, call, got, want)
+			}
+			if _, misses := n.EstCacheStats(); misses != misses0+1 {
+				t.Fatalf("%s call %d: reversed ID-keyed batch hit", c.name, call)
 			}
 		}
 	}
@@ -260,4 +402,31 @@ func BenchmarkEstimateCost(b *testing.B) {
 			n.EstimateCost(jobs)
 		}
 	}
+}
+
+// BenchmarkEstimateCostPermuted is BenchmarkEstimateCost with each
+// recurrence of an app mix rotated into another job order: the 64
+// batches are tenant-pure, so order-free keys plan each of the 16 mixes
+// once. plans/op reports the planning passes (cache misses) per op.
+func BenchmarkEstimateCostPermuted(b *testing.B) {
+	pool := workload.NewRequestPool()
+	nextID := 0
+	stream := make([][]*sched.Job, 64)
+	for i := range stream {
+		jobs := poolBatch(pool, int64(i%16), 4, &nextID)
+		r := i / 16
+		stream[i] = append(jobs[r:], jobs[:r]...)
+	}
+	n := newView(fullNode("full"))
+	_, misses0 := n.EstCacheStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.est.reset()
+		for _, jobs := range stream {
+			n.EstimateCost(jobs)
+		}
+	}
+	_, misses := n.EstCacheStats()
+	b.ReportMetric(float64(misses-misses0)/float64(b.N), "plans/op")
 }
