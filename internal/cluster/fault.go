@@ -375,8 +375,8 @@ func (r *region) startLiveness() {
 		// loop itself keeps re-arming so liveness resumes at revival
 		// (the revival sweep resets every view's lastBeat first).
 		if !r.down {
-			for i, sn := range r.sns {
-				r.hub.SendAfter(sn.shard, DefaultHop, r.pings[i])
+			for _, sn := range r.sns {
+				r.hub.SendAfter(sn.shard, DefaultHop, r.fleet.msg.ping, parsim.Payload{})
 			}
 		}
 		if r.ticking() {
@@ -408,14 +408,7 @@ func (r *region) monitorOnce() {
 		silent := now - v.lastBeat
 		if !v.detectedDown && silent > limit {
 			v.detectedDown = true
-			sn := r.sns[i]
-			r.hub.SendAfter(sn.shard, DefaultHop, func() {
-				for _, b := range sn.node.rt.Evict() {
-					delete(sn.tokens, b.ID)
-					delete(sn.attempts, b.ID)
-					delete(sn.homes, b.ID)
-				}
-			})
+			r.hub.SendAfter(r.sns[i].shard, DefaultHop, r.fleet.msg.evict, parsim.Payload{})
 			ids := append([]int(nil), r.bookings[i]...)
 			for _, id := range ids {
 				tr := r.trk[id]
@@ -435,12 +428,7 @@ func (r *region) monitorOnce() {
 // abortOn tells a node shard, one hop later, to drop a booking the hub
 // has abandoned.
 func (r *region) abortOn(sn *shardNode, id int) {
-	r.hub.SendAfter(sn.shard, DefaultHop, func() {
-		delete(sn.tokens, id)
-		delete(sn.attempts, id)
-		delete(sn.homes, id)
-		sn.node.rt.Abort(id)
-	})
+	r.hub.SendAfter(sn.shard, DefaultHop, r.fleet.msg.abort, parsim.Payload{A: int64(id)})
 }
 
 // onDeadline fires on the hub when a booking's completion deadline

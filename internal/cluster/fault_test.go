@@ -320,11 +320,11 @@ func TestEnableFaultsErrors(t *testing.T) {
 }
 
 // TestLivenessAllocsFlatInPeriods pins that fault-mode heartbeats cost
-// no heap per period: every ping and pong is a handler built once per
-// hub–node pair. Two runs differ only in when a late batch arrives, so
-// the longer one keeps the ping and monitor loops ticking for three
-// times as many extra periods; its allocations may exceed the shorter
-// run's by less than one per extra period.
+// no heap per period: every ping and pong is a typed parsim message
+// with an empty payload. Two runs differ only in when a late batch
+// arrives, so the longer one keeps the ping and monitor loops ticking
+// for three times as many extra periods; its allocations may exceed the
+// shorter run's by less than one per extra period.
 func TestLivenessAllocsFlatInPeriods(t *testing.T) {
 	const periods = 40
 	var batches []*runtime.Batch

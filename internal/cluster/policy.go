@@ -8,7 +8,9 @@ import (
 // Policy picks the node that serves a batch. Pick is only offered
 // eligible nodes (CanRun holds and the admission queue has room) in the
 // fleet's fixed configuration order, and the slice is never empty —
-// admission handles the no-room case before the policy runs.
+// admission handles the no-room case before the policy runs. The
+// dispatcher reuses the slice for its next pick, so Pick must not keep
+// it.
 type Policy interface {
 	Name() string
 	Pick(eligible []*Node, b *runtime.Batch, now event.Time) *Node

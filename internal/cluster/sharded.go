@@ -16,11 +16,12 @@ import (
 // over a contiguous slice of the nodes, and each node owns a private
 // event engine on its own parsim shard. Every cross-shard interaction —
 // dispatch, batch start/completion, ping/pong, eviction, abort — travels
-// through the driver's mailboxes with a fixed network-hop latency. The
-// hop is the fabric's minimum cross-shard latency and therefore the PDES
-// lookahead: shards advance [T, T+hop) windows concurrently, and with a
-// fixed seed the run is byte-identical for any worker count (see
-// event/parsim). A flat fleet is simply the one-region tree.
+// through the driver's mailboxes as a typed message (messages.go) with
+// a fixed network-hop latency. The hop is the fabric's minimum
+// cross-shard latency and therefore the PDES lookahead: shards advance
+// [T, T+hop) windows concurrently, and with a fixed seed the run is
+// byte-identical for any worker count (see event/parsim). A flat fleet
+// is simply the one-region tree.
 //
 // A hub never touches live node state. It routes against *views* —
 // per-node proxies holding a mirror scheduling system, the booking
@@ -60,6 +61,12 @@ type ShardedDispatcher struct {
 	// suspicion.
 	hubCrashes []fault.HubCrash
 	suspLimit  event.Time
+
+	// msg names the fleet's message kinds on drv; roles maps each shard
+	// ID to the hub or node running on it, so handlers find their
+	// destination and sender (messages.go). Both are fixed before Run.
+	msg   messages
+	roles []role
 }
 
 // region is one dispatch hub and its nodes. Everything here is hub-shard
@@ -74,8 +81,14 @@ type region struct {
 
 	sns      []*shardNode
 	views    []*Node
-	bookings [][]int  // per-view outstanding batch IDs in booking order
-	pings    []func() // per-view liveness ping, built by join
+	bookings [][]int // per-view outstanding batch IDs in booking order
+	// viewAt[id] is 1 + the index of the view of the node on shard id, 0
+	// for shards this region has no view of: echoes and pongs name their
+	// view by their sender.
+	viewAt []int32
+	// pick and avoided are dispatch's scratch for the eligible views and
+	// the fallback, reused across calls (Pick never retains its slice).
+	pick, avoided []*Node
 	// homeN is how many of sns/views are this region's own nodes. Region
 	// takeover (tree.go) appends adopted ring-neighbour entries past
 	// homeN; summaries and Nodes() report home nodes only, so every node
@@ -139,20 +152,13 @@ type region struct {
 // hubs at once (its home hub and a ring-successor adopter after a
 // takeover, or both sides of a split-brain suspicion), and each
 // start/completion echo must route back to the hub that made the
-// booking, under that hub's own view index.
+// booking, which finds its view of this node by the echo's sender.
 type shardNode struct {
 	node     *Node
 	shard    *parsim.Shard
 	tokens   map[int]int
 	attempts map[int]int
-	homes    map[int]echoHome
-}
-
-// echoHome is one booking's return address: the dispatching region and
-// the batch's view index there.
-type echoHome struct {
-	r   *region
-	idx int
+	homes    map[int]*region
 }
 
 // DefaultHop is the modelled dispatcher<->node network latency: one
@@ -258,6 +264,7 @@ func NewShardedDispatcher(policy Policy, adm Admission, sc ShardConfig, cfgs ...
 		policy:       policy,
 		seen:         map[int]bool{},
 	}
+	d.registerMessages()
 	// Fill in default node names against the whole fleet before any
 	// region slicing, so "node7" means the same node at every topology.
 	named := make([]NodeConfig, len(cfgs))
@@ -284,6 +291,7 @@ func (d *ShardedDispatcher) newRegion(idx int, policy Policy, adm Admission, cfg
 		homeN: len(cfgs), cfgs: cfgs, estimating: policyUsesEstimates(policy),
 		trk: map[int]*tracker{}, tenants: map[string]*tenantCounts{}, lastBeacon: -1,
 	}
+	d.roles = append(d.roles, role{r: r})
 	for _, cfg := range cfgs {
 		shard := d.drv.AddShard()
 		sn := &shardNode{
@@ -291,34 +299,23 @@ func (d *ShardedDispatcher) newRegion(idx int, policy Policy, adm Admission, cfg
 			shard:    shard,
 			tokens:   map[int]int{},
 			attempts: map[int]int{},
-			homes:    map[int]echoHome{},
+			homes:    map[int]*region{},
 		}
+		d.roles = append(d.roles, role{sn: sn})
 		r.join(sn, newView(cfg))
-		wireNode(sn)
+		d.wireNode(sn)
 	}
 	return r
 }
 
 // join adds a node shard and the hub's view of it at the next view
-// index, and builds the pair's liveness handlers once: the ping runs on
-// the node shard and answers with the pong, which stamps the view at
-// that index on the hub. Both read the hub's and the node's state when
-// they run, so every heartbeat sends the same two func values instead
-// of allocating new ones.
+// index.
 func (r *region) join(sn *shardNode, v *Node) {
-	i := len(r.views)
-	pong := func() {
-		if r.down {
-			return
-		}
-		r.views[i].lastBeat = r.hub.Engine().Now()
+	id := sn.shard.ID()
+	if id >= len(r.viewAt) {
+		r.viewAt = append(r.viewAt, make([]int32, id+1-len(r.viewAt))...)
 	}
-	r.pings = append(r.pings, func() {
-		if sn.node.down {
-			return
-		}
-		sn.shard.SendAfter(r.hub, DefaultHop, pong)
-	})
+	r.viewAt[id] = int32(len(r.views) + 1)
 	r.sns = append(r.sns, sn)
 	r.views = append(r.views, v)
 	r.bookings = append(r.bookings, nil)
@@ -330,23 +327,22 @@ func (r *region) join(sn *shardNode, v *Node) {
 // that dispatched the batch, recorded per batch in sn.homes — which is
 // always this node's own region until a takeover books foreign work
 // here.
-func wireNode(sn *shardNode) {
+func (d *ShardedDispatcher) wireNode(sn *shardNode) {
 	rt := sn.node.rt
 	rt.OnStart = func(b *runtime.Batch, at event.Time) {
-		h, ok := sn.homes[b.ID]
-		if !ok || !h.r.estimating {
+		home, ok := sn.homes[b.ID]
+		if !ok || !home.estimating {
 			return
 		}
 		token, ok := sn.tokens[b.ID]
 		if !ok {
 			return
 		}
-		id := b.ID
-		hub, hidx := h.r, h.idx
 		// EarliestTo, not a fixed hop: on a multi-region tree the
 		// node->hub echo edge is beacon-gridded, and this is now + hop on
 		// the one-region tree either way.
-		sn.shard.Send(hub.hub, sn.shard.EarliestTo(hub.hub), func() { hub.onStarted(hidx, id, token, at) })
+		sn.shard.Send(home.hub, sn.shard.EarliestTo(home.hub), d.msg.started,
+			parsim.Payload{Ref: b, A: int64(token), B: int64(at)})
 	}
 	rt.OnComplete = func(res runtime.BatchResult, err error) {
 		sn.node.busy += res.Completed - res.Start
@@ -354,16 +350,20 @@ func wireNode(sn *shardNode) {
 		if !ok {
 			return // booking superseded while the execution ran
 		}
-		h := sn.homes[res.ID]
+		home := sn.homes[res.ID]
 		delete(sn.tokens, res.ID)
 		delete(sn.attempts, res.ID)
 		delete(sn.homes, res.ID)
-		failed := err != nil
-		hub, hidx := h.r, h.idx
+		var failed int64
+		if err != nil {
+			failed = 1
+		}
 		// The echo carries the full execution record: the hub's OnDone
 		// observers (the serving front end) read per-job spans from it.
-		// The node shard never touches res again, so the hub may.
-		sn.shard.Send(hub.hub, sn.shard.EarliestTo(hub.hub), func() { hub.onCompleted(hidx, res, failed, token) })
+		// The node shard never touches the copy again, so the hub may.
+		rec := res
+		sn.shard.Send(home.hub, sn.shard.EarliestTo(home.hub), d.msg.completed,
+			parsim.Payload{Ref: &rec, A: int64(token), B: failed})
 	}
 }
 
@@ -453,7 +453,7 @@ func (d *ShardedDispatcher) Inject(b *runtime.Batch) error {
 		if li := d.lowestLiveAt(r0.hub.Engine().Now()); li != 0 {
 			dst := d.regions[li]
 			r0.rehomed++
-			r0.hub.SendReliable(dst.hub, r0.hub.EarliestTo(dst.hub), func() { dst.receiveInject(b) })
+			r0.hub.SendReliable(dst.hub, r0.hub.EarliestTo(dst.hub), d.msg.inject, parsim.Payload{Ref: b})
 			return nil
 		}
 		// Every hub frozen: fall through — region 0 parks the dispatch.
@@ -639,7 +639,7 @@ func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 	if tr == nil || tr.done {
 		return
 	}
-	var eligible, fallback []*Node
+	eligible, fallback := r.pick[:0], r.avoided[:0]
 	for _, v := range r.views {
 		if !r.eligible(v, b) {
 			continue
@@ -650,6 +650,7 @@ func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 		}
 		eligible = append(eligible, v)
 	}
+	r.pick, r.avoided = eligible, fallback
 	if len(eligible) == 0 {
 		eligible = fallback
 	}
@@ -685,17 +686,8 @@ func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 	}
 	v.queued++
 	r.bookings[idx] = append(r.bookings[idx], b.ID)
-	attemptIdx := tr.attempts - 1
-	sn := r.sns[idx]
-	home := echoHome{r: r, idx: idx}
-	r.hub.SendAfter(sn.shard, DefaultHop, func() {
-		sn.tokens[b.ID] = token
-		sn.attempts[b.ID] = attemptIdx
-		sn.homes[b.ID] = home
-		if err := sn.node.rt.Enqueue(b); err != nil {
-			panic("cluster: " + err.Error()) // batches are validated at Submit
-		}
-	})
+	r.hub.SendAfter(r.sns[idx].shard, DefaultHop, r.fleet.msg.dispatch,
+		parsim.Payload{Ref: b, A: int64(token), B: int64(tr.attempts - 1)})
 }
 
 // viewIndex locates a view's node index. The fleet is small (policy

@@ -37,9 +37,9 @@ import (
 // shards execute dense local work — the Algorithm-2 scheduling passes —
 // in the same window instead of serialising into hop-wide slices.
 // Determinism is inherited, not re-proven: every cross-region
-// interaction is a mailbox message merged in canonical (at, src, seq)
-// order at a barrier whose placement depends only on simulated time,
-// so summaries stay byte-identical at any worker count.
+// interaction is a mailbox message merged in canonical (at, src, send
+// order) order at a barrier whose placement depends only on simulated
+// time, so summaries stay byte-identical at any worker count.
 //
 // With faults enabled the tree trades window width back for
 // promptness: every edge is re-declared as a plain hop so completion
@@ -185,7 +185,8 @@ func (r *region) tryForward(tr *tracker) bool {
 	// Reliable: the batch has exactly one owner fleet-wide, so the
 	// transfer itself must survive lossy edges (think retransmitting
 	// transport); it still pays any injected delay.
-	r.hub.SendReliable(dst.hub, r.hub.EarliestTo(dst.hub), func() { dst.receiveForward(b, fwds) })
+	r.hub.SendReliable(dst.hub, r.hub.EarliestTo(dst.hub), r.fleet.msg.forward,
+		parsim.Payload{Ref: b, A: int64(fwds)})
 	return true
 }
 
@@ -318,25 +319,23 @@ func (d *ShardedDispatcher) relayDone(r *region, di DoneInfo) {
 	if len(d.hubCrashes) > 0 {
 		home = d.lowestLiveAt(r.hub.Engine().Now())
 	}
+	msg := parsim.Payload{Ref: &di}
 	if home == 0 || d.regions[home] == r {
 		if home != 0 {
 			r.rehomed++
 		}
-		r.hub.SendReliable(r0.hub, r.hub.EarliestTo(r0.hub), func() { d.onDone(di) })
+		r.hub.SendReliable(r0.hub, r.hub.EarliestTo(r0.hub), d.msg.done, msg)
 		return
 	}
-	relay := d.regions[home]
-	r.hub.SendReliable(relay.hub, r.hub.EarliestTo(relay.hub), func() {
-		relay.rehomed++
-		relay.hub.SendReliable(r0.hub, relay.hub.EarliestTo(r0.hub), func() { d.onDone(di) })
-	})
+	relay := d.regions[home].hub
+	r.hub.SendReliable(relay, r.hub.EarliestTo(relay), d.msg.relay, msg)
 }
 
 // armBeacon starts one region's summarised-load broadcast: every
 // SummaryEvery (while the region still has work or expects more), the
 // hub snapshots its total outstanding bookings and sends the value —
-// captured by value, the receiving shard never reads sender state —
-// to each ring neighbour.
+// carried in the message payload, the receiving shard never reads
+// sender state — to each ring neighbour (onBeacon).
 func (d *ShardedDispatcher) armBeacon(r *region) {
 	idx := r.idx
 	var tick func()
@@ -356,23 +355,13 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 		}
 		// An unchanged load is already what the peers believe (the first
 		// tick always sends: lastBeacon starts at -1 and load is >= 0),
-		// so re-sending it would only allocate closures to no effect.
+		// so re-sending it would only add traffic to no effect.
 		// In fabric-fault mode every tick sends: the beacon doubles as
 		// the hub-level heartbeat, and skip-unchanged would read as death.
 		if d.suspLimit > 0 || load != r.lastBeacon {
 			r.lastBeacon = load
 			for _, p := range r.peers {
-				p := p
-				r.hub.Send(p.hub, r.hub.EarliestTo(p.hub), func() {
-					if p.down {
-						return // lost on a frozen hub
-					}
-					p.beliefs[idx] = load
-					if d.suspLimit > 0 {
-						p.peerLast[idx] = p.hub.Engine().Now()
-						p.suspect[idx] = false
-					}
-				})
+				r.hub.Send(p.hub, r.hub.EarliestTo(p.hub), d.msg.beacon, parsim.Payload{A: int64(load)})
 			}
 		}
 		if d.suspLimit > 0 {

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"mlimp/internal/event"
@@ -280,12 +282,12 @@ func TestTreeReviveSweepChargesRedispatch(t *testing.T) {
 	}
 }
 
-// TestTakeoverPongsStampAdopterView pins the per-pair pong handlers
-// across a takeover: once region 0 adopts frozen region 1's nodes, the
-// pongs answering region 0's pings advance lastBeat on region 0's view
-// at each adopted node's index, while region 1's views of the same
-// nodes stay as the freeze left them. Each hub snapshots its own views
-// at two instants inside the freeze, after the adoption.
+// TestTakeoverPongsStampAdopterView pins pong routing across a
+// takeover: once region 0 adopts frozen region 1's nodes, the pongs
+// answering region 0's pings advance lastBeat on region 0's view of
+// each adopted node, found by the pong's sender, while region 1's views
+// of the same nodes stay as the freeze left them. Each hub snapshots its
+// own views at two instants inside the freeze, after the adoption.
 func TestTakeoverPongsStampAdopterView(t *testing.T) {
 	d := NewShardedDispatcher(NewRoundRobin(), Admission{MaxRetries: 6},
 		ShardConfig{Workers: 1, Hubs: 2, SummaryEvery: 500 * event.Microsecond},
@@ -330,5 +332,52 @@ func TestTakeoverPongsStampAdopterView(t *testing.T) {
 			t.Errorf("node %d: frozen region's lastBeat moved %v -> %v during the freeze at %v",
 				j, h1, h2, crash.At)
 		}
+	}
+}
+
+// TestBeaconAllocsFlatInPeriods extends TestLivenessAllocsFlatInPeriods
+// to the hub beacons of fabric-fault mode, where every beacon tick sends
+// the hub's load to its ring neighbours as a typed message: allocations
+// must be equal over N and 4N beacon periods. A delay-only edge fault
+// switches a two-region tree into fabric-fault mode without losing
+// messages, and the runs differ only in when a late batch arrives.
+func TestBeaconAllocsFlatInPeriods(t *testing.T) {
+	const (
+		periods = 20
+		every   = 500 * event.Microsecond
+	)
+	plan := &fault.Plan{EdgeFaults: []fault.EdgeFault{
+		{From: "hub0", To: "hub1", Until: every, Delay: event.Microsecond},
+	}}
+	run := func(late event.Time) func() {
+		return func() {
+			d := NewShardedDispatcher(NewLeastOutstanding(), Admission{},
+				ShardConfig{Workers: 1, Hubs: 2, SummaryEvery: every},
+				fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
+			if err := d.EnableFaults(FaultConfig{Plan: plan}); err != nil {
+				panic(err)
+			}
+			for i := 0; i < 8; i++ {
+				if err := d.Submit(mkBatch(i, event.Time(i)*200*event.Microsecond, 4)); err != nil {
+					panic(err)
+				}
+			}
+			if err := d.Submit(mkBatch(8, late, 1)); err != nil {
+				panic(err)
+			}
+			if s := d.Run(); s.Completed != 9 {
+				panic(fmt.Sprintf("completed %d of 9 batches", s.Completed))
+			}
+		}
+	}
+	short := testing.AllocsPerRun(3, run(periods*every))
+	long := testing.AllocsPerRun(3, run(4*periods*every))
+	// Equal in a plain build. Under -race the detector adds a few
+	// allocations of its own per run, whatever the run length (means of
+	// 722-728 against a plain 694), so allow that much; per-tick beacon
+	// allocations would add two per extra period, 120 in all.
+	if math.Abs(long-short) > 4 {
+		t.Errorf("%v allocations over %d beacon periods, %v over %d: want equal",
+			long, 4*periods, short, periods)
 	}
 }

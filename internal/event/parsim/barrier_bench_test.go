@@ -22,6 +22,11 @@ const (
 // cross-shard messages while most shards stay runnable.
 func buildBarrierFleet(workers int) *Driver {
 	d := NewDriver(hop, workers)
+	answer := d.Handle(func(*Shard, int, Payload) {})
+	report := d.Handle(func(hub *Shard, _ int, p Payload) {
+		n := p.Ref.(*Shard)
+		hub.Send(n, hub.EarliestTo(n), answer, Payload{})
+	})
 	hubs := make([]*Shard, benchHubs)
 	for i := range hubs {
 		hubs[i] = d.AddShard()
@@ -49,9 +54,7 @@ func buildBarrierFleet(workers int) *Driver {
 		tick = func(round int) func() {
 			return func() {
 				if (k+round)%(benchNodes/4) == 0 {
-					n.Send(hub, n.EarliestTo(hub), func() {
-						hub.Send(n, hub.EarliestTo(n), func() {})
-					})
+					n.Send(hub, n.EarliestTo(hub), report, Payload{Ref: n})
 				}
 				if round < benchRounds {
 					n.Engine().After(hop, tick(round+1))

@@ -201,6 +201,12 @@ func buildRandom(seed int64, horizons, twins bool, workers int) *randFleet {
 	rngs := make([]*rand.Rand, n)
 	sent := make([]int, n)
 	var step func(s int, label string) func()
+	// A message runs step on its destination, labelled by its source
+	// and the source's send count.
+	stepMsg := d.Handle(func(dst *Shard, src int, p Payload) {
+		step(dst.id, fmt.Sprintf("%d.%d", src, p.A))()
+	})
+	setupMsg := d.Handle(func(dst *Shard, _ int, _ Payload) { step(dst.id, "setup")() })
 	step = func(s int, label string) func() {
 		return func() {
 			sh := f.shard[s]
@@ -218,11 +224,11 @@ func buildRandom(seed int64, horizons, twins bool, workers int) *randFleet {
 				dst := f.shard[out[s][r.Intn(len(out[s]))]]
 				at := sh.EarliestTo(dst) + event.Time(r.Intn(3))*hop
 				sent[s]++
-				fn := step(dst.id, fmt.Sprintf("%d.%d", s, sent[s]))
+				p := Payload{A: int64(sent[s])}
 				if r.Intn(4) == 0 {
-					sh.SendReliable(dst, at, fn)
+					sh.SendReliable(dst, at, stepMsg, p)
 				} else {
-					sh.Send(dst, at, fn)
+					sh.Send(dst, at, stepMsg, p)
 				}
 			}
 		}
@@ -237,7 +243,7 @@ func buildRandom(seed int64, horizons, twins bool, workers int) *randFleet {
 	// One setup-time send, delivered by the first barrier.
 	if u := rng.Intn(n); len(out[u]) > 0 {
 		dst := f.shard[out[u][0]]
-		f.shard[u].Send(dst, f.shard[u].EarliestTo(dst), step(dst.id, "setup"))
+		f.shard[u].Send(dst, f.shard[u].EarliestTo(dst), setupMsg, Payload{})
 	}
 	return f
 }

@@ -15,14 +15,13 @@ func buildLossy(workers, n int, f EdgeFault, reliable bool) (*Driver, *[]event.T
 	a, b := d.AddShard(), d.AddShard()
 	d.AddEdgeFault(a, b, f)
 	got := &[]event.Time{}
+	arrive := d.Handle(func(dst *Shard, _ int, _ Payload) { *got = append(*got, dst.Engine().Now()) })
 	for i := 0; i < n; i++ {
-		i := i
 		a.Engine().At(event.Time(i)*hop, func() {
-			fn := func() { *got = append(*got, b.Engine().Now()) }
 			if reliable {
-				a.SendReliable(b, a.Engine().Now()+hop, fn)
+				a.SendReliable(b, a.Engine().Now()+hop, arrive, Payload{})
 			} else {
-				a.SendAfter(b, hop, fn)
+				a.SendAfter(b, hop, arrive, Payload{})
 			}
 		})
 	}
@@ -119,15 +118,20 @@ func TestEdgeFaultDelayHorizonSafe(t *testing.T) {
 		d.SetEdge(b, a, EdgeLatency{Fixed: hop})
 		d.AddEdgeFault(a, b, EdgeFault{Delay: 7 * hop})
 		got := &[]event.Time{}
+		// A ping carries its round to b; b echoes it back to a, which
+		// starts the next round.
 		var ping func(round int)
+		var there, back Handler
+		there = d.Handle(func(b *Shard, _ int, p Payload) {
+			*got = append(*got, b.Engine().Now())
+			b.SendAfter(a, hop, back, p)
+		})
+		back = d.Handle(func(_ *Shard, _ int, p Payload) { ping(int(p.A) + 1) })
 		ping = func(round int) {
 			if round >= 20 {
 				return
 			}
-			a.SendAfter(b, hop, func() {
-				*got = append(*got, b.Engine().Now())
-				b.SendAfter(a, hop, func() { ping(round + 1) })
-			})
+			a.SendAfter(b, hop, there, Payload{A: int64(round)})
 		}
 		a.Engine().At(0, func() { ping(0) })
 		return d, got
@@ -165,10 +169,9 @@ func TestEdgeFaultWindowsStack(t *testing.T) {
 	d.AddEdgeFault(a, b, EdgeFault{Delay: hop})
 	d.AddEdgeFault(a, b, EdgeFault{At: 10 * hop, DropProb: 1, Seed: 3})
 	var got []event.Time
+	arrive := d.Handle(func(dst *Shard, _ int, _ Payload) { got = append(got, dst.Engine().Now()) })
 	for i := 0; i < 20; i++ {
-		a.Engine().At(event.Time(i)*hop, func() {
-			a.SendAfter(b, hop, func() { got = append(got, b.Engine().Now()) })
-		})
+		a.Engine().At(event.Time(i)*hop, func() { a.SendAfter(b, hop, arrive, Payload{}) })
 	}
 	d.Run()
 	if len(got) != 10 {

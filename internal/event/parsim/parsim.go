@@ -12,19 +12,37 @@
 // beyond the window — so the shards may run concurrently without any
 // locking of simulation state.
 //
-// Cross-shard events travel through per-(src,dst) SPSC mailboxes: only
-// the source shard's executing goroutine appends, and only the driver
-// drains, at the window barrier, on one goroutine. Determinism is a
-// contract, not an accident: at every barrier the driver merges each
-// destination's incoming messages in (at, src shard, per-pair sequence)
-// order before inserting them into the destination engine, which gives
-// every message a canonical position in the destination's (at, seq)
-// total order. The merged order depends only on simulated time and
-// shard topology — never on OS scheduling — so a run with 1 worker and
-// a run with N workers execute byte-identical event sequences. The
-// per-pair sequence numbers realise the "global seq ranges per shard
-// per window" tie-break: within one delivery timestamp, messages order
-// by source shard ID, then by the order the source sent them.
+// Cross-shard events are data, not closures: a message is (delivery
+// time, source shard, handler ID, payload). Handlers are registered once
+// per message kind on the Driver (Handle) and run on the destination
+// shard with (destination, source shard ID, payload). A Payload is one
+// reference — a pointer the message points at, such as a batch — and
+// two integer words, so a warm send copies a 48-byte record and
+// allocates nothing, and a message can be logged or compared like any
+// other value. Messages travel through per-(src,dst) SPSC mailboxes:
+// only the source shard's executing goroutine appends, and only the
+// driver drains, at the window barrier, on one goroutine. Determinism
+// is a contract, not an accident: at every barrier the driver merges
+// each destination's incoming messages in (at, src shard, send order)
+// order before handing them to the destination, which gives every
+// message a canonical position in the destination's (at, seq) total
+// order. The merged order depends only on simulated time and shard
+// topology — never on OS scheduling — so a run with 1 worker and a run
+// with N workers execute byte-identical event sequences. Send order
+// realises the "global seq ranges per shard per window" tie-break:
+// within one delivery timestamp, messages order by source shard ID,
+// then by the order the source sent them.
+//
+// Delivery keeps the engine's plain func events. Each merged message is
+// copied into an envelope — a delivery slot the destination shard owns
+// and reuses — and the envelope's prebuilt run func is scheduled on the
+// engine at the message's time, in merge order. Each message is thus one
+// engine event inserted at its merge position, so the engine's (at,
+// insertion seq) order runs mail in canonical order, also when a later
+// barrier delivers an earlier timestamp than mail already waiting. When
+// it runs, the envelope returns to its shard's free list and calls the
+// handler.
+//
 // Uniform lookahead is the right model when every shard pair is one
 // network hop apart — the flat hub fabric. Hierarchical fabrics have
 // structured latencies: dispatch edges are prompt (one hop), while
@@ -64,17 +82,33 @@ import (
 	"mlimp/internal/event"
 )
 
-// message is one cross-shard event in flight.
-type message struct {
-	at  event.Time
-	src int    // sending shard ID
-	seq uint64 // per-(src,dst) send counter
-	fn  func()
+// Handler names one message kind registered on a Driver (see Handle).
+// The zero Handler names none.
+type Handler int32
+
+// Payload is a message's argument record. Ref carries at most one
+// reference and should hold a pointer or nil: boxing a pointer in an
+// interface is free, while most other values allocate. A and B are
+// plain integer words — indices, counts, tokens, times.
+type Payload struct {
+	Ref  any
+	A, B int64
 }
 
-// cmpMessage is the canonical barrier order: delivery time, then source
-// shard, then per-pair send sequence. It is total — no two messages
-// share (src, seq) — so any merge of the same messages sorts alike.
+// message is one cross-shard event in flight. An outbox holds one
+// pair's messages in send order.
+type message struct {
+	at  event.Time
+	src int32 // sending shard ID
+	h   Handler
+	p   Payload
+}
+
+// cmpMessage orders messages by delivery time, then source shard. The
+// barrier merge sorts with it stably over outboxes kept in send order,
+// so messages of one pair at one instant keep their send order: the
+// canonical (at, src, send order) order, whatever the merge's input
+// order across sources.
 func cmpMessage(a, b message) int {
 	if a.at != b.at {
 		if a.at < b.at {
@@ -82,16 +116,7 @@ func cmpMessage(a, b message) int {
 		}
 		return 1
 	}
-	if a.src != b.src {
-		return a.src - b.src
-	}
-	switch {
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
-	}
-	return 0
+	return int(a.src - b.src)
 }
 
 // inf is the horizon of a shard nothing can influence.
@@ -174,9 +199,9 @@ func edgeCoin(seed int64, src, dst int, seq uint64) float64 {
 // declared for the pair. A shard's links are indexed by destination.
 type link struct {
 	out    []message
-	seq    uint64
-	class  int32 // 1 + index into Driver.classes; 0 = no declared edge
-	faults int32 // 1 + index into Driver.faults; 0 = no fault windows
+	seq    uint64 // send attempts on the pair; feeds the drop coin
+	class  int32  // 1 + index into Driver.classes; 0 = no declared edge
+	faults int32  // 1 + index into Driver.faults; 0 = no fault windows
 }
 
 // Shard is one partition of the simulation: a private engine plus the
@@ -193,6 +218,11 @@ type Shard struct {
 	inbox []int32    // sources with mail for this shard (driver-owned, barrier scratch)
 	runs  int        // windows this shard has executed in (owned like eng)
 
+	// free holds the shard's idle envelopes: the driver takes one per
+	// delivered message at the barrier, and each returns itself when its
+	// message has run.
+	free []*envelope
+
 	// Edge-fault tallies, owned by whichever goroutine executes this
 	// shard's window (like eng); summed into Stats at the end of Run.
 	dropped int
@@ -207,14 +237,15 @@ func (s *Shard) ID() int { return s.id }
 // Run, only events executing on this shard may touch it.
 func (s *Shard) Engine() *event.Engine { return s.eng }
 
-// Send schedules fn on dst's engine at absolute time at. It must be
+// Send delivers message h with payload p to dst at absolute time at:
+// h's handler then runs on dst's engine at that instant. It must be
 // called from an event executing on s (or before Run), and at must
 // respect the conservative lookahead contract: at >= s.Engine().Now() +
 // lookahead. Violating the contract would let a window's output land
 // inside the same window on another shard — the causality error
 // conservative PDES exists to prevent — so it panics.
-func (s *Shard) Send(dst *Shard, at event.Time, fn func()) {
-	s.send(dst, at, fn, false)
+func (s *Shard) Send(dst *Shard, at event.Time, h Handler, p Payload) {
+	s.send(dst, at, h, p, false)
 }
 
 // SendReliable is Send over a retransmitting transport: edge faults on
@@ -222,13 +253,16 @@ func (s *Shard) Send(dst *Shard, at event.Time, fn func()) {
 // messages whose loss would break a conservation law the simulation is
 // supposed to prove — ownership transfers, completion relays — and
 // plain Send for everything a timeout or the next beacon re-covers.
-func (s *Shard) SendReliable(dst *Shard, at event.Time, fn func()) {
-	s.send(dst, at, fn, true)
+func (s *Shard) SendReliable(dst *Shard, at event.Time, h Handler, p Payload) {
+	s.send(dst, at, h, p, true)
 }
 
-func (s *Shard) send(dst *Shard, at event.Time, fn func(), reliable bool) {
+func (s *Shard) send(dst *Shard, at event.Time, h Handler, p Payload, reliable bool) {
 	if s.drv != dst.drv {
 		panic("parsim: send across drivers")
+	}
+	if h <= 0 || int(h) > len(s.drv.handlers) {
+		panic(fmt.Sprintf("parsim: send of unregistered handler %d", h))
 	}
 	if min := s.EarliestTo(dst); at < min {
 		panic(fmt.Sprintf("parsim: send %d->%d at %d violates edge bound %d from now %d",
@@ -236,8 +270,7 @@ func (s *Shard) send(dst *Shard, at event.Time, fn func(), reliable bool) {
 	}
 	l := s.link(dst.id)
 	// The sequence advances per attempt, dropped or not: it feeds the
-	// drop coin, so consecutive attempts must draw independently, and
-	// gaps in delivered sequences are harmless to the barrier merge.
+	// drop coin, so consecutive attempts must draw independently.
 	l.seq++
 	if l.faults != 0 {
 		now := s.eng.Now()
@@ -259,7 +292,12 @@ func (s *Shard) send(dst *Shard, at event.Time, fn func(), reliable bool) {
 	if len(l.out) == 0 {
 		s.dirty = append(s.dirty, int32(dst.id))
 	}
-	l.out = append(l.out, message{at: at, src: s.id, seq: l.seq, fn: fn})
+	// Fill the new slot field by field: building the message elsewhere
+	// and copying it in costs a store-forwarding stall per send.
+	n := len(l.out)
+	l.out = slices.Grow(l.out, 1)[:n+1]
+	m := &l.out[n]
+	m.at, m.src, m.h, m.p = at, int32(s.id), h, p
 }
 
 // link returns the pair record for destination dst, widening the row to
@@ -278,10 +316,11 @@ func (s *Shard) growRow(n int) {
 	s.links = append(s.links, make([]link, n-len(s.links))...)
 }
 
-// SendAfter schedules fn on dst d after the sending shard's current
-// time. d must be at least the driver's lookahead.
-func (s *Shard) SendAfter(dst *Shard, d event.Time, fn func()) {
-	s.Send(dst, s.eng.Now()+d, fn)
+// SendAfter sends message h with payload p to dst, delivered d after
+// the sending shard's current time. d must be at least the driver's
+// lookahead.
+func (s *Shard) SendAfter(dst *Shard, d event.Time, h Handler, p Payload) {
+	s.Send(dst, s.eng.Now()+d, h, p)
 }
 
 // EarliestTo returns the earliest timestamp a message from s may carry
@@ -308,6 +347,10 @@ type Driver struct {
 	shards    []*Shard
 	ran       bool
 	stats     Stats
+
+	// handlers[h-1] runs message kind h (see Handle). Registration ends
+	// at Run; during Run every goroutine only reads it.
+	handlers []func(dst *Shard, src int, p Payload)
 
 	// Declared-edge state. classes holds each distinct declared latency
 	// once; links name their class by index. faults holds the stacked
@@ -357,10 +400,8 @@ type Driver struct {
 	wakes  int
 
 	// Barrier scratch, touched only by the driver goroutine: the
-	// destinations with mail this barrier, and the merge buffer each
-	// destination's incoming messages are gathered and sorted in.
-	touched  []int32
-	mergeBuf []message
+	// destinations with mail this barrier.
+	touched []int32
 }
 
 // group is one latency class's destination list, shared by every
@@ -465,6 +506,22 @@ func (d *Driver) AddShard() *Shard {
 	// per AddShard is quadratic in shard count and lands on the hot
 	// path of callers that build a fabric per run.
 	return s
+}
+
+// Handle registers one message kind and returns the Handler that names
+// it in sends. fn runs on the destination shard at the message's
+// delivery time, with the destination, the source shard's ID and the
+// message's payload; like any event on that shard, it may touch only
+// that shard's state. Register each kind once, before Run.
+func (d *Driver) Handle(fn func(dst *Shard, src int, p Payload)) Handler {
+	if d.ran {
+		panic("parsim: Handle after Run")
+	}
+	if fn == nil {
+		panic("parsim: nil handler")
+	}
+	d.handlers = append(d.handlers, fn)
+	return Handler(len(d.handlers))
 }
 
 // SetEdge declares a directed communication edge with its latency class
@@ -925,19 +982,22 @@ func (d *Driver) stopPool() {
 
 // deliver is the barrier's mailbox merge: every destination's incoming
 // messages, gathered across all sources, are merged in canonical (at,
-// src, seq) order and inserted into the destination engine, and the
-// destination's next-event time is lowered to the earliest of them.
-// Insertion order fixes the engine-level tie-break, so equal-timestamp
-// deliveries execute in source-shard order on every run regardless of
-// worker count.
+// src, send order) order and accepted by the destination in that order,
+// and the destination's next-event time is lowered to the earliest of
+// them. Acceptance order fixes the engine-level tie-break, so
+// equal-timestamp deliveries execute in source-shard order on every run
+// regardless of worker count.
 //
 // Only pairs that carried mail are visited: each source's dirty list
 // names the destinations its outboxes filled since the last barrier,
 // and only srcs can have sent — every shard before the first window,
 // then the shards that ran in the last one. Regrouping their lists by
 // destination costs one step per source plus one per dirty pair.
-// Destinations are merged in first-touched order; engines are private
-// and the sort key is total, so that order changes nothing.
+// Destinations are merged in first-touched order, and that order changes
+// nothing: engines are private, and each destination's batch is gathered
+// from outboxes kept in send order and stable-sorted by (at, src).
+// Messages equal under that key share a source, so they keep their send
+// order whichever order the sources were gathered in.
 func (d *Driver) deliver(srcs []*Shard) {
 	for _, src := range srcs {
 		for _, dst := range src.dirty {
@@ -951,22 +1011,61 @@ func (d *Driver) deliver(srcs []*Shard) {
 	}
 	for _, id := range d.touched {
 		dst := d.shards[id]
-		batch := d.mergeBuf[:0]
-		for _, src := range dst.inbox {
+		// Gather into the first sender's outbox, which keeps the grown
+		// capacity: a destination with one sender is sorted where its mail
+		// already lies.
+		first := &d.shards[dst.inbox[0]].links[id]
+		batch := first.out
+		for _, src := range dst.inbox[1:] {
 			l := &d.shards[src].links[id]
 			batch = append(batch, l.out...)
-			clear(l.out) // drop the closure refs; keep the capacity
+			clear(l.out) // drop the payload refs; keep the capacity
 			l.out = l.out[:0]
 		}
+		first.out = batch[:0]
 		dst.inbox = dst.inbox[:0]
-		slices.SortFunc(batch, cmpMessage)
+		slices.SortStableFunc(batch, cmpMessage)
 		dst.eng.Reserve(len(batch))
 		for i := range batch {
-			dst.eng.At(batch[i].at, batch[i].fn)
+			dst.accept(&batch[i])
 		}
 		d.next[id] = min(d.next[id], batch[0].at)
-		clear(batch) // drop the closure refs; keep the capacity
-		d.mergeBuf = batch[:0]
+		clear(batch) // drop the payload refs; keep the capacity
 	}
 	d.touched = d.touched[:0]
+}
+
+// accept queues one merged message on its destination s: the message
+// is copied into an idle envelope of s, and the envelope's run func is
+// scheduled on s's engine at the message's time.
+func (s *Shard) accept(m *message) {
+	var e *envelope
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = &envelope{s: s}
+		e.run = e.open
+	}
+	e.src, e.h, e.p = m.src, m.h, m.p
+	s.eng.At(m.at, e.run)
+}
+
+// envelope is one delivery slot of a shard: a message waiting on the
+// shard's engine. The shard keeps its envelopes for reuse, so a warm
+// delivery allocates nothing.
+type envelope struct {
+	s   *Shard
+	src int32
+	h   Handler
+	p   Payload
+	run func() // open, built once per envelope
+}
+
+// open runs the message's handler, after returning the envelope to its
+// shard's free list.
+func (e *envelope) open() {
+	s, src, h, p := e.s, e.src, e.h, e.p
+	e.p.Ref = nil // do not pin the payload reference
+	s.free = append(s.free, e)
+	s.drv.handlers[h-1](s, int(src), p)
 }

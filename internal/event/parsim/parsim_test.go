@@ -33,26 +33,26 @@ func buildPingPong(nShards, depth, workers int) (*Driver, *trace) {
 		shards[i] = d.AddShard()
 	}
 	hub := shards[0]
-	var pong func(spoke int, round int) func()
-	pong = func(spoke, round int) func() {
-		return func() {
-			tr.log(0, hub.Engine().Now(), fmt.Sprintf("pong-%d-%d", spoke, round))
-			if round < depth {
-				sp := shards[spoke]
-				hub.SendAfter(sp, hop, func() {
-					tr.log(spoke, sp.Engine().Now(), fmt.Sprintf("ping-%d", round+1))
-					sp.SendAfter(hub, hop, pong(spoke, round+1))
-				})
-			}
+	// A pong carries the round it answers; a ping, the round it starts.
+	var ping, pong Handler
+	pong = d.Handle(func(hub *Shard, spoke int, p Payload) {
+		round := int(p.A)
+		tr.log(0, hub.Engine().Now(), fmt.Sprintf("pong-%d-%d", spoke, round))
+		if round < depth {
+			hub.SendAfter(shards[spoke], hop, ping, Payload{A: int64(round + 1)})
 		}
-	}
+	})
+	ping = d.Handle(func(sp *Shard, _ int, p Payload) {
+		tr.log(sp.ID(), sp.Engine().Now(), fmt.Sprintf("ping-%d", p.A))
+		sp.SendAfter(hub, hop, pong, p)
+	})
 	for i := 1; i < nShards; i++ {
 		i := i
 		sp := shards[i]
 		// Stagger local start times so windows overlap several shards.
 		sp.Engine().At(event.Time(i)*event.Microsecond, func() {
 			tr.log(i, sp.Engine().Now(), "start")
-			sp.SendAfter(hub, hop, pong(i, 0))
+			sp.SendAfter(hub, hop, pong, Payload{})
 		})
 	}
 	return d, tr
@@ -91,14 +91,12 @@ func TestDeliveryOrderAtTies(t *testing.T) {
 		d := NewDriver(hop, workers)
 		hub := d.AddShard()
 		var order []int
+		arrive := d.Handle(func(_ *Shard, src int, _ Payload) { order = append(order, src) })
 		const n = 6
 		for i := 1; i <= n; i++ {
-			i := i
 			sp := d.AddShard()
 			// All spokes execute at t=0 and send for delivery at exactly hop.
-			sp.Engine().At(0, func() {
-				sp.Send(hub, hop, func() { order = append(order, i) })
-			})
+			sp.Engine().At(0, func() { sp.Send(hub, hop, arrive, Payload{}) })
 		}
 		d.Run()
 		if len(order) != n {
@@ -118,9 +116,11 @@ func TestPerPairFIFO(t *testing.T) {
 	d := NewDriver(hop, 1)
 	a, b := d.AddShard(), d.AddShard()
 	var got []string
+	labels := []string{"first", "second"}
+	arrive := d.Handle(func(_ *Shard, _ int, p Payload) { got = append(got, labels[p.A]) })
 	a.Engine().At(0, func() {
-		a.Send(b, hop, func() { got = append(got, "first") })
-		a.Send(b, hop, func() { got = append(got, "second") })
+		a.Send(b, hop, arrive, Payload{A: 0})
+		a.Send(b, hop, arrive, Payload{A: 1})
 	})
 	d.Run()
 	if want := []string{"first", "second"}; !reflect.DeepEqual(got, want) {
@@ -132,7 +132,7 @@ func TestSetupSendsDeliveredWithoutLocalEvents(t *testing.T) {
 	d := NewDriver(hop, 2)
 	a, b := d.AddShard(), d.AddShard()
 	fired := false
-	a.Send(b, hop, func() { fired = true })
+	a.Send(b, hop, d.Handle(func(*Shard, int, Payload) { fired = true }), Payload{})
 	end := d.Run()
 	if !fired {
 		t.Fatal("setup-time Send never delivered")
@@ -145,13 +145,14 @@ func TestSetupSendsDeliveredWithoutLocalEvents(t *testing.T) {
 func TestLookaheadViolationPanics(t *testing.T) {
 	d := NewDriver(hop, 1)
 	a, b := d.AddShard(), d.AddShard()
+	nop := d.Handle(func(*Shard, int, Payload) {})
 	a.Engine().At(hop, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("Send inside the lookahead window did not panic")
 			}
 		}()
-		a.Send(b, a.Engine().Now()+hop-1, func() {})
+		a.Send(b, a.Engine().Now()+hop-1, nop, Payload{})
 	})
 	d.Run()
 }
@@ -237,7 +238,7 @@ func TestSingleShardMatchesSerialEngine(t *testing.T) {
 
 // TestThreeWayFanInTies: three source shards send to one destination so
 // every message lands at the same instant, with same-(at,src) pairs
-// disambiguated by send sequence. The canonical (at, src, seq) merge
+// disambiguated by send order. The canonical (at, src, send order) merge
 // must produce the same total order at any worker count.
 func TestThreeWayFanInTies(t *testing.T) {
 	var want []string
@@ -246,15 +247,17 @@ func TestThreeWayFanInTies(t *testing.T) {
 		dst := d.AddShard()
 		srcs := []*Shard{d.AddShard(), d.AddShard(), d.AddShard()}
 		var got []string
+		arrive := d.Handle(func(_ *Shard, _ int, p Payload) {
+			got = append(got, fmt.Sprintf("s%d-%c", p.A, 'a'+p.B))
+		})
 		// Reverse shard order to prove arrival order is canonical, not
 		// send-call order; two messages per source at one instant probe
-		// the (at, src) -> seq tie-break.
+		// the (at, src) -> send order tie-break.
 		for i := len(srcs) - 1; i >= 0; i-- {
-			i := i
 			sp := srcs[i]
 			sp.Engine().At(0, func() {
-				sp.Send(dst, hop, func() { got = append(got, fmt.Sprintf("s%d-a", i)) })
-				sp.Send(dst, hop, func() { got = append(got, fmt.Sprintf("s%d-b", i)) })
+				sp.Send(dst, hop, arrive, Payload{A: int64(i), B: 0})
+				sp.Send(dst, hop, arrive, Payload{A: int64(i), B: 1})
 			})
 		}
 		d.Run()
@@ -282,27 +285,29 @@ func buildHierarchy(regions, spokesPer, rounds, workers int) (*Driver, *trace) {
 	n := regions * (1 + spokesPer)
 	tr := &trace{perShard: make([][]string, n)}
 	hubs := make([]*Shard, regions)
+	home := make([]*Shard, n) // each spoke's hub, by shard ID
+	// A spoke pings its hub with the round number; the hub acks with the
+	// next round.
+	var ack, pingMsg Handler
+	ping := func(spoke *Shard, round int) {
+		tr.log(spoke.id, spoke.Engine().Now(), fmt.Sprintf("ping-%d", round))
+		if round < rounds {
+			spoke.SendAfter(home[spoke.id], hop, ack, Payload{A: int64(round)})
+		}
+	}
+	ack = d.Handle(func(hub *Shard, spoke int, p Payload) {
+		tr.log(hub.id, hub.Engine().Now(), fmt.Sprintf("ack-%d-%d", spoke, p.A))
+		hub.SendAfter(d.shards[spoke], hop, pingMsg, Payload{A: p.A + 1})
+	})
+	pingMsg = d.Handle(func(spoke *Shard, _ int, p Payload) { ping(spoke, int(p.A)) })
 	for r := 0; r < regions; r++ {
 		hubs[r] = d.AddShard()
 		for k := 0; k < spokesPer; k++ {
 			sp := d.AddShard()
+			home[sp.id] = hubs[r]
 			d.SetEdge(hubs[r], sp, EdgeLatency{Fixed: hop})
 			d.SetEdge(sp, hubs[r], EdgeLatency{Fixed: hop})
-			spoke := sp
-			var ping func(round int) func()
-			ping = func(round int) func() {
-				return func() {
-					tr.log(spoke.id, spoke.Engine().Now(), fmt.Sprintf("ping-%d", round))
-					if round < rounds {
-						spoke.SendAfter(hubs[r], hop, func() {
-							hub := hubs[r]
-							tr.log(hub.id, hub.Engine().Now(), fmt.Sprintf("ack-%d-%d", spoke.id, round))
-							hub.SendAfter(spoke, hop, ping(round+1))
-						})
-					}
-				}
-			}
-			sp.Engine().At(event.Time(k+1)*event.Microsecond, ping(0))
+			sp.Engine().At(event.Time(k+1)*event.Microsecond, func() { ping(sp, 0) })
 		}
 	}
 	for _, a := range hubs {
@@ -313,20 +318,19 @@ func buildHierarchy(regions, spokesPer, rounds, workers int) (*Driver, *trace) {
 		}
 	}
 	// Each hub beacons a summary to every peer a few times.
+	belief := d.Handle(func(peer *Shard, _ int, p Payload) {
+		tr.log(peer.id, peer.Engine().Now(), fmt.Sprintf("belief-%d", p.A))
+	})
 	for i, h := range hubs {
 		i, h := i, h
 		var tick func(k int) func()
 		tick = func(k int) func() {
 			return func() {
-				for j, peer := range hubs {
+				for _, peer := range hubs {
 					if peer == h {
 						continue
 					}
-					j := j
-					h.Send(peer, h.EarliestTo(peer), func() {
-						tr.log(peer.id, peer.Engine().Now(), fmt.Sprintf("belief-%d", i))
-					})
-					_ = j
+					h.Send(peer, h.EarliestTo(peer), belief, Payload{A: int64(i)})
 				}
 				if k < 4 {
 					h.Engine().After(beacon, tick(k+1))
@@ -388,13 +392,14 @@ func TestUndeclaredEdgeSendPanics(t *testing.T) {
 	d := NewDriver(hop, 1)
 	a, b, c := d.AddShard(), d.AddShard(), d.AddShard()
 	d.SetEdge(a, b, EdgeLatency{Fixed: hop})
+	nop := d.Handle(func(*Shard, int, Payload) {})
 	a.Engine().At(0, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("Send on undeclared edge did not panic")
 			}
 		}()
-		a.Send(c, a.Engine().Now()+hop, func() {})
+		a.Send(c, a.Engine().Now()+hop, nop, Payload{})
 	})
 	d.Run()
 }
@@ -404,13 +409,14 @@ func TestUndeclaredEdgeSendPanics(t *testing.T) {
 func TestSendAcrossDriversPanics(t *testing.T) {
 	d := NewDriver(hop, 1)
 	a := d.AddShard()
+	nop := d.Handle(func(*Shard, int, Payload) {})
 	foreign := NewDriver(hop, 1).AddShard()
 	defer func() {
 		if recover() == nil {
 			t.Error("Send to another driver's shard did not panic")
 		}
 	}()
-	a.Send(foreign, hop, func() {})
+	a.Send(foreign, hop, nop, Payload{})
 }
 
 // TestSetupMailSurvivesRowGrowth: mail queued before Run stays queued
@@ -424,13 +430,15 @@ func TestSetupMailSurvivesRowGrowth(t *testing.T) {
 			d.SetEdge(a, b, EdgeLatency{Fixed: hop})
 		}
 		var got []string
-		a.Send(b, hop, func() { got = append(got, "b") })
+		labels := []string{"b", "c", "b2"}
+		arrive := d.Handle(func(_ *Shard, _ int, p Payload) { got = append(got, labels[p.A]) })
+		a.Send(b, hop, arrive, Payload{A: 0})
 		c := d.AddShard()
 		if horizons {
 			d.SetEdge(a, c, EdgeLatency{Fixed: 2 * hop})
 		}
-		a.Send(c, 2*hop, func() { got = append(got, "c") })
-		a.Send(b, hop, func() { got = append(got, "b2") })
+		a.Send(c, 2*hop, arrive, Payload{A: 1})
+		a.Send(b, hop, arrive, Payload{A: 2})
 		d.Run()
 		if want := []string{"b", "b2", "c"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("horizons=%v: delivered %v, want %v", horizons, got, want)
@@ -447,11 +455,12 @@ func TestGridEdgeBoundsDepartures(t *testing.T) {
 	a, b := d.AddShard(), d.AddShard()
 	d.SetEdge(a, b, EdgeLatency{Fixed: hop, Grid: grid})
 	var arrivals []event.Time
+	arrive := d.Handle(func(dst *Shard, _ int, _ Payload) { arrivals = append(arrivals, dst.Engine().Now()) })
 	a.Engine().At(3*event.Microsecond, func() { // off-grid
-		a.Send(b, a.EarliestTo(b), func() { arrivals = append(arrivals, b.Engine().Now()) })
+		a.Send(b, a.EarliestTo(b), arrive, Payload{})
 	})
 	a.Engine().At(grid, func() { // exactly on-grid
-		a.Send(b, a.EarliestTo(b), func() { arrivals = append(arrivals, b.Engine().Now()) })
+		a.Send(b, a.EarliestTo(b), arrive, Payload{})
 	})
 	d.Run()
 	want := []event.Time{grid + hop, grid + hop}
@@ -471,19 +480,17 @@ func TestParallelStress(t *testing.T) {
 	}
 	var fired atomic.Int64
 	// nShards tokens circulate a ring; every hop fires one event on the
-	// shard holding the token.
-	var relay func(at *Shard, r int) func()
-	relay = func(at *Shard, r int) func() {
-		return func() {
-			fired.Add(1)
-			if r < rounds {
-				next := shards[(at.id+1)%nShards]
-				at.SendAfter(next, hop, relay(next, r+1))
-			}
+	// shard holding the token, and the token carries its round.
+	var token Handler
+	relay := func(at *Shard, r int) {
+		fired.Add(1)
+		if r < rounds {
+			at.SendAfter(shards[(at.id+1)%nShards], hop, token, Payload{A: int64(r + 1)})
 		}
 	}
+	token = d.Handle(func(at *Shard, _ int, p Payload) { relay(at, int(p.A)) })
 	for _, s := range shards {
-		s.Engine().At(0, relay(s, 0))
+		s.Engine().At(0, func() { relay(s, 0) })
 	}
 	d.Run()
 	want := int64(nShards * (rounds + 1))
@@ -521,6 +528,7 @@ func buildPoolFleet(seed int64, horizons bool, workers int) (*Driver, [][]poolMa
 	budget := make([]int, n)
 	rngs := make([]*rand.Rand, n)
 	var step func(s int) func()
+	stepMsg := d.Handle(func(dst *Shard, _ int, _ Payload) { step(dst.id)() })
 	step = func(s int) func() {
 		return func() {
 			sh := shards[s]
@@ -535,7 +543,7 @@ func buildPoolFleet(seed int64, horizons bool, workers int) (*Driver, [][]poolMa
 			}
 			for k := r.Intn(3); k > 0; k-- {
 				dst := shards[(s+1+r.Intn(n-1))%n]
-				sh.Send(dst, sh.EarliestTo(dst)+event.Time(r.Intn(3))*hop, step(dst.id))
+				sh.Send(dst, sh.EarliestTo(dst)+event.Time(r.Intn(3))*hop, stepMsg, Payload{})
 			}
 		}
 	}
@@ -607,6 +615,94 @@ func TestPoolRunsEachActiveShardOnce(t *testing.T) {
 					t.Fatalf("%s: driver counted %d wakes, windows saw %d", where, d.wakes, prev)
 				}
 			}
+		}
+	}
+}
+
+// TestWarmSendAllocatesNothing: once the outbox, the destination's
+// envelope pool and its engine queue have grown, a typed send, its
+// barrier delivery and its handler run allocate nothing — the payload
+// reference included.
+func TestWarmSendAllocatesNothing(t *testing.T) {
+	d := NewDriver(hop, 1)
+	a, b := d.AddShard(), d.AddShard()
+	var sum int64
+	h := d.Handle(func(_ *Shard, _ int, p Payload) { sum += p.A + p.B })
+	ref := &struct{ n int }{}
+	d.prepare()
+	srcs := []*Shard{a}
+	round := func() {
+		a.Send(b, b.Engine().Now()+hop, h, Payload{Ref: ref, A: 1, B: 2})
+		d.deliver(srcs)
+		b.Engine().Step()
+	}
+	round() // warm-up
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("warm send + delivery allocates %v per message, want 0", n)
+	}
+	if want := int64(3 * 102); sum != want {
+		t.Fatalf("handlers summed %d, want %d", sum, want)
+	}
+}
+
+// buildLateEarlier wires a grid edge whose message is overtaken: shard a
+// sends c a beacon-grid message in the first window, due at 11 hops;
+// in the second window shard b, woken by a, sends c one message due two
+// hops in and one due at the same 11 hops. The second barrier thus
+// delivers an earlier time than mail already waiting on c. b has the
+// lowest shard ID, so a single merge would order its 11-hop message
+// before a's; across barriers a's message was inserted first and must
+// still run first. c logs each message with the window its sender sent
+// it in.
+func buildLateEarlier(workers int) (*Driver, []declEdge, *[]string) {
+	d := NewDriver(hop, workers)
+	b, a, c := d.AddShard(), d.AddShard(), d.AddShard()
+	decl := []declEdge{
+		{src: a.id, dst: c.id, lat: EdgeLatency{Fixed: hop, Grid: 10 * hop}},
+		{src: a.id, dst: b.id, lat: EdgeLatency{Fixed: hop}},
+		{src: b.id, dst: c.id, lat: EdgeLatency{Fixed: hop}},
+	}
+	for _, e := range decl {
+		d.SetEdge(d.shards[e.src], d.shards[e.dst], e.lat)
+	}
+	log := &[]string{}
+	names := []string{"slow", "fast", "tie"}
+	arrive := d.Handle(func(c *Shard, src int, p Payload) {
+		*log = append(*log, fmt.Sprintf("%s from %d sent in w%d ran at %d", names[p.A], src, p.B, c.Engine().Now()))
+	})
+	poke := d.Handle(func(b *Shard, _ int, _ Payload) {
+		w := int64(d.stats.Windows)
+		b.Send(c, b.EarliestTo(c), arrive, Payload{A: 1, B: w})
+		b.Send(c, 11*hop, arrive, Payload{A: 2, B: w})
+	})
+	a.Engine().At(1, func() {
+		a.Send(c, a.EarliestTo(c), arrive, Payload{A: 0, B: int64(d.stats.Windows)})
+		a.Send(b, a.EarliestTo(b), poke, Payload{})
+	})
+	return d, decl, log
+}
+
+// TestLaterBarrierEarlierTimeRunsFirst pins cross-barrier delivery on a
+// grid edge at workers 1/2/4/8, against the reference barrier's merge:
+// the message a later barrier delivers with an earlier time runs first,
+// and the two messages due at one instant run in the order their
+// barriers delivered them.
+func TestLaterBarrierEarlierTimeRunsFirst(t *testing.T) {
+	want := []string{
+		fmt.Sprintf("fast from 0 sent in w2 ran at %d", 2*hop+1),
+		fmt.Sprintf("slow from 1 sent in w1 ran at %d", 11*hop),
+		fmt.Sprintf("tie from 0 sent in w2 ran at %d", 11*hop),
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		d, _, got := buildLateEarlier(workers)
+		d.Run()
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("workers=%d: c ran\n%q\nwant\n%q", workers, *got, want)
+		}
+		ref, decl, refGot := buildLateEarlier(workers)
+		refRun(ref, decl)
+		if !reflect.DeepEqual(*refGot, want) {
+			t.Fatalf("workers=%d: reference barrier ran\n%q\nwant\n%q", workers, *refGot, want)
 		}
 	}
 }

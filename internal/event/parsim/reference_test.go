@@ -88,10 +88,10 @@ func refDeliver(d *Driver) {
 		if len(batch) == 0 {
 			continue
 		}
-		slices.SortFunc(batch, cmpMessage)
+		slices.SortStableFunc(batch, cmpMessage)
 		dst.eng.Reserve(len(batch))
 		for i := range batch {
-			dst.eng.At(batch[i].at, batch[i].fn)
+			dst.accept(&batch[i])
 		}
 	}
 	for _, s := range d.shards {
