@@ -250,25 +250,37 @@ func SpMMJobAt(id int, name string, adj *tensor.CSR, f, layer int, qf fixed.Form
 		est.Set(t, spmmProfile(adj, f, t, p.UnitCycles(adj, f, t), betas[t][f]).ScaleToBits(bits))
 	}
 	j := &sched.Job{ID: id, Name: name, Kind: "spmm",
-		Stage: fmt.Sprintf("spmm-l%d", layer), Bits: bits, Est: &est}
+		Stage: spmmStage(layer), Bits: bits, Est: &est}
 	j.TrueTime = (&spmmTruth{adj: adj, f: f, bits: bits}).time
 	return j
+}
+
+// spmmStages are the stage tags of the first GCN layers' aggregation
+// jobs, prebuilt so that building a job formats no string.
+var spmmStages = [...]string{"spmm-l0", "spmm-l1", "spmm-l2", "spmm-l3"}
+
+// spmmStage returns the stage tag of layer's aggregation jobs.
+func spmmStage(layer int) string {
+	if layer >= 0 && layer < len(spmmStages) {
+		return spmmStages[layer]
+	}
+	return fmt.Sprintf("spmm-l%d", layer)
 }
 
 // spmmProfile builds a scheduler profile for one aggregation SpMM from a
 // cycle source (predictor or oracle). beta comes from the per-mother-
 // graph fit.
 func spmmProfile(adj *tensor.CSR, f int, t isa.Target, unitCycles int64, beta float64) sched.Profile {
-	est := kernels.SpMMUnit(mem(t), adj, f, true)
+	repUnit, load, store := kernels.SpMMFootprint(mem(t), adj, f)
 	return sched.Profile{
 		UnitCycles: unitCycles,
-		RepUnit:    est.RepUnit,
-		LoadBytes:  sched.EffectiveLoadBytes(t, est.LoadBytes),
-		StoreBytes: sched.EffectiveLoadBytes(t, est.StoreBytes),
+		RepUnit:    repUnit,
+		LoadBytes:  sched.EffectiveLoadBytes(t, load),
+		StoreBytes: sched.EffectiveLoadBytes(t, store),
 		Beta:       beta,
 		Overhead:   HostDispatch,
 		// Replication cannot exceed one replica per input row.
-		MaxUseful: est.RepUnit * adj.Rows,
+		MaxUseful: repUnit * adj.Rows,
 	}
 }
 
@@ -343,7 +355,7 @@ func (w *Workload) SpMMJobs(p predict.Predictor, sys *sched.System) []*sched.Job
 				ID:    id,
 				Name:  fmt.Sprintf("spmm-q%d-l%d", sg.Query, l),
 				Kind:  "spmm",
-				Stage: fmt.Sprintf("spmm-l%d", l),
+				Stage: spmmStage(l),
 				Bits:  bits,
 				Est:   &est,
 			}

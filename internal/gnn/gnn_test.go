@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -117,6 +118,16 @@ func TestSpMMJobs(t *testing.T) {
 			if ratio < 0.5 || ratio > 2 {
 				t.Errorf("%s: est/actual = %.2f at rep unit", tgt, ratio)
 			}
+		}
+	}
+}
+
+// TestSpMMStageTags checks the prebuilt stage tags and the formatted
+// fallback past the table against the one format they stand for.
+func TestSpMMStageTags(t *testing.T) {
+	for l := -1; l <= len(spmmStages)+2; l++ {
+		if got, want := spmmStage(l), fmt.Sprintf("spmm-l%d", l); got != want {
+			t.Errorf("spmmStage(%d) = %q, want %q", l, got, want)
 		}
 	}
 }

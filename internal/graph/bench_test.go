@@ -45,3 +45,34 @@ func BenchmarkConcat(b *testing.B) {
 		s.Concat(batch)
 	}
 }
+
+// benchDatasetSample measures one hops-deep, unlimited-fanout extraction
+// from the named dataset's stand-in, cycling over 256 seeded queries.
+func benchDatasetSample(b *testing.B, name string, hops int) {
+	d, ok := DatasetByName(name)
+	if !ok {
+		b.Fatalf("dataset %s missing", name)
+	}
+	rng := rand.New(rand.NewSource(3))
+	g := d.Generate(rng)
+	s := NewSampler(rng, g, hops, 0)
+	queries := make([]int, 256)
+	for i := range queries {
+		queries[i] = rng.Intn(g.N)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Sample(queries[i%len(queries)])
+	}
+}
+
+// BenchmarkSampleCollab measures one 2-hop extraction from the
+// ogbl-collab stand-in, the subgraphs of the offline GCN batch path.
+func BenchmarkSampleCollab(b *testing.B) { benchDatasetSample(b, "ogbl-collab", 2) }
+
+// BenchmarkSampleSparse measures one 1-hop extraction from the
+// ogbl-citation2 stand-in (29,279 vertices): small subgraphs of a large
+// mother graph, where the walk over the member words costs most
+// relative to the output.
+func BenchmarkSampleSparse(b *testing.B) { benchDatasetSample(b, "ogbl-citation2", 1) }

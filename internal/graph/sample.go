@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -28,10 +29,13 @@ func (s *Subgraph) NNZ() int { return s.Adj.NNZ() }
 // Sampler extracts k-hop neighbourhood subgraphs with per-hop fanout
 // limits, mirroring PyG's neighbor sampler (Section IV).
 //
-// Membership is tracked in epoch-stamped dense arrays over the mother
-// graph instead of per-subgraph hash sets, and frontier and row buffers
-// are reused across calls. A Sampler is therefore not safe for
-// concurrent use; give each goroutine its own.
+// Membership is one bitset over the mother graph. Walking its set words
+// yields the members in ascending order, so the node list needs no
+// sort, and building the induced adjacency clears the bits it used, so
+// the set is empty again between calls. Induced rows are compacted
+// without a membership branch. The frontier and row buffers are reused
+// across calls. A Sampler is therefore not safe for concurrent use;
+// give each goroutine its own.
 type Sampler struct {
 	G       *Graph
 	Hops    int
@@ -39,11 +43,10 @@ type Sampler struct {
 	rng     *rand.Rand
 	normAdj *tensor.CSR // cached normalised adjacency of G
 
-	// mark[v] == epoch iff v belongs to the subgraph being built; local[v]
-	// is then its local index. Bumping epoch empties the set in O(1).
-	mark  []uint32
-	local []int32
-	epoch uint32
+	// Bit v of member is set iff v belongs to the subgraph being built;
+	// local[v] is then its local index.
+	member []uint64
+	local  []int32
 
 	visit []int32     // query, then every node in the order it was reached
 	cols  []int32     // induced ColIdx being built
@@ -56,25 +59,13 @@ func NewSampler(rng *rand.Rand, g *Graph, hops, fanout int) *Sampler {
 		panic("graph: sampler needs >= 1 hop")
 	}
 	return &Sampler{G: g, Hops: hops, Fanout: fanout, rng: rng, normAdj: g.NormalizedAdjacency(),
-		mark: make([]uint32, g.N), local: make([]int32, g.N)}
-}
-
-// nextEpoch empties the member set, clearing the stamps when the epoch
-// counter wraps so no stale stamp can alias the new epoch.
-func (s *Sampler) nextEpoch() {
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.mark)
-		s.epoch = 1
-	}
+		member: make([]uint64, (g.N+63)/64), local: make([]int32, g.N)}
 }
 
 // Sample extracts the k-hop subgraph around query.
 func (s *Sampler) Sample(query int) *Subgraph {
-	s.nextEpoch()
 	q := int32(query)
-	s.mark[q] = s.epoch
-	visit := append(s.visit[:0], q)
+	visit := s.reach(s.visit[:0], q)
 	// visit[lo:hi] is the current hop's frontier; newly reached nodes are
 	// appended behind it and form the next one.
 	for hop, lo := 0, 0; hop < s.Hops && lo < len(visit); hop++ {
@@ -94,50 +85,92 @@ func (s *Sampler) Sample(query int) *Subgraph {
 		lo = hi
 	}
 	s.visit = visit
-	nodes := slices.Clone(visit)
-	slices.Sort(nodes[1:])
+	// The query goes first and every other member follows in ascending
+	// order: walk the set with the query's bit lifted.
+	w, bit := &s.member[q>>6], uint64(1)<<(q&63)
+	*w &^= bit
+	nodes := s.members(append(make([]int32, 0, len(visit)), q))
+	*w |= bit
 	return &Subgraph{Query: query, Nodes: nodes, Adj: s.induced(nodes)}
 }
 
 // reach adds v to the member set and the visit list unless it is
 // already a member.
 func (s *Sampler) reach(visit []int32, v int32) []int32 {
-	if s.mark[v] == s.epoch {
+	w, bit := &s.member[v>>6], uint64(1)<<(v&63)
+	if *w&bit != 0 {
 		return visit
 	}
-	s.mark[v] = s.epoch
+	*w |= bit
 	return append(visit, v)
 }
 
+// members appends every member to nodes in ascending order.
+func (s *Sampler) members(nodes []int32) []int32 {
+	for i, w := range s.member {
+		for ; w != 0; w &= w - 1 {
+			nodes = append(nodes, int32(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return nodes
+}
+
 // induced extracts the normalised adjacency restricted to nodes, remapped
-// to local indices. Every node must be stamped with the current epoch,
-// and nodes[1:] must be ascending: the mother graph's rows are sorted, so
-// each induced row then comes out sorted once the local-0 column is
-// emitted first.
+// to local indices, and empties the member set. The member set must be
+// exactly nodes, and nodes[1:] must be ascending: the mother graph's
+// rows are sorted, so each induced row then comes out sorted once its
+// local-0 column is moved to the front.
 func (s *Sampler) induced(nodes []int32) *tensor.CSR {
 	for i, v := range nodes {
 		s.local[v] = int32(i)
 	}
-	first := nodes[0]
 	m := tensor.NewCSR(len(nodes), len(nodes))
-	cols, vals := s.cols[:0], s.vals[:0]
+	cols, vals := s.cols, s.vals
+	n := 0
 	for i, u := range nodes {
 		rc, rv := s.normAdj.RowEntries(int(u))
-		if k, ok := slices.BinarySearch(rc, first); ok {
-			cols = append(cols, 0)
-			vals = append(vals, rv[k])
-		}
+		cols, vals = fit(cols, n+len(rc)), fit(vals, n+len(rc))
+		// Write every entry and keep it by advancing past it only when
+		// its column is a member.
+		start := n
 		for k, c := range rc {
-			if c != first && s.mark[c] == s.epoch {
-				cols = append(cols, s.local[c])
-				vals = append(vals, rv[k])
+			cols[n], vals[n] = c, rv[k]
+			n += int(s.member[c>>6] >> (c & 63) & 1)
+		}
+		row, q := cols[start:n], 0
+		for k, c := range row {
+			row[k] = s.local[c]
+			if row[k] == 0 {
+				q = k
 			}
 		}
-		m.RowPtr[i+1] = int32(len(cols))
+		// Rotate the local-0 entry to the front of the row.
+		if q > 0 {
+			rowv := vals[start:n]
+			v := rowv[q]
+			copy(row[1:q+1], row[:q])
+			copy(rowv[1:q+1], rowv[:q])
+			row[0], rowv[0] = 0, v
+		}
+		m.RowPtr[i+1] = int32(n)
 	}
-	m.ColIdx, m.Val = slices.Clone(cols), slices.Clone(vals)
+	// Every set bit belongs to one of nodes, so zeroing their words
+	// empties the set.
+	for _, v := range nodes {
+		s.member[v>>6] = 0
+	}
+	m.ColIdx, m.Val = slices.Clone(cols[:n]), slices.Clone(vals[:n])
 	s.cols, s.vals = cols, vals
 	return m
+}
+
+// fit returns b with at least n elements, keeping its contents.
+func fit[T any](b []T, n int) []T {
+	if n > len(b) {
+		b = slices.Grow(b, n-len(b))
+		b = b[:cap(b)]
+	}
+	return b
 }
 
 // SampleBatch samples one subgraph per query.
@@ -152,20 +185,21 @@ func (s *Sampler) SampleBatch(queries []int) []*Subgraph {
 // Concat merges a batch of subgraphs into one concatenated subgraph over
 // the union of their nodes (Section IV: used for highly connected graphs
 // such as ogbl-ppa and ogbl-ddi where k-hop neighbourhoods overlap
-// heavily). Query is taken from the first subgraph.
+// heavily). Query is taken from the first subgraph; Nodes is the union
+// in ascending order.
 func (s *Sampler) Concat(batch []*Subgraph) *Subgraph {
 	if len(batch) == 0 {
 		panic("graph: Concat of empty batch")
 	}
-	s.nextEpoch()
-	union := s.visit[:0]
 	for _, sg := range batch {
 		for _, v := range sg.Nodes {
-			union = s.reach(union, v)
+			s.member[v>>6] |= uint64(1) << (v & 63)
 		}
 	}
-	s.visit = union
-	nodes := slices.Clone(union)
-	slices.Sort(nodes)
+	n := 0
+	for _, w := range s.member {
+		n += bits.OnesCount64(w)
+	}
+	nodes := s.members(make([]int32, 0, n))
 	return &Subgraph{Query: batch[0].Query, Nodes: nodes, Adj: s.induced(nodes)}
 }

@@ -69,15 +69,8 @@ func SpMM(cfg mem.Config, a *tensor.CSR, f, allocArrays int, weighted bool) Esti
 	if f <= 0 || a == nil {
 		panic("kernels: bad SpMM operands")
 	}
-	est := Estimate{Target: cfg.Target}
-
-	// One replica of B = n rows of f elements.
-	bBytes := int64(a.Cols) * int64(f) * elementBytes
-	repUnit := int(ceilDiv(bBytes, cfg.ArrayBytes()))
-	if repUnit == 0 {
-		repUnit = 1
-	}
-	est.RepUnit = repUnit
+	repUnit, load, store := SpMMFootprint(cfg, a, f)
+	est := Estimate{Target: cfg.Target, RepUnit: repUnit, LoadBytes: load, StoreBytes: store}
 
 	iter := 1
 	replicas := 1
@@ -99,12 +92,6 @@ func SpMM(cfg mem.Config, a *tensor.CSR, f, allocArrays int, weighted bool) Esti
 	est.Iterations = iter
 	est.Replicas = replicas
 
-	// Input traffic: B loaded once (B-stationary), plus the sparse A
-	// stream; replication copies happen inside the memory and are billed
-	// as compute cycles below. Output: one f-wide row per A row.
-	est.LoadBytes = bBytes + a.SizeBytes()
-	est.StoreBytes = int64(a.Rows) * int64(f) * elementBytes
-
 	est.Cycles = spmmComputeCycles(cfg, a, f, arraysPerReplica, replicas, weighted)
 	// Replication copies: the B working set fans out across arrays in a
 	// doubling tree (1->2->4->...), each round moving the rows of one
@@ -120,15 +107,23 @@ func SpMM(cfg mem.Config, a *tensor.CSR, f, allocArrays int, weighted bool) Esti
 	return est
 }
 
+// SpMMFootprint is the allocation-independent part of SpMM's estimate:
+// repUnit, the arrays that hold one replica of B (n rows of f
+// elements), and the DDR traffic. Input traffic is B loaded once
+// (B-stationary) plus the sparse A stream; replication copies happen
+// inside the memory and are billed as compute cycles. Output is one
+// f-wide row per A row. Unlike SpMM it does not walk A's rows.
+func SpMMFootprint(cfg mem.Config, a *tensor.CSR, f int) (repUnit int, load, store int64) {
+	bBytes := int64(a.Cols) * int64(f) * elementBytes
+	repUnit = max(int(ceilDiv(bBytes, cfg.ArrayBytes())), 1)
+	return repUnit, bBytes + a.SizeBytes(), int64(a.Rows) * int64(f) * elementBytes
+}
+
 // SpMMUnit estimates SpMM at the unit allocation a_repunit — exactly one
 // replica of the B working set — which is the operating point the
 // performance predictor learns (t_cmpt(x, a_repunit), Section III-C3).
 func SpMMUnit(cfg mem.Config, a *tensor.CSR, f int, weighted bool) Estimate {
-	bBytes := int64(a.Cols) * int64(f) * elementBytes
-	repUnit := int(ceilDiv(bBytes, cfg.ArrayBytes()))
-	if repUnit == 0 {
-		repUnit = 1
-	}
+	repUnit, _, _ := SpMMFootprint(cfg, a, f)
 	return SpMM(cfg, a, f, repUnit, weighted)
 }
 

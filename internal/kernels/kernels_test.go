@@ -41,6 +41,33 @@ func TestSpMMEstimateBasics(t *testing.T) {
 	}
 }
 
+// TestSpMMFootprintMatchesSpMM checks that SpMMFootprint reports the
+// RepUnit, LoadBytes and StoreBytes of SpMM for random shapes on every
+// target, at allocations below, at and above one replica.
+func TestSpMMFootprintMatchesSpMM(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		rows, cols := 1+rng.Intn(600), 1+rng.Intn(3000)
+		a := randomCSR(rng, rows, cols, rng.Intn(4*rows))
+		f := []int{1, 16, 64, 128, 256, 602}[rng.Intn(6)]
+		for _, tgt := range isa.Targets {
+			cfg := mem.ConfigFor(tgt)
+			repUnit, load, store := SpMMFootprint(cfg, a, f)
+			for _, alloc := range []int{repUnit / 2, repUnit - 1, repUnit, repUnit + 1, 3*repUnit + 2} {
+				if alloc < 1 {
+					continue
+				}
+				est := SpMM(cfg, a, f, alloc, true)
+				if est.RepUnit != repUnit || est.LoadBytes != load || est.StoreBytes != store {
+					t.Fatalf("%v %dx%d nnz=%d f=%d alloc=%d: footprint (%d, %d, %d), SpMM (%d, %d, %d)",
+						tgt, rows, cols, a.NNZ(), f, alloc, repUnit, load, store,
+						est.RepUnit, est.LoadBytes, est.StoreBytes)
+				}
+			}
+		}
+	}
+}
+
 func TestSpMMMoreArraysIsFaster(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomCSR(rng, 400, 400, 4000)
