@@ -15,6 +15,13 @@ import (
 // miss budget), 30 staggered arrivals, and an OnDone observer counting
 // terminal states per batch. Returns the summary and the observer map.
 func fabricChaosTree(policy Policy, workers int, plan *fault.Plan) (Summary, map[int]int) {
+	d, seen := fabricTree(policy, workers, plan)
+	return d.Run(), seen
+}
+
+// fabricTree builds fabricChaosTree's fleet, ready to Run, and its
+// observer map.
+func fabricTree(policy Policy, workers int, plan *fault.Plan) (*ShardedDispatcher, map[int]int) {
 	d := NewShardedDispatcher(policy, Admission{MaxRetries: 6},
 		ShardConfig{Workers: workers, Hubs: 2, SummaryEvery: 500 * event.Microsecond},
 		fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
@@ -28,7 +35,7 @@ func fabricChaosTree(policy Policy, workers int, plan *fault.Plan) (Summary, map
 			panic(err)
 		}
 	}
-	return d.Run(), seen
+	return d, seen
 }
 
 // hubCrashPlan freezes region 1's hub for [1ms, 4ms) — longer than the
@@ -282,13 +289,25 @@ func TestTreeReviveSweepChargesRedispatch(t *testing.T) {
 	}
 }
 
-// TestTakeoverPongsStampAdopterView pins pong routing across a
-// takeover: once region 0 adopts frozen region 1's nodes, the pongs
-// answering region 0's pings advance lastBeat on region 0's view of
-// each adopted node, found by the pong's sender, while region 1's views
-// of the same nodes stay as the freeze left them. Each hub snapshots its
-// own views at two instants inside the freeze, after the adoption.
-func TestTakeoverPongsStampAdopterView(t *testing.T) {
+// beatAt is a view's liveness stamp as a sweep at instant at would see
+// it: lastBeat, or a later heartbeat arrival strictly before at.
+func beatAt(v *Node, at event.Time) event.Time {
+	b := v.lastBeat
+	for _, a := range v.beats {
+		if a < at && a > b {
+			b = a
+		}
+	}
+	return b
+}
+
+// TestTakeoverBeatsStampAdopterView pins heartbeat routing across a
+// takeover: once region 0 adopts frozen region 1's nodes, region 0's
+// heartbeats keep region 0's view of each adopted node live, while
+// region 1's views of the same nodes stay as the freeze left them. Each
+// hub snapshots its own views' stamps at two instants inside the
+// freeze, after the adoption.
+func TestTakeoverBeatsStampAdopterView(t *testing.T) {
 	d := NewShardedDispatcher(NewRoundRobin(), Admission{MaxRetries: 6},
 		ShardConfig{Workers: 1, Hubs: 2, SummaryEvery: 500 * event.Microsecond},
 		fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
@@ -303,17 +322,17 @@ func TestTakeoverPongsStampAdopterView(t *testing.T) {
 	adopter, frozen := d.regions[0], d.regions[1]
 	crash := hubCrashPlan().HubCrashes[0]
 	t1, t2 := crash.Recover-4*DefaultHeartbeat, crash.Recover-event.Microsecond
-	// Per snapshot and per region-1 node: lastBeat on each hub's view.
+	// Per snapshot and per region-1 node: the stamp on each hub's view.
 	var adopted, home [2][]event.Time
 	for k, at := range []event.Time{t1, t2} {
 		adopter.hub.Engine().At(at, func() {
 			for _, v := range adopter.views[adopter.homeN:] {
-				adopted[k] = append(adopted[k], v.lastBeat)
+				adopted[k] = append(adopted[k], beatAt(v, at))
 			}
 		})
 		frozen.hub.Engine().At(at, func() {
 			for _, v := range frozen.views[:frozen.homeN] {
-				home[k] = append(home[k], v.lastBeat)
+				home[k] = append(home[k], beatAt(v, at))
 			}
 		})
 	}
@@ -325,11 +344,11 @@ func TestTakeoverPongsStampAdopterView(t *testing.T) {
 	}
 	for j := range adopted[0] {
 		if a1, a2 := adopted[0][j], adopted[1][j]; a2 <= a1 || a2 < t2-DefaultHeartbeat-2*DefaultHop {
-			t.Errorf("adopted node %d: adopter's lastBeat %v at %v and %v at %v, want pongs to advance it",
+			t.Errorf("adopted node %d: adopter's stamp %v at %v and %v at %v, want heartbeats to advance it",
 				j, a1, t1, a2, t2)
 		}
 		if h1, h2 := home[0][j], home[1][j]; h2 != h1 || h2 > crash.At {
-			t.Errorf("node %d: frozen region's lastBeat moved %v -> %v during the freeze at %v",
+			t.Errorf("node %d: frozen region's stamp moved %v -> %v during the freeze at %v",
 				j, h1, h2, crash.At)
 		}
 	}

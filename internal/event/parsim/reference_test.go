@@ -89,6 +89,7 @@ func refDeliver(d *Driver) {
 			continue
 		}
 		slices.SortStableFunc(batch, cmpMessage)
+		d.stats.Delivered += len(batch)
 		dst.eng.Reserve(len(batch))
 		for i := range batch {
 			dst.accept(&batch[i])
