@@ -19,6 +19,7 @@ import (
 
 	"mlimp/internal/cluster"
 	"mlimp/internal/event"
+	"mlimp/internal/event/parsim"
 	"mlimp/internal/experiments"
 	"mlimp/internal/fault"
 	"mlimp/internal/gnn"
@@ -223,6 +224,61 @@ func BenchmarkPartitionRecovery(b *testing.B) {
 			b.Fatalf("failover cycle missing: crashes=%d takeovers=%d", s.HubCrashes, s.Takeovers)
 		}
 	}
+}
+
+// BenchmarkFleetChaos64 is the fleet-chaos workload's fabric at the
+// parsim layer: 64 nodes under 32 hubs, least-outstanding routing with
+// weighted-fair packing, hub 3 frozen for the middle of the run and a
+// lossy hub10->node21 edge, with 4 waves of 64 app batches instead of
+// 16. Next to ns/op and allocs/op it reports two deterministic counts
+// of the run: msgs/op, the cross-shard messages the barriers delivered,
+// and windows/op, the simulation windows.
+func BenchmarkFleetChaos64(b *testing.B) {
+	const (
+		nodes, hubs, waves = 64, 32, 4
+		gap                = 60 * event.Millisecond
+	)
+	// The fault windows scale with the run, as in the bench workload.
+	at := func(ms int) event.Time { return event.Time(ms) * event.Millisecond * waves / 16 }
+	plan := &fault.Plan{
+		Seed:       1,
+		HubCrashes: []fault.HubCrash{{Region: 3, At: at(300), Recover: at(900)}},
+		EdgeFaults: []fault.EdgeFault{{From: "hub10", To: "node21", At: at(200), Until: at(1500), DropProb: 0.3}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	var batches []*runtime.Batch
+	for w := 0; w < waves; w++ {
+		for n := 0; n < nodes; n++ {
+			id := len(batches)
+			batches = append(batches, &runtime.Batch{ID: id, Arrival: event.Time(w) * gap,
+				Jobs: workload.AssignTenants(workload.RandomJobs(rng, 6, id*6), 4)})
+		}
+	}
+	cfgs := fleetNodes(nodes)
+	for i := range cfgs {
+		cfgs[i].Packing = sched.PackWeightedFair
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st parsim.Stats
+	for i := 0; i < b.N; i++ {
+		d := cluster.NewShardedDispatcher(cluster.NewLeastOutstanding(), cluster.Admission{MaxRetries: 6},
+			cluster.ShardConfig{Workers: 1, Hubs: hubs}, cfgs...)
+		if err := d.EnableFaults(cluster.FaultConfig{Plan: plan, Deadline: 400 * event.Millisecond}); err != nil {
+			b.Fatal(err)
+		}
+		for _, bt := range batches {
+			if err := d.Submit(bt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if s := d.Run(); s.Accounted() != s.Submitted || s.Takeovers != 1 {
+			b.Fatalf("conservation or takeover broken: %v", s)
+		}
+		st = d.WindowStats()
+	}
+	b.ReportMetric(float64(st.Delivered), "msgs/op")
+	b.ReportMetric(float64(st.Windows), "windows/op")
 }
 
 // fleetBatches builds the wave-synchronous workload for the shard-sweep

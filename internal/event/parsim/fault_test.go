@@ -204,3 +204,52 @@ func TestAddEdgeFaultPanics(t *testing.T) {
 	d.Run()
 	expectPanic("after Run", func() { d.AddEdgeFault(a, b, EdgeFault{DropProb: 1}) })
 }
+
+// TestFateMatchesSend pins Fate to the path Send takes: over stacked
+// lossy and slow windows, in uniform and declared-edge mode, the fate
+// of each send's departure under its pair sequence number (1, 2, ...)
+// names exactly the messages that arrive and when. Fate counts nothing
+// in Stats (Delivered counts the arrivals), and a key outside the
+// sequence range draws its own coins.
+func TestFateMatchesSend(t *testing.T) {
+	for _, horizons := range []bool{false, true} {
+		d := NewDriver(hop, 1)
+		a, b := d.AddShard(), d.AddShard()
+		if horizons {
+			d.SetEdge(a, b, EdgeLatency{Fixed: 2 * hop})
+		}
+		d.AddEdgeFault(a, b, EdgeFault{DropProb: 0.4, Delay: 3 * hop, Seed: 42})
+		d.AddEdgeFault(a, b, EdgeFault{At: 10 * hop, Until: 30 * hop, Delay: hop, Seed: 42})
+		got := &[]event.Time{}
+		arrive := d.Handle(func(dst *Shard, _ int, _ Payload) { *got = append(*got, dst.Engine().Now()) })
+		const n = 40
+		for i := 0; i < n; i++ {
+			a.Engine().At(event.Time(i)*hop, func() { a.Send(b, a.EarliestTo(b), arrive, Payload{}) })
+		}
+		d.Run()
+		var want []event.Time
+		differ := false
+		for i := 0; i < n; i++ {
+			at, lost := d.Fate(a, b, event.Time(i)*hop, uint64(i+1))
+			if !lost {
+				want = append(want, at)
+			}
+			if _, l := d.Fate(a, b, event.Time(i)*hop, 1<<63|uint64(i+1)); l != lost {
+				differ = true
+			}
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("horizons=%v: sends arrived at %v, Fate predicts %v", horizons, *got, want)
+		}
+		if len(want) == 0 || len(want) == n {
+			t.Fatalf("horizons=%v: drop=0.4 delivered %d of %d (want a strict subset)", horizons, len(want), n)
+		}
+		if s := d.Stats(); s.Dropped != n-len(want) || s.Delivered != len(want) {
+			t.Errorf("horizons=%v: Stats dropped=%d delivered=%d after Fate calls, want %d and %d",
+				horizons, s.Dropped, s.Delivered, n-len(want), len(want))
+		}
+		if !differ {
+			t.Errorf("horizons=%v: keys outside the sequence range drew the same %d coins", horizons, n)
+		}
+	}
+}

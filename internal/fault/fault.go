@@ -96,10 +96,10 @@ func (c Crash) Transient() bool { return c.Recover > c.At }
 
 // HubCrash freezes one regional sub-hub's control plane at At and
 // restarts it at Recover: while down the hub processes nothing — lossy
-// traffic aimed at it (beacons, liveness pongs, execution echoes) is
-// lost, reliable traffic (forwards, relays, injected work) parks until
-// revival — and its ring peers, missing its beacons, suspect it and
-// adopt its nodes. Hub crashes are transient by decree: the control
+// traffic aimed at it (beacons, execution echoes) is lost, it runs no
+// heartbeats, reliable traffic (forwards, relays, injected work) parks
+// until revival — and its ring peers, missing its beacons, suspect it
+// and adopt its nodes. Hub crashes are transient by decree: the control
 // plane runs under a supervisor that always restarts it, so Validate
 // rejects Recover <= At (ErrHubCrashPermanent).
 type HubCrash struct {
@@ -118,9 +118,10 @@ func (h HubCrash) Transient() bool { return h.Recover > h.At }
 // probability DropProb and the survivors arrive Delay late. Until 0
 // leaves the fault in force for the rest of the run. Endpoints name
 // shards the consumer resolves — node names, or "hub<R>" for region R's
-// hub shard. The drop coin is a pure hash of (plan seed, edge, per-pair
-// message sequence), so the same plan drops the same messages at every
-// worker count.
+// hub shard. The drop coin is a pure hash of (plan seed, edge, key):
+// a message's key is its per-pair sequence number, a heartbeat's its
+// period index. So the same plan drops the same messages and heartbeats
+// at every worker count.
 type EdgeFault struct {
 	From, To string
 	At       event.Time
