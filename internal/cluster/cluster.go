@@ -75,13 +75,16 @@ type Node struct {
 
 	// Failure state (see fault.go). The node shard holds the ground
 	// truth (crash flag, lost arrays); the hub's view holds the belief
-	// (monitor verdict, last heartbeat and the ones still in flight,
-	// failures, circuit breaker).
+	// (monitor verdict, failures, circuit breaker) and what the hub
+	// computes liveness from: the stamp of the view's last reset
+	// (lastBeat), the first heartbeat period it counts (beatFrom) and the
+	// next sweep at which its verdict may change (nextSweep).
 	down         bool
 	detectedDown bool
 	lastBeat     event.Time
-	beats        []event.Time // heartbeat arrivals not yet folded into lastBeat
-	failures     int          // exec errors + deadline timeouts attributed here
+	beatFrom     event.Time
+	nextSweep    event.Time
+	failures     int // exec errors + deadline timeouts attributed here
 	crashes      int
 	breaker      *breaker
 }

@@ -113,6 +113,9 @@ type tracker struct {
 	fwds         int   // hub-tree overflow forwards consumed (tree.go)
 	gen          int   // bumped per booking and per re-dispatch
 	done         bool
+	// pre: the batch's arrival, and then its latest deadline, precedes
+	// the liveness sweep at its instant (fault.go).
+	pre bool
 }
 
 // tenantCounts is one tenant's batch ledger row: terminal states plus

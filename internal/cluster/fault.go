@@ -37,11 +37,12 @@ var (
 //
 //   - a fault plan (internal/fault) drives deterministic node crashes,
 //     revivals, and array-capacity faults in simulated time;
-//   - heartbeat liveness: every Heartbeat the hub works out when the
-//     pong answering a ping sent now would reach it — from the fault
-//     plan, without sending either message — and a sweep declares a
-//     node dead after DefaultHeartbeatMiss silent periods, evicts its
-//     stranded batches, and re-dispatches them elsewhere;
+//   - heartbeat liveness: a ping every Heartbeat, answered by a pong,
+//     and a sweep every Heartbeat that declares a node dead after
+//     DefaultHeartbeatMiss silent periods, evicts its stranded batches,
+//     and re-dispatches them elsewhere. The hub sends neither message
+//     and runs no per-period event: it works out each heartbeat from the
+//     fault plan and runs a sweep only where a verdict changes;
 //   - per-dispatch deadlines: a batch that has not completed Deadline
 //     after acceptance is aborted and re-dispatched;
 //   - per-node circuit breakers: BreakerK consecutive failures eject a
@@ -84,7 +85,9 @@ type FaultConfig struct {
 	// a half-open probe. 0 means DefaultBreakerCooldown.
 	BreakerCooldown event.Time
 	// Heartbeat is the liveness period: one heartbeat round trip and
-	// one sweep per period. 0 means DefaultHeartbeat.
+	// one sweep per period, both computed from the fault plan (the
+	// sweeps whose verdict changes are the only engine events). 0 means
+	// DefaultHeartbeat.
 	Heartbeat event.Time
 }
 
@@ -288,7 +291,7 @@ func wireEdgeFaults(drv *parsim.Driver, shards map[string]*parsim.Shard, fc Faul
 
 // enableFaults arms one region's failure handling: a breaker per view,
 // the execution-error hook per node, the region's slice of the fault
-// plan, and the liveness loops.
+// plan, and the liveness chain.
 func (r *region) enableFaults(fc *FaultConfig) {
 	r.faults = fc
 	execFn := fc.execFn()
@@ -377,15 +380,11 @@ type outage struct {
 	down bool
 }
 
-// downAt reports whether the fault plan has the node down at instant t:
-// the state its crash and revive events leave once every one scheduled
-// at or before t has run, in (instant, plan order) order — the order
-// the node's engine runs them, and always before any message arriving
-// at t, since they are scheduled before the run. A pure function of the
-// plan, so any hub may ask it mid-run.
-func (sn *shardNode) downAt(t event.Time) bool {
+// planDown reports the state a run-ordered outage list leaves once
+// every transition at or before t has run.
+func planDown(os []outage, t event.Time) bool {
 	down := false
-	for _, o := range sn.outages {
+	for _, o := range os {
 		if o.at > t {
 			break
 		}
@@ -394,88 +393,177 @@ func (sn *shardNode) downAt(t event.Time) bool {
 	return down
 }
 
-// startLiveness arms the hub's liveness tick: every period the hub runs
-// its heartbeats (beat) and then sweeps its views (monitorOnce), which
-// declares a node dead when its last heartbeat is older than the miss
-// budget plus one round trip of slack. The tick re-arms only while work
-// remains outstanding (or is still to arrive), so the engine drains
-// once the run settles.
+// downAt reports whether the fault plan has the node down at instant t:
+// the state its crash and revive events leave once every one scheduled
+// at or before t has run, in (instant, plan order) order — the order
+// the node's engine runs them, and always before any message arriving
+// at t, since they are scheduled before the run. A pure function of the
+// plan, so any hub may ask it mid-run.
+func (sn *shardNode) downAt(t event.Time) bool { return planDown(sn.outages, t) }
+
+// upAfter returns the first instant after t at which the plan revives
+// the node, never if it stays down.
+func (sn *shardNode) upAfter(t event.Time) event.Time {
+	for _, o := range sn.outages {
+		if o.at > t && !o.down {
+			return o.at
+		}
+	}
+	return never
+}
+
+// Computed liveness. A view's verdict is what a sweep on the heartbeat
+// grid decides: at every instant k*Heartbeat (k >= 1) at which the hub
+// is up, a sweep declares a node dead once its liveness stamp is older
+// than the miss budget plus one round trip of slack, and live again
+// once the stamp is fresh. The stamp is the latest heartbeat arrival
+// strictly before the sweep, or the view's last reset if that is later.
+// Each period's heartbeat is a plan fact: a ping leaving the hub at
+// k*Heartbeat reaches the node at a1, is answered if the plan has the
+// node up at a1, and the pong reaches the hub at a2, with each leg's
+// arrival and drop given by parsim's Fate under the period's own coin
+// key. So the hub works out, per view, the first sweep at which the
+// verdict changes (planBeats), and one chain of engine events runs only
+// those sweeps: a period in which no verdict changes costs no event.
+//
+// The chain keeps the end of a sweep loop that ran every period. Such a
+// loop stopped for good at the first grid instant at which ticking() was
+// false, which cannot come before the region's last arrival is due; the
+// chain jumps until then and steps every period after it.
+//
+// It also keeps the loop's same-instant order. The loop armed each sweep
+// one period ahead, so at its instant the sweep ran after every event
+// armed before then and before every event armed after. The chain arms
+// its event earlier, and a hub timer that lands on it and would have run
+// before the loop's sweep re-arms the chain's event behind it (after).
+// Whether a timer armed exactly one period ahead precedes the sweep is
+// inherited from the event that arms it (region.pre), which every hub
+// event that arms timers sets. Mail needs no care: a message reaching
+// the hub within a period of its sending is delivered after the loop
+// would have armed the sweep, and after the chain did.
+
+// never is the far-off instant of a verdict that no planned heartbeat
+// changes. It leaves headroom for the period arithmetic done on it.
+const never = event.Time(1) << 62
+
+// livenessCheckpoint bounds, in heartbeat periods, how far one plan of a
+// view looks ahead. A view whose edges stay faulty while its verdict
+// holds (a long lossy window, say) is swept and re-planned there.
+const livenessCheckpoint = 1024
+
+// gridFloor and gridCeil round t down and up to the heartbeat grid.
+func gridFloor(t, period event.Time) event.Time { return t - t%period }
+func gridCeil(t, period event.Time) event.Time  { return gridFloor(t+period-1, period) }
+
+// startLiveness arms the region's liveness chain. Its first event runs
+// one period after EnableFaults and sweeps every home view, which plans
+// each of them.
 func (r *region) startLiveness() {
 	period := r.faults.heartbeat()
-	var tick func()
-	tick = func() {
-		// A frozen hub neither beats nor sweeps; the loop keeps
-		// re-arming so liveness resumes at revival (the revival sweep
-		// resets every view's lastBeat first).
-		if !r.down {
-			r.beat(period)
-			r.monitorOnce()
-		}
-		if r.ticking() {
-			r.hub.Engine().After(period, tick)
-		}
+	for _, v := range r.views {
+		v.beatFrom, v.nextSweep = period, period
 	}
-	r.hub.Engine().After(period, tick)
+	r.armLiveness(period)
 }
 
-// beat runs this period's heartbeat round trips without sending them.
-// A ping leaving the hub now reaches the node at a1, is answered there
-// if the plan has the node up at a1, and the pong reaches the hub at
-// a2: parsim's Fate gives each leg's arrival and drop, under the
-// period's own coin key, and the node's crash windows give its state.
-// Every input is a plan fact or hub-owned, so the hub reads no node
-// state. A surviving a2 joins the view's pending arrivals, which the
-// sweep at a later tick folds into lastBeat. A pong that would arrive
-// while this hub is frozen needs no special case: the revival sweep
-// stamps every view after it.
-func (r *region) beat(period event.Time) {
+// livenessEvent is the chain's event. It sweeps the views whose verdict
+// may change now, then arms the next event — or ends the chain for good
+// once ticking() is false. A frozen hub sweeps nothing: its revival
+// sweep re-plans every view.
+func (r *region) livenessEvent() {
+	now, period := r.hub.Engine().Now(), r.faults.heartbeat()
+	r.pre = true // what the sweep arms precedes the next sweep
+	if r.down {
+		for _, v := range r.views {
+			v.nextSweep = never
+		}
+	} else {
+		r.sweep(now)
+	}
+	if !r.ticking() {
+		r.lvStopped = true
+		return
+	}
+	next := now + period
+	if next < r.lastArrival {
+		// ticking() holds before the last arrival: wake for the next
+		// verdict, or at the first grid instant where the region may idle.
+		next = gridCeil(r.lastArrival, period)
+		for _, v := range r.views {
+			next = min(next, v.nextSweep)
+		}
+	}
+	r.armLiveness(next)
+}
+
+// armLiveness arms the chain's next event at instant at, superseding a
+// pending one: that event belongs to an older epoch, whose events do
+// nothing.
+func (r *region) armLiveness(at event.Time) {
+	if r.lvFire == nil || r.lvPending {
+		r.lvEpoch++
+		epoch := r.lvEpoch
+		r.lvFire = func() {
+			if r.lvEpoch == epoch {
+				r.lvPending = false
+				r.livenessEvent()
+			}
+		}
+	}
+	r.lvAt, r.lvPending = at, true
+	r.hub.Engine().At(at, r.lvFire)
+}
+
+// timerPre reports whether a hub timer armed now, d ahead, precedes the
+// per-period loop's sweep at its instant: it does if armed before that
+// sweep was, one period ahead of it.
+func (r *region) timerPre(d event.Time) bool {
+	if r.faults == nil {
+		return false
+	}
+	p := r.faults.heartbeat()
+	return d > p || d == p && r.pre
+}
+
+// after arms a hub timer fn, d from now, and re-arms the chain's pending
+// event behind it if the timer lands on that instant and precedes the
+// loop's sweep there.
+func (r *region) after(d event.Time, fn func()) {
+	eng := r.hub.Engine()
+	eng.After(d, fn)
+	if r.lvPending && eng.Now()+d == r.lvAt && r.timerPre(d) {
+		r.armLiveness(r.lvAt)
+	}
+}
+
+// replanLiveness plans views [from:] after they joined or were reset
+// (adoption, revival sweep) and moves the chain's next event earlier if
+// one of them needs it.
+func (r *region) replanLiveness(from int) {
 	now := r.hub.Engine().Now()
-	key := beatKey(int64(now / period))
-	drv := r.fleet.drv
-	for i, sn := range r.sns {
-		a1, lost := drv.Fate(r.hub, sn.shard, now, key)
-		if lost || sn.downAt(a1) {
+	at := never
+	for i := from; i < len(r.views); i++ {
+		r.views[i].nextSweep = r.planBeats(i, now)
+		at = min(at, r.views[i].nextSweep)
+	}
+	if !r.lvStopped && at < r.lvAt {
+		r.armLiveness(at)
+	}
+}
+
+// sweep runs the verdicts due now, in view order: a node silent past the
+// limit is declared dead, its bookings released in booking order
+// (deterministic — never a map walk) and re-dispatched, and an evict
+// message tells the node shard to drop the stranded work; a dead view
+// whose heartbeats arrive again rejoins routing. Each swept view is
+// planned afresh.
+func (r *region) sweep(now event.Time) {
+	limit := r.livenessLimit()
+	for i, v := range r.views {
+		if v.nextSweep != now {
 			continue
 		}
-		if a2, lost := drv.Fate(sn.shard, r.hub, a1, key); !lost {
-			v := r.views[i]
-			v.beats = append(v.beats, a2)
-		}
-	}
-}
-
-// beatKey is the drop-coin key of period k's heartbeat on both of its
-// edges. The high bit keeps it clear of the pair send sequences, which
-// count up from 1.
-func beatKey(k int64) uint64 { return 1<<63 | uint64(k) }
-
-// foldBeats folds the pending heartbeat arrivals strictly before now
-// into lastBeat. One arriving at now itself counts at the next sweep, so
-// a tie never depends on event order.
-func (v *Node) foldBeats(now event.Time) {
-	kept := v.beats[:0]
-	for _, a := range v.beats {
-		if a >= now {
-			kept = append(kept, a)
-		} else if a > v.lastBeat {
-			v.lastBeat = a
-		}
-	}
-	v.beats = kept
-}
-
-// monitorOnce sweeps the views: each view's heartbeat arrivals strictly
-// before now are folded into lastBeat first, then nodes silent past the
-// limit are declared dead, their bookings released in booking order
-// (deterministic — never a map walk) and re-dispatched, and an evict
-// message tells the node shard to drop the stranded work. A view whose
-// heartbeats arrive again rejoins routing.
-func (r *region) monitorOnce() {
-	now := r.hub.Engine().Now()
-	limit := DefaultHeartbeatMiss*r.faults.heartbeat() + 2*DefaultHop
-	for i, v := range r.views {
-		v.foldBeats(now)
-		silent := now - v.lastBeat
+		silent := now - r.stamp(i, now)
 		if !v.detectedDown && silent > limit {
 			v.detectedDown = true
 			r.hub.SendAfter(r.sns[i].shard, DefaultHop, r.fleet.msg.evict, parsim.Payload{})
@@ -494,7 +582,230 @@ func (r *region) monitorOnce() {
 			v.detectedDown = false
 			r.note("live %s", v.Name)
 		}
+		v.nextSweep = r.planBeats(i, now)
 	}
+}
+
+// livenessLimit is the silence past which a sweep declares a node dead:
+// the miss budget plus one round trip of slack.
+func (r *region) livenessLimit() event.Time {
+	return DefaultHeartbeatMiss*r.faults.heartbeat() + 2*DefaultHop
+}
+
+// planBeats returns the first sweep after from at which view i's verdict
+// changes. If none does within livenessCheckpoint periods it returns the
+// sweep there, and never if no heartbeat can change the verdict or the
+// hub freezes first (its revival sweep re-plans).
+func (r *region) planBeats(i int, from event.Time) event.Time {
+	period, v := r.faults.heartbeat(), r.views[i]
+	first := gridFloor(from, period) + period
+	check, freeze := first+(livenessCheckpoint-1)*period, r.nextFreeze(from)
+	stop := min(check, freeze)
+	if v.detectedDown {
+		// The stamp was older than the limit at from, so the first sweep
+		// after the next arrival brings the node back, and none before.
+		a := r.nextBeat(i, from, stop)
+		if a == never {
+			return never
+		}
+		if g := gridFloor(a, period) + period; g < stop {
+			return g
+		}
+	} else {
+		// A sweep one period after a fault-free period sees a fresh
+		// stamp, so only sweeps after faulty periods can find silence.
+		limit := r.livenessLimit()
+		for p := first - period; ; p += period {
+			if p = r.nextFaulty(i, p); p == never {
+				return never
+			} else if p >= stop {
+				break
+			}
+			if g := p + period; g < stop && g-r.stamp(i, g) > limit {
+				return g
+			}
+		}
+	}
+	if check < freeze {
+		return check
+	}
+	return never
+}
+
+// nextBeat returns the earliest heartbeat arrival of view i at or after
+// from, searching the periods whose heartbeats could arrive before stop.
+// It returns stop if none of those arrives, and never if no later
+// heartbeat can arrive at all.
+func (r *region) nextBeat(i int, from, stop event.Time) event.Time {
+	period, v, sn := r.faults.heartbeat(), r.views[i], r.sns[i]
+	h2n, _, trip := r.beatEdges(i)
+	best := never
+	p := max(v.beatFrom, gridCeil(from-trip, period))
+	for p+2*DefaultHop < min(best, stop) {
+		a1 := p + DefaultHop
+		if !covered(h2n, p) && sn.downAt(a1) {
+			// A fault-free ping to a crashed node: skip to the node's
+			// revival or the next ping-edge window, whichever is first.
+			up := sn.upAfter(a1)
+			for _, f := range h2n {
+				if f.At > p {
+					up = min(up, f.At+DefaultHop)
+				}
+			}
+			if up == never {
+				return best
+			}
+			p = max(p+period, gridCeil(up-DefaultHop, period))
+			continue
+		}
+		if a, ok := r.beatArrival(i, p); ok && a >= from && a < best {
+			best = a
+		}
+		p += period
+	}
+	if best == never {
+		return stop
+	}
+	return best
+}
+
+// nextFaulty returns the first period at or after p whose heartbeat to
+// view i may not make a fault-free round trip: one before the view
+// counts heartbeats, one the hub is frozen for, one a fault window of
+// either edge covers, or one that finds the node down. never if none.
+func (r *region) nextFaulty(i int, p event.Time) event.Time {
+	v, sn, period := r.views[i], r.sns[i], r.faults.heartbeat()
+	if p < v.beatFrom || r.downAtTick(p) {
+		return p
+	}
+	next := never
+	span := func(lo, hi event.Time) { // departures in [lo, hi) are faulty
+		if q := max(p, gridCeil(lo, period)); q < hi {
+			next = min(next, q)
+		}
+	}
+	until := func(f parsim.EdgeFault) event.Time {
+		if f.Until == 0 {
+			return never
+		}
+		return f.Until
+	}
+	h2n, n2h, _ := r.beatEdges(i)
+	for _, f := range h2n {
+		span(f.At, until(f))
+	}
+	for _, f := range n2h {
+		span(f.At-DefaultHop, until(f)-DefaultHop)
+	}
+	down := event.Time(-1)
+	for _, o := range sn.outages {
+		switch {
+		case o.down && down < 0:
+			down = o.at
+		case !o.down && down >= 0:
+			span(down-DefaultHop, o.at-DefaultHop)
+			down = -1
+		}
+	}
+	if down >= 0 {
+		span(down-DefaultHop, never)
+	}
+	return next
+}
+
+// stamp is view i's liveness stamp as a sweep at instant at sees it: the
+// latest heartbeat arrival strictly before at, or the view's last reset
+// if that is later. Only periods whose heartbeat could still beat the
+// best so far are computed.
+func (r *region) stamp(i int, at event.Time) event.Time {
+	period, v := r.faults.heartbeat(), r.views[i]
+	_, _, trip := r.beatEdges(i)
+	best := v.lastBeat
+	for p := gridFloor(at-1, period); p >= v.beatFrom && p+trip > best; p -= period {
+		if a, ok := r.beatArrival(i, p); ok && a < at && a > best {
+			best = a
+		}
+	}
+	return best
+}
+
+// beatArrival returns when period p's heartbeat round trip to view i's
+// node gets back to the hub, or false if it is lost or the hub is frozen
+// at p. A ping departing at p reaches the node at a1, which answers if
+// the plan has it up at a1, and the pong arrives at a2: each leg's
+// arrival and drop come from parsim's Fate under the period's coin key,
+// and the node's crash windows give its state. A period that no fault
+// window or outage touches makes the fault-free round trip, two prompt
+// hops, without asking Fate.
+func (r *region) beatArrival(i int, p event.Time) (event.Time, bool) {
+	if r.downAtTick(p) {
+		return 0, false
+	}
+	sn := r.sns[i]
+	h2n, n2h, _ := r.beatEdges(i)
+	a1 := p + DefaultHop
+	if !covered(h2n, p) && !covered(n2h, a1) && !sn.downAt(a1) {
+		return a1 + DefaultHop, true
+	}
+	drv, key := r.fleet.drv, beatKey(int64(p/r.faults.heartbeat()))
+	a1, lost := drv.Fate(r.hub, sn.shard, p, key)
+	if lost || sn.downAt(a1) {
+		return 0, false
+	}
+	a2, lost := drv.Fate(sn.shard, r.hub, a1, key)
+	return a2, !lost
+}
+
+// beatEdges returns the fault windows of view i's ping and pong edges,
+// and the longest round trip they allow.
+func (r *region) beatEdges(i int) (h2n, n2h []parsim.EdgeFault, trip event.Time) {
+	drv, sn := r.fleet.drv, r.sns[i]
+	h2n, n2h = drv.EdgeFaults(r.hub, sn.shard), drv.EdgeFaults(sn.shard, r.hub)
+	trip = 2 * DefaultHop
+	for _, f := range h2n {
+		trip += f.Delay
+	}
+	for _, f := range n2h {
+		trip += f.Delay
+	}
+	return h2n, n2h, trip
+}
+
+// covered reports whether any of the fault windows covers departure t.
+func covered(fs []parsim.EdgeFault, t event.Time) bool {
+	for _, f := range fs {
+		if f.Active(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// beatKey is the drop-coin key of period k's heartbeat on both of its
+// edges. The high bit keeps it clear of the pair send sequences, which
+// count up from 1.
+func beatKey(k int64) uint64 { return 1<<63 | uint64(k) }
+
+// downAtTick reports whether the plan has the hub frozen when the sweep
+// at grid instant t runs. Freeze and revival events are armed before
+// Run, so they run before a sweep at their own instant — except the
+// first sweep's, whose event EnableFaults arms before them.
+func (r *region) downAtTick(t event.Time) bool {
+	if t == r.faults.heartbeat() {
+		t--
+	}
+	return planDown(r.freezes, t)
+}
+
+// nextFreeze returns the first instant at or after from at which the
+// plan freezes the hub, never if none.
+func (r *region) nextFreeze(from event.Time) event.Time {
+	for _, o := range r.freezes {
+		if o.down && o.at >= from {
+			return o.at
+		}
+	}
+	return never
 }
 
 // note hands one liveness verdict to the fleet's test hook, if set.

@@ -320,12 +320,11 @@ func TestEnableFaultsErrors(t *testing.T) {
 }
 
 // TestLivenessAllocsFlatInPeriods pins that fault-mode heartbeats cost
-// no heap per period: each is computed from the fault plan, and its
-// arrival waits in a per-view buffer whose capacity is reused. Two runs
-// differ only in when a late batch arrives, so the longer one keeps the
-// liveness tick running for three times as many extra periods; its
-// allocations may exceed the shorter run's by less than one per extra
-// period.
+// no heap per period: each is computed from the fault plan when a
+// verdict is planned, and nothing is buffered. Two runs differ only in
+// when a late batch arrives, so the longer one keeps liveness going for
+// three times as many extra periods; its allocations may exceed the
+// shorter run's by less than one per extra period.
 func TestLivenessAllocsFlatInPeriods(t *testing.T) {
 	const periods = 40
 	var batches []*runtime.Batch

@@ -334,3 +334,57 @@ func TestRevivedHubAdoptsNothing(t *testing.T) {
 		t.Errorf("successor region 0: takeovers=%d adopted=%v, want region 1 adopted", r.takeovers, r.adopted)
 	}
 }
+
+// TestLivenessEventsFlatInIdlePeriods: liveness costs no event in a
+// period in which no verdict changes. Two fault-mode tree runs differ
+// only in how far their horizon is extended past the last completion,
+// 40 or 400 heartbeat periods; with a crash and a lossy edge early on,
+// verdicts still change during the work. Over the idle stretch each of
+// the two hubs still runs its beacon ticks, and with an edge fault in
+// the plan every tick sends its ring neighbour a beacon. So the runs'
+// windows may differ by two per tick (the ticks, then the beacons'
+// delivery) and the hubs' fired events by two per tick per hub, and by
+// nothing per heartbeat period.
+func TestLivenessEventsFlatInIdlePeriods(t *testing.T) {
+	const se = 2 * event.Millisecond
+	run := func(idle int) (windows int, fired uint64) {
+		d := NewShardedDispatcher(NewLeastOutstanding(), Admission{MaxRetries: 4},
+			ShardConfig{Workers: 2, Hubs: 2, SummaryEvery: se},
+			fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
+		plan := &fault.Plan{
+			Seed:       3,
+			Crashes:    []fault.Crash{{Node: "b", At: event.Millisecond, Recover: 3 * event.Millisecond}},
+			EdgeFaults: []fault.EdgeFault{{From: "hub1", To: "c", At: 0, Until: 4 * event.Millisecond, DropProb: 0.5}},
+		}
+		if err := d.EnableFaults(FaultConfig{Plan: plan, Deadline: 5 * event.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			if err := d.Submit(mkBatch(i, event.Time(i)*250*event.Microsecond, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The plan and the batches are done well before 30 ms.
+		d.ExtendHorizon(30*event.Millisecond + event.Time(idle)*DefaultHeartbeat)
+		s := d.Run()
+		conserved(t, s)
+		if s.Makespan >= 30*event.Millisecond {
+			t.Fatalf("makespan %v reaches the idle stretch", s.Makespan)
+		}
+		for _, r := range d.regions {
+			fired += r.hub.Engine().Fired()
+		}
+		return d.WindowStats().Windows, fired
+	}
+	w40, f40 := run(40)
+	w400, f400 := run(400)
+	ticks := int((400-40)*DefaultHeartbeat/se) + 1 // beacon ticks per hub in the extra idle stretch
+	if extra := w400 - w40; extra < 0 || extra > 2*ticks {
+		t.Errorf("windows %d -> %d over 360 more idle heartbeat periods, want at most %d more (beacon ticks)",
+			w40, w400, 2*ticks)
+	}
+	if extra := int(f400) - int(f40); extra > 2*2*ticks {
+		t.Errorf("hub events %d -> %d over 360 more idle heartbeat periods, want at most %d more (beacon ticks)",
+			f40, f400, 2*2*ticks)
+	}
+}

@@ -134,6 +134,10 @@ type region struct {
 	down   bool
 	parked []func()
 
+	// pre: the running hub event precedes the liveness sweep a per-period
+	// loop would run at its instant (fault.go, after).
+	pre bool
+
 	// peerLast is the last beacon-receipt instant per region; a ring
 	// predecessor silent past suspLimit is suspected, and this region —
 	// its ring successor — adopts its nodes. Adoption is sticky for the
@@ -145,6 +149,16 @@ type region struct {
 	adoptees map[int][]adoptee // prebuilt per ring predecessor (prepare)
 
 	relays records[DoneInfo] // carries this hub's settles to region 0 (tree.go)
+
+	// Liveness chain (fault.go): lvAt is its next event's instant while
+	// lvPending; lvStopped ends it for the run. lvFire is the current
+	// epoch's event func. freezes is the hub's freeze plan in run order.
+	lvAt      event.Time
+	lvPending bool
+	lvStopped bool
+	lvEpoch   int
+	lvFire    func()
+	freezes   []outage
 
 	hubCrashes int // freeze windows applied to this hub
 	takeovers  int // ring-predecessor regions this hub adopted
@@ -426,8 +440,9 @@ func (d *ShardedDispatcher) Submit(b *runtime.Batch) error {
 		return err
 	}
 	r := d.sprayTarget(b.Arrival)
-	r.track(b, b.Arrival)
-	r.hub.Engine().At(b.Arrival, func() { r.dispatch(b, 0, nil) })
+	tr := r.track(b, b.Arrival)
+	tr.pre = d.faults == nil // armed before the first liveness sweep
+	r.hub.Engine().At(b.Arrival, func() { r.arrive(tr) })
 	return nil
 }
 
@@ -470,12 +485,16 @@ func (d *ShardedDispatcher) Inject(b *runtime.Batch) error {
 		// Every hub frozen: fall through — region 0 parks the dispatch.
 	}
 	r0.track(b, r0.hub.Engine().Now())
+	// A front end (internal/serve) injects from events armed before the
+	// run or a batching budget ahead: they precede the liveness sweep at
+	// their instant (fault.go).
+	r0.pre = true
 	r0.dispatch(b, 0, nil)
 	return nil
 }
 
 // ExtendHorizon promises the dispatcher that work may keep arriving
-// until at least t (hub time). The liveness and monitor loops re-arm
+// until at least t (hub time). Liveness and the beacons keep going
 // while the horizon is ahead, so an open-loop front end injecting
 // batches mid-run keeps failure detection alive even across idle gaps.
 func (d *ShardedDispatcher) ExtendHorizon(t event.Time) {
@@ -575,13 +594,27 @@ func (r *region) nodeSummary(i int, rt runtime.Summary) NodeSummary {
 
 // track opens a batch's tracker on this region's hub: from here the
 // region owns the batch's accounting until exactly one settle.
-func (r *region) track(b *runtime.Batch, at event.Time) {
-	r.trk[b.ID] = &tracker{b: b}
+func (r *region) track(b *runtime.Batch, at event.Time) *tracker {
+	tr := &tracker{b: b}
+	r.trk[b.ID] = tr
 	r.pending++
 	row(r.tenants, b.Tenant).submitted++
 	if at > r.lastArrival {
 		r.lastArrival = at
 	}
+	return tr
+}
+
+// arrive dispatches a submitted batch at its arrival instant. Arrivals
+// are armed before the run, so an arrival precedes the liveness sweep at
+// its instant (fault.go), unless that is the first sweep and was armed
+// before it.
+func (r *region) arrive(tr *tracker) {
+	if r.faults != nil {
+		p := r.faults.heartbeat()
+		r.pre = tr.b.Arrival > p || tr.b.Arrival == p && tr.pre
+	}
+	r.dispatch(tr.b, 0, nil)
 }
 
 // finish moves a batch to a terminal state exactly once.
@@ -671,7 +704,9 @@ func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 		}
 		if attempt < r.adm.MaxRetries {
 			r.retries++
-			r.hub.Engine().After(retryDelay(r.adm.backoff(), attempt), func() { r.dispatch(b, attempt+1, avoid) })
+			delay := retryDelay(r.adm.backoff(), attempt)
+			pre := r.timerPre(delay)
+			r.after(delay, func() { r.pre = pre; r.dispatch(b, attempt+1, avoid) })
 			return
 		}
 		r.settle(tr, OutcomeShed, "", runtime.BatchResult{})
@@ -687,7 +722,8 @@ func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 		v.breaker.OnPick()
 		if dl := r.faults.Deadline; dl > 0 {
 			gen := tr.gen
-			r.hub.Engine().After(dl, func() { r.onDeadline(tr, gen) })
+			tr.pre = r.timerPre(dl)
+			r.after(dl, func() { r.pre = tr.pre; r.onDeadline(tr, gen) })
 		}
 	}
 	if r.estimating {
@@ -784,8 +820,8 @@ func (r *region) onCompleted(idx int, res runtime.BatchResult, failed bool, toke
 	r.redispatch(tr, v)
 }
 
-// ticking reports whether the hub's periodic loops must keep running:
-// work is outstanding, or arrivals are still due.
+// ticking reports whether the hub's liveness chain and beacons must
+// keep going: work is outstanding, or arrivals are still due.
 func (r *region) ticking() bool {
 	return r.pending > 0 || r.hub.Engine().Now() < r.lastArrival
 }

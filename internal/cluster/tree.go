@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mlimp/internal/event"
 	"mlimp/internal/event/parsim"
@@ -340,12 +342,15 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 	idx := r.idx
 	var tick func()
 	tick = func() {
+		// The first tick is armed after the first sweep, so a tick precedes
+		// the sweep at its instant only if armed more than a period ahead.
+		r.pre = r.faults != nil && d.summaryEvery > r.faults.heartbeat()
 		if r.down {
 			// A frozen hub beacons nothing — that silence is exactly what
 			// its ring successor's suspicion clock measures. The loop
 			// keeps re-arming so beacons resume at revival.
 			if r.ticking() {
-				r.hub.Engine().After(d.summaryEvery, tick)
+				r.after(d.summaryEvery, tick)
 			}
 			return
 		}
@@ -377,7 +382,7 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 			}
 		}
 		if r.ticking() {
-			r.hub.Engine().After(d.summaryEvery, tick)
+			r.after(d.summaryEvery, tick)
 		}
 	}
 	r.hub.Engine().At(d.summaryEvery, tick)
@@ -388,16 +393,24 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 // views — join the adopter's routing set past homeN. Adoption is sticky
 // for the run (beliefs may heal, routing stays safe: every booking's
 // echo carries its home). The adopted views start with a fresh liveness
-// stamp so the adopter's sweep gives their heartbeats time to arrive.
+// stamp so the adopter's sweep gives their heartbeats time to arrive,
+// and count heartbeats from the first sweep after the adoption — the
+// one at this instant if the beacon tick runs before it (fault.go).
 func (r *region) adopt(pi int) {
 	r.adopted[pi] = true
 	r.takeovers++
 	r.note("adopt hub%d", pi)
 	now := r.hub.Engine().Now()
+	from := gridCeil(now, r.faults.heartbeat())
+	if from == now && !r.pre {
+		from += r.faults.heartbeat()
+	}
+	n := len(r.views)
 	for _, a := range r.adoptees[pi] {
-		a.view.lastBeat = now
+		a.view.lastBeat, a.view.beatFrom = now, from
 		r.join(a.sn, a.view)
 	}
+	r.replanLiveness(n)
 }
 
 // reviveSweep runs on a hub the instant its freeze window ends. Every
@@ -416,6 +429,7 @@ func (r *region) reviveSweep() {
 		v.lastBeat = now
 		v.detectedDown = false
 	}
+	r.replanLiveness(0)
 	// Beacons the freeze swallowed must not read as the peers' silence:
 	// every suspicion clock restarts now, as the views' liveness does.
 	for i := range r.peerLast {
@@ -461,10 +475,18 @@ func (d *ShardedDispatcher) armFabricFaults(fc FaultConfig) {
 	for _, h := range fc.Plan.HubCrashes {
 		r := d.regions[h.Region]
 		r.hub.Engine().At(h.At, func() { r.down = true; r.hubCrashes++ })
-		r.hub.Engine().At(h.Recover, func() { r.down = false; r.reviveSweep() })
+		r.hub.Engine().At(h.Recover, func() {
+			r.down = false
+			r.pre = h.Recover > fc.heartbeat() // armed after the first sweep
+			r.reviveSweep()
+		})
+		r.freezes = append(r.freezes, outage{h.At, true}, outage{h.Recover, false})
 		if h.Recover > maxT {
 			maxT = h.Recover
 		}
+	}
+	for _, r := range d.regions {
+		slices.SortStableFunc(r.freezes, func(a, b outage) int { return cmp.Compare(a.at, b.at) })
 	}
 	for _, e := range fc.Plan.EdgeFaults {
 		if e.Until > maxT {
@@ -472,8 +494,8 @@ func (d *ShardedDispatcher) armFabricFaults(fc FaultConfig) {
 		}
 	}
 	if maxT > 0 {
-		// Liveness, beacon, and monitor loops re-arm while the horizon is
-		// ahead: promise activity through every fault window plus a full
+		// Liveness and the beacons keep going while the horizon is ahead:
+		// promise activity through every fault window plus a full
 		// suspicion round, so detection outlives the chaos.
 		d.ExtendHorizon(maxT + d.suspLimit + d.summaryEvery)
 	}

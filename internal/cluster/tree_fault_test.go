@@ -289,18 +289,6 @@ func TestTreeReviveSweepChargesRedispatch(t *testing.T) {
 	}
 }
 
-// beatAt is a view's liveness stamp as a sweep at instant at would see
-// it: lastBeat, or a later heartbeat arrival strictly before at.
-func beatAt(v *Node, at event.Time) event.Time {
-	b := v.lastBeat
-	for _, a := range v.beats {
-		if a < at && a > b {
-			b = a
-		}
-	}
-	return b
-}
-
 // TestTakeoverBeatsStampAdopterView pins heartbeat routing across a
 // takeover: once region 0 adopts frozen region 1's nodes, region 0's
 // heartbeats keep region 0's view of each adopted node live, while
@@ -326,13 +314,13 @@ func TestTakeoverBeatsStampAdopterView(t *testing.T) {
 	var adopted, home [2][]event.Time
 	for k, at := range []event.Time{t1, t2} {
 		adopter.hub.Engine().At(at, func() {
-			for _, v := range adopter.views[adopter.homeN:] {
-				adopted[k] = append(adopted[k], beatAt(v, at))
+			for j := adopter.homeN; j < len(adopter.views); j++ {
+				adopted[k] = append(adopted[k], adopter.stamp(j, at))
 			}
 		})
 		frozen.hub.Engine().At(at, func() {
-			for _, v := range frozen.views[:frozen.homeN] {
-				home[k] = append(home[k], beatAt(v, at))
+			for j := range frozen.views[:frozen.homeN] {
+				home[k] = append(home[k], frozen.stamp(j, at))
 			}
 		})
 	}

@@ -253,3 +253,25 @@ func TestFateMatchesSend(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeFaults: EdgeFaults lists a pair's windows in declaration
+// order, per direction, and nothing for a pair without any.
+func TestEdgeFaults(t *testing.T) {
+	d := NewDriver(hop, 1)
+	a, b, c := d.AddShard(), d.AddShard(), d.AddShard()
+	w1 := EdgeFault{DropProb: 0.5, Seed: 1}
+	w2 := EdgeFault{At: 5 * hop, Until: 9 * hop, Delay: hop, Seed: 1}
+	d.AddEdgeFault(a, b, w1)
+	d.AddEdgeFault(a, b, w2)
+	if got := d.EdgeFaults(a, b); !reflect.DeepEqual(got, []EdgeFault{w1, w2}) {
+		t.Errorf("a->b windows %v, want %v", got, []EdgeFault{w1, w2})
+	}
+	for _, p := range [][2]*Shard{{b, a}, {a, c}, {c, b}} {
+		if got := d.EdgeFaults(p[0], p[1]); got != nil {
+			t.Errorf("shard %d->%d windows %v, want none", p[0].ID(), p[1].ID(), got)
+		}
+	}
+	if !w2.Active(5*hop) || w2.Active(9*hop) || w2.Active(4*hop) {
+		t.Error("Active does not cover exactly [At, Until)")
+	}
+}

@@ -176,8 +176,8 @@ type EdgeFault struct {
 	Seed      int64
 }
 
-// active reports whether the window covers departure instant t.
-func (f EdgeFault) active(t event.Time) bool {
+// Active reports whether the window covers departure instant t.
+func (f EdgeFault) Active(t event.Time) bool {
 	return t >= f.At && (f.Until == 0 || t < f.Until)
 }
 
@@ -320,7 +320,7 @@ func (s *Shard) growRow(n int) {
 // (seed, src, dst, key), so the fate is a pure function of its inputs.
 func (d *Driver) fate(l *link, src, dst int, depart event.Time, key uint64, reliable bool) (delay event.Time, delays int, lost bool) {
 	for _, f := range d.faults[l.faults-1] {
-		if !f.active(depart) {
+		if !f.Active(depart) {
 			continue
 		}
 		if !reliable && f.DropProb > 0 && edgeCoin(f.Seed, src, dst, key) < f.DropProb {
@@ -360,6 +360,20 @@ func (d *Driver) Fate(src, dst *Shard, depart event.Time, key uint64) (arrive ev
 		return arrive + delay, lost
 	}
 	return arrive, false
+}
+
+// EdgeFaults returns the fault windows AddEdgeFault scheduled on the
+// pair src->dst, in declaration order; nil if there are none. Like
+// Fate it reads only the immutable fault schedule, so any shard may
+// call it during Run. The slice is the driver's own: callers must not
+// modify it.
+func (d *Driver) EdgeFaults(src, dst *Shard) []EdgeFault {
+	if dst.id < len(src.links) {
+		if f := src.links[dst.id].faults; f != 0 {
+			return d.faults[f-1]
+		}
+	}
+	return nil
 }
 
 // SendAfter sends message h with payload p to dst, delivered d after
