@@ -335,6 +335,46 @@ func TestRevivedHubAdoptsNothing(t *testing.T) {
 	}
 }
 
+// TestIdleHubNotAdopted: in fabric-fault mode a hub that runs out of
+// work stops beaconing, while its ring successor, still busy, keeps
+// watching it. The idle hub's last beacon says it went idle, so the
+// silence after it is not read as death: nothing is adopted.
+func TestIdleHubNotAdopted(t *testing.T) {
+	d := NewShardedDispatcher(NewRoundRobin(), Admission{MaxRetries: 6},
+		ShardConfig{Workers: 2, Hubs: 2, SummaryEvery: 500 * event.Microsecond},
+		fullNode("a"), fullNode("b"), fullNode("c"), fullNode("d"))
+	// A short delay-only edge fault switches the fabric into fault mode
+	// and stretches both horizons only to about 3 ms.
+	plan := &fault.Plan{Seed: 9, EdgeFaults: []fault.EdgeFault{
+		{From: "hub0", To: "a", Until: event.Millisecond, Delay: 10 * event.Microsecond},
+	}}
+	if err := d.EnableFaults(FaultConfig{Plan: plan, Deadline: 5 * event.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	// Submissions alternate between the regions: region 0's batches all
+	// arrive in the first millisecond, region 1's keep arriving to 9 ms.
+	for i := 0; i < 10; i++ {
+		for _, b := range []*runtime.Batch{
+			mkBatch(2*i, event.Time(i)*100*event.Microsecond, 2),
+			mkBatch(2*i+1, event.Time(i)*event.Millisecond, 2),
+		} {
+			if err := d.Submit(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	idleFrom, busyUntil := d.regions[0].lastArrival, d.regions[1].lastArrival
+	s := d.Run()
+	conserved(t, s)
+	if busyUntil-idleFrom <= 2*d.suspLimit {
+		t.Fatalf("region 1 works until %v, not long past region 0's horizon %v plus the suspicion limit %v",
+			busyUntil, idleFrom, d.suspLimit)
+	}
+	if s.Takeovers != 0 {
+		t.Errorf("takeovers = %d, want 0: no hub froze, one only went idle", s.Takeovers)
+	}
+}
+
 // TestLivenessEventsFlatInIdlePeriods: liveness costs no event in a
 // period in which no verdict changes. Two fault-mode tree runs differ
 // only in how far their horizon is extended past the last completion,

@@ -25,7 +25,7 @@ type messages struct {
 	started   parsim.Handler // Ref batch, A token, B start time
 	completed parsim.Handler // Ref *record[runtime.BatchResult], A token, B failed (0/1)
 	// Hub -> hub.
-	beacon  parsim.Handler // A the sender's load
+	beacon  parsim.Handler // A the sender's load, B 1 on its last beacon (idle)
 	forward parsim.Handler // Ref batch, A forward count
 	inject  parsim.Handler // Ref batch
 	relay   parsim.Handler // Ref *record[DoneInfo]; passed on to region 0 as done
@@ -143,7 +143,8 @@ func (d *ShardedDispatcher) onCompleted(dst *parsim.Shard, src int, p parsim.Pay
 }
 
 // onBeacon records a ring neighbour's load belief and, in fabric-fault
-// mode, its liveness. A frozen hub loses the beacon.
+// mode, its liveness and whether it went idle. A frozen hub loses the
+// beacon.
 func (d *ShardedDispatcher) onBeacon(dst *parsim.Shard, src int, p parsim.Payload) {
 	r, idx := d.roles[dst.ID()].r, d.roles[src].r.idx
 	if r.down {
@@ -152,6 +153,7 @@ func (d *ShardedDispatcher) onBeacon(dst *parsim.Shard, src int, p parsim.Payloa
 	r.beliefs[idx] = int(p.A)
 	if d.suspLimit > 0 {
 		r.peerLast[idx] = dst.Engine().Now()
+		r.peerIdle[idx] = p.B != 0
 		r.suspect[idx] = false
 	}
 }

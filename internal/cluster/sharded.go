@@ -142,8 +142,10 @@ type region struct {
 	// predecessor silent past suspLimit is suspected, and this region —
 	// its ring successor — adopts its nodes. Adoption is sticky for the
 	// run: beliefs may heal, but shared routing stays safe because every
-	// booking carries its home (sn.homes).
+	// booking carries its home (sn.homes). peerIdle marks a region whose
+	// last beacon said it stopped beaconing for lack of work.
 	peerLast []event.Time
+	peerIdle []bool
 	suspect  []bool
 	adopted  []bool
 	adoptees map[int][]adoptee // prebuilt per ring predecessor (prepare)

@@ -235,6 +235,7 @@ func (d *ShardedDispatcher) prepare() {
 			r.beliefs[i] = -1
 		}
 		r.peerLast = make([]event.Time, hubs)
+		r.peerIdle = make([]bool, hubs)
 		r.suspect = make([]bool, hubs)
 		r.adopted = make([]bool, hubs)
 		for _, sn := range r.sns {
@@ -358,6 +359,10 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 		for _, v := range r.views {
 			load += v.Outstanding()
 		}
+		// A hub with no work left stops beaconing after this tick. In
+		// fabric-fault mode the beacon says so, so that its successor reads
+		// the silence that follows as idleness, not death.
+		idle := !r.ticking()
 		// An unchanged load is already what the peers believe (the first
 		// tick always sends: lastBeacon starts at -1 and load is >= 0),
 		// so re-sending it would only add traffic to no effect.
@@ -365,23 +370,29 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 		// the hub-level heartbeat, and skip-unchanged would read as death.
 		if d.suspLimit > 0 || load != r.lastBeacon {
 			r.lastBeacon = load
+			var last int64
+			if idle {
+				last = 1
+			}
 			for _, p := range r.peers {
-				r.hub.Send(p.hub, r.hub.EarliestTo(p.hub), d.msg.beacon, parsim.Payload{A: int64(load)})
+				r.hub.Send(p.hub, r.hub.EarliestTo(p.hub), d.msg.beacon, parsim.Payload{A: int64(load), B: last})
 			}
 		}
 		if d.suspLimit > 0 {
 			// Suspicion clock: this region watches its ring predecessor
 			// (successor-only, so exactly one region adopts a silent hub's
 			// nodes). peerLast starts at 0, but the limit is >= three
-			// beacon periods, so a live predecessor always beats it.
+			// beacon periods, so a live predecessor always beats it. A
+			// predecessor whose last beacon said it went idle is silent
+			// because it has no work, and is not suspected.
 			pi := (idx + len(d.regions) - 1) % len(d.regions)
 			now := r.hub.Engine().Now()
-			if !r.adopted[pi] && !r.suspect[pi] && now-r.peerLast[pi] > d.suspLimit {
+			if !r.adopted[pi] && !r.suspect[pi] && !r.peerIdle[pi] && now-r.peerLast[pi] > d.suspLimit {
 				r.suspect[pi] = true
 				r.adopt(pi)
 			}
 		}
-		if r.ticking() {
+		if !idle {
 			r.after(d.summaryEvery, tick)
 		}
 	}
