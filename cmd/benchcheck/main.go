@@ -25,6 +25,14 @@
 // a benchmark whose allocs/op exceeds its baseline by more than
 // allocTolerance percent fails. A baseline without allocation counts
 // skips that gate.
+//
+// A benchmark may also report counts of its own beside ns/op
+// (b.ReportMetric columns such as `1894 windows/op`). Those the baseline
+// lists under exact_per_op are facts of the simulated run, identical on
+// every machine, so any difference from the baseline fails, as does a
+// listed count missing from the run. -update refreshes the listed
+// counts from the run and adds no new ones: a count joins the gate by
+// being added to the baseline by hand.
 package main
 
 import (
@@ -52,14 +60,17 @@ type Baseline struct {
 	Note        string             `json:"note,omitempty"`
 	NsPerOp     map[string]float64 `json:"ns_per_op"`
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+	// ExactPerOp holds, by benchmark and then unit, the reported counts
+	// that must match exactly. A parsed run holds every reported count.
+	ExactPerOp map[string]map[string]float64 `json:"exact_per_op,omitempty"`
 }
 
 // benchLine matches `BenchmarkName-8   100   12345 ns/op   ...` and the
-// suffix-less form emitted with GOMAXPROCS unset; allocsColumn picks the
-// -benchmem allocs/op column out of the rest of the line.
+// suffix-less form emitted with GOMAXPROCS unset; perOpColumn picks each
+// `value unit/op` column out of the rest of the line.
 var (
-	benchLine    = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
-	allocsColumn = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+	perOpColumn = regexp.MustCompile(`\s([0-9.e+-]+) (\S+/op)`)
 )
 
 func parseBench(r io.Reader) (Baseline, error) {
@@ -76,18 +87,50 @@ func parseBench(r io.Reader) (Baseline, error) {
 			return Baseline{}, fmt.Errorf("bad ns/op in %q: %v", sc.Text(), err)
 		}
 		got.NsPerOp[m[1]] = ns
-		if c := allocsColumn.FindStringSubmatch(m[3]); c != nil {
-			a, err := strconv.ParseFloat(c[1], 64)
+		for _, c := range perOpColumn.FindAllStringSubmatch(m[3], -1) {
+			v, err := strconv.ParseFloat(c[1], 64)
 			if err != nil {
-				return Baseline{}, fmt.Errorf("bad allocs/op in %q: %v", sc.Text(), err)
+				return Baseline{}, fmt.Errorf("bad %s in %q: %v", c[2], sc.Text(), err)
 			}
-			if got.AllocsPerOp == nil {
-				got.AllocsPerOp = map[string]float64{}
+			switch c[2] {
+			case "B/op":
+			case "allocs/op":
+				if got.AllocsPerOp == nil {
+					got.AllocsPerOp = map[string]float64{}
+				}
+				got.AllocsPerOp[m[1]] = v
+			default:
+				if got.ExactPerOp == nil {
+					got.ExactPerOp = map[string]map[string]float64{}
+				}
+				if got.ExactPerOp[m[1]] == nil {
+					got.ExactPerOp[m[1]] = map[string]float64{}
+				}
+				got.ExactPerOp[m[1]][c[2]] = v
 			}
-			got.AllocsPerOp[m[1]] = a
 		}
 	}
 	return got, sc.Err()
+}
+
+// gated keeps the counts of run that base lists under exact_per_op: the
+// exact map -update writes.
+func gated(base, run Baseline) map[string]map[string]float64 {
+	var out map[string]map[string]float64
+	for name, units := range base.ExactPerOp {
+		for unit := range units {
+			if v, ok := run.ExactPerOp[name][unit]; ok {
+				if out == nil {
+					out = map[string]map[string]float64{}
+				}
+				if out[name] == nil {
+					out[name] = map[string]float64{}
+				}
+				out[name][unit] = v
+			}
+		}
+	}
+	return out
 }
 
 func main() {
@@ -130,6 +173,7 @@ func main() {
 		if *note != "" {
 			got.Note = *note
 		}
+		got.ExactPerOp = gated(old, got)
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -158,9 +202,10 @@ func main() {
 // compare writes the per-benchmark report and returns true when the
 // check fails: a baseline benchmark missing from the run, the geomean
 // past threshold, (with tolerance > 0) any single benchmark regressed
-// by more than tolerance percent, or any baseline allocs/op count
+// by more than tolerance percent, any baseline allocs/op count
 // exceeded by more than allocTolerance percent or missing from the
-// run — each per-bench failure names the benchmark and its delta.
+// run, or any exact_per_op count that differs or is missing — each
+// per-bench failure names the benchmark and its delta.
 func compare(w io.Writer, base, got Baseline, threshold, tolerance float64) bool {
 	var names []string
 	for name := range base.NsPerOp {
@@ -206,6 +251,24 @@ func compare(w io.Writer, base, got Baseline, threshold, tolerance float64) bool
 				fail = true
 			default:
 				fmt.Fprintf(w, "ok       %-50s %12.0f -> %12.0f allocs/op\n", name, oldA, nowA)
+			}
+		}
+		var units []string
+		for unit := range base.ExactPerOp[name] {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			want := base.ExactPerOp[name][unit]
+			switch now, ok := got.ExactPerOp[name][unit]; {
+			case !ok:
+				fmt.Fprintf(w, "MISSING  %-50s baseline %g %s, not in run\n", name, want, unit)
+				fail = true
+			case now != want:
+				fmt.Fprintf(w, "benchcheck: FAIL — %s %s %g -> %g differs from its exact baseline\n", name, unit, want, now)
+				fail = true
+			default:
+				fmt.Fprintf(w, "ok       %-50s %12g == %12g %s\n", name, want, now, unit)
 			}
 		}
 	}

@@ -125,3 +125,58 @@ func TestBaselineJSONCompat(t *testing.T) {
 		t.Errorf("allocs_per_op missing from %s", raw)
 	}
 }
+
+func TestParseBenchCounts(t *testing.T) {
+	out := "BenchmarkFleetChaos64-2   5   74641789 ns/op   5595 msgs/op   469.0 windows/op   5360744 B/op   13974 allocs/op\n"
+	got, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"msgs/op": 5595, "windows/op": 469}
+	if c := got.ExactPerOp["BenchmarkFleetChaos64"]; len(c) != len(want) || c["msgs/op"] != 5595 || c["windows/op"] != 469 {
+		t.Errorf("counts %v, want %v (B/op and allocs/op are not counts)", c, want)
+	}
+	if got.AllocsPerOp["BenchmarkFleetChaos64"] != 13974 {
+		t.Errorf("allocs/op = %v, want 13974", got.AllocsPerOp["BenchmarkFleetChaos64"])
+	}
+}
+
+func TestCompareExactGate(t *testing.T) {
+	ns := map[string]float64{"BenchmarkA": 100}
+	base := Baseline{NsPerOp: ns, ExactPerOp: map[string]map[string]float64{
+		"BenchmarkA": {"windows/op": 469, "msgs/op": 5595},
+	}}
+	run := func(counts map[string]float64) Baseline {
+		return Baseline{NsPerOp: ns, ExactPerOp: map[string]map[string]float64{"BenchmarkA": counts}}
+	}
+	var sb strings.Builder
+	if compare(&sb, base, run(map[string]float64{"windows/op": 469, "msgs/op": 5595, "speedup/op": 1.7}), 1.10, 0) {
+		t.Errorf("equal counts must pass, and an ungated count is ignored:\n%s", sb.String())
+	}
+	sb.Reset()
+	if !compare(&sb, base, run(map[string]float64{"windows/op": 470, "msgs/op": 5595}), 1.10, 0) {
+		t.Fatalf("a count off by one must fail:\n%s", sb.String())
+	}
+	if out := sb.String(); !strings.Contains(out, "BenchmarkA windows/op 469 -> 470") {
+		t.Errorf("failure output missing the count delta:\n%s", out)
+	}
+	sb.Reset()
+	if !compare(&sb, base, run(map[string]float64{"windows/op": 469}), 1.10, 0) {
+		t.Errorf("a gated count missing from the run must fail:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "MISSING") {
+		t.Errorf("missing count not reported:\n%s", sb.String())
+	}
+}
+
+func TestUpdateKeepsGatedCounts(t *testing.T) {
+	old := Baseline{ExactPerOp: map[string]map[string]float64{"BenchmarkA": {"windows/op": 1894}}}
+	run := Baseline{ExactPerOp: map[string]map[string]float64{
+		"BenchmarkA": {"windows/op": 469, "msgs/op": 5595},
+		"BenchmarkB": {"windows/op": 7},
+	}}
+	got := gated(old, run)
+	if len(got) != 1 || len(got["BenchmarkA"]) != 1 || got["BenchmarkA"]["windows/op"] != 469 {
+		t.Errorf("-update exact map %v, want only BenchmarkA windows/op 469", got)
+	}
+}

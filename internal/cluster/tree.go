@@ -235,8 +235,10 @@ func (d *ShardedDispatcher) prepare() {
 			r.beliefs[i] = -1
 		}
 		r.peerLast = make([]event.Time, hubs)
-		r.peerIdle = make([]bool, hubs)
 		r.suspect = make([]bool, hubs)
+		if d.suspLimit > 0 {
+			r.peerIdle = make([]bool, hubs)
+		}
 		r.adopted = make([]bool, hubs)
 		for _, sn := range r.sns {
 			d.drv.SetEdge(r.hub, sn.shard, prompt)
