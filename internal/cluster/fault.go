@@ -431,16 +431,11 @@ func (sn *shardNode) upAfter(t event.Time) event.Time {
 // false, which cannot come before the region's last arrival is due; the
 // chain jumps until then and steps every period after it.
 //
-// It also keeps the loop's same-instant order. The loop armed each sweep
-// one period ahead, so at its instant the sweep ran after every event
-// armed before then and before every event armed after. The chain arms
-// its event earlier, and a hub timer that lands on it and would have run
-// before the loop's sweep re-arms the chain's event behind it (after).
-// Whether a timer armed exactly one period ahead precedes the sweep is
-// inherited from the event that arms it (region.pre), which every hub
-// event that arms timers sets. Mail needs no care: a message reaching
-// the hub within a period of its sending is delivered after the loop
-// would have armed the sweep, and after the chain did.
+// One tie rule orders the sweep: it runs after every other hub event at
+// its instant, including those that such events arm for the same
+// instant. So a sweep sees every arrival, timer, message, beacon tick,
+// freeze and revival of its instant, and no hub event needs to know
+// where the sweep falls.
 
 // never is the far-off instant of a verdict that no planned heartbeat
 // changes. It leaves headroom for the period arithmetic done on it.
@@ -466,13 +461,18 @@ func (r *region) startLiveness() {
 	r.armLiveness(period)
 }
 
-// livenessEvent is the chain's event. It sweeps the views whose verdict
-// may change now, then arms the next event — or ends the chain for good
-// once ticking() is false. A frozen hub sweeps nothing: its revival
-// sweep re-plans every view.
+// livenessEvent is the chain's event. While another hub event is still
+// pending at its instant it re-arms behind it, so it runs last there.
+// Then it sweeps the views whose verdict may change now and arms the
+// next event — or ends the chain for good once ticking() is false. A
+// frozen hub sweeps nothing: its revival sweep re-plans every view.
 func (r *region) livenessEvent() {
-	now, period := r.hub.Engine().Now(), r.faults.heartbeat()
-	r.pre = true // what the sweep arms precedes the next sweep
+	eng, period := r.hub.Engine(), r.faults.heartbeat()
+	now := eng.Now()
+	if at, ok := eng.NextAt(); ok && at == now {
+		r.armLiveness(now)
+		return
+	}
 	if r.down {
 		for _, v := range r.views {
 			v.nextSweep = never
@@ -512,28 +512,6 @@ func (r *region) armLiveness(at event.Time) {
 	}
 	r.lvAt, r.lvPending = at, true
 	r.hub.Engine().At(at, r.lvFire)
-}
-
-// timerPre reports whether a hub timer armed now, d ahead, precedes the
-// per-period loop's sweep at its instant: it does if armed before that
-// sweep was, one period ahead of it.
-func (r *region) timerPre(d event.Time) bool {
-	if r.faults == nil {
-		return false
-	}
-	p := r.faults.heartbeat()
-	return d > p || d == p && r.pre
-}
-
-// after arms a hub timer fn, d from now, and re-arms the chain's pending
-// event behind it if the timer lands on that instant and precedes the
-// loop's sweep there.
-func (r *region) after(d event.Time, fn func()) {
-	eng := r.hub.Engine()
-	eng.After(d, fn)
-	if r.lvPending && eng.Now()+d == r.lvAt && r.timerPre(d) {
-		r.armLiveness(r.lvAt)
-	}
 }
 
 // replanLiveness plans views [from:] after they joined or were reset
@@ -675,7 +653,7 @@ func (r *region) nextBeat(i int, from, stop event.Time) event.Time {
 // either edge covers, or one that finds the node down. never if none.
 func (r *region) nextFaulty(i int, p event.Time) event.Time {
 	v, sn, period := r.views[i], r.sns[i], r.faults.heartbeat()
-	if p < v.beatFrom || r.downAtTick(p) {
+	if p < v.beatFrom || planDown(r.freezes, p) {
 		return p
 	}
 	next := never
@@ -738,7 +716,7 @@ func (r *region) stamp(i int, at event.Time) event.Time {
 // window or outage touches makes the fault-free round trip, two prompt
 // hops, without asking Fate.
 func (r *region) beatArrival(i int, p event.Time) (event.Time, bool) {
-	if r.downAtTick(p) {
+	if planDown(r.freezes, p) {
 		return 0, false
 	}
 	sn := r.sns[i]
@@ -785,17 +763,6 @@ func covered(fs []parsim.EdgeFault, t event.Time) bool {
 // edges. The high bit keeps it clear of the pair send sequences, which
 // count up from 1.
 func beatKey(k int64) uint64 { return 1<<63 | uint64(k) }
-
-// downAtTick reports whether the plan has the hub frozen when the sweep
-// at grid instant t runs. Freeze and revival events are armed before
-// Run, so they run before a sweep at their own instant — except the
-// first sweep's, whose event EnableFaults arms before them.
-func (r *region) downAtTick(t event.Time) bool {
-	if t == r.faults.heartbeat() {
-		t--
-	}
-	return planDown(r.freezes, t)
-}
 
 // nextFreeze returns the first instant at or after from at which the
 // plan freezes the hub, never if none.

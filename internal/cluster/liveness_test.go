@@ -315,6 +315,46 @@ func TestLivenessGolden(t *testing.T) {
 	checkGolden(t, "liveness.golden", livenessRuns(), withVerdicts)
 }
 
+// TestSweepRunsLastAtItsInstant pins the liveness sweep's tie rule: it
+// runs after every other hub event at its instant. One node crashes for
+// good at 1 ms and a batch arrives at 1.65 ms, so its 100 µs deadline
+// lapses at 1.75 ms, the instant the sweep declares the node dead. The
+// deadline runs first: it times the booking out and, with no other
+// node, books the same node again; the sweep then evicts that booking
+// and re-dispatches it a second time.
+func TestSweepRunsLastAtItsInstant(t *testing.T) {
+	run := func(workers int) (Summary, []string) {
+		d := NewShardedDispatcher(NewLeastOutstanding(), Admission{MaxRetries: 4},
+			ShardConfig{Workers: workers}, fullNode("a"))
+		plan := &fault.Plan{Seed: 1, Crashes: []fault.Crash{{Node: "a", At: event.Millisecond}}}
+		if err := d.EnableFaults(FaultConfig{Plan: plan, Deadline: 100 * event.Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Submit(mkBatch(0, 1650*event.Microsecond, 3)); err != nil {
+			t.Fatal(err)
+		}
+		var verdicts []string
+		d.noteLiveness = func(_ int, line string) { verdicts = append(verdicts, line) }
+		return d.Run(), verdicts
+	}
+	s, verdicts := run(1)
+	conserved(t, s)
+	if s.Timeouts != 1 || s.Redispatches != 2 {
+		t.Errorf("timeouts=%d redispatch=%d, want 1 and 2: the deadline at the sweep's instant runs before it",
+			s.Timeouts, s.Redispatches)
+	}
+	const dead = "1750000000 hub0 dead a silent=960000000 evict=[0]"
+	if len(verdicts) == 0 || verdicts[0] != dead {
+		t.Errorf("verdicts = %q, want %q first", verdicts, dead)
+	}
+	for _, w := range []int{2, 4, 8} {
+		ws, wv := run(w)
+		if ws.String() != s.String() || strings.Join(wv, "\n") != strings.Join(verdicts, "\n") {
+			t.Errorf("workers=%d diverges from workers=1:\n%s%q\nvs\n%s%q", w, ws, wv, s, verdicts)
+		}
+	}
+}
+
 // TestRevivedHubAdoptsNothing: when one of two hubs freezes past the
 // suspicion limit, only its ring successor adopts it; the revived hub
 // comes back with fresh suspicion clocks and adopts nothing, though its

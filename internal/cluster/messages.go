@@ -138,7 +138,6 @@ func (d *ShardedDispatcher) onStarted(dst *parsim.Shard, src int, p parsim.Paylo
 
 func (d *ShardedDispatcher) onCompleted(dst *parsim.Shard, src int, p parsim.Payload) {
 	r := d.roles[dst.ID()].r
-	r.pre = false // mail runs after the liveness sweep armed before it (fault.go)
 	r.onCompleted(r.view(src), p.Ref.(*record[runtime.BatchResult]).take(), p.B != 0, int(p.A))
 }
 
@@ -160,13 +159,11 @@ func (d *ShardedDispatcher) onBeacon(dst *parsim.Shard, src int, p parsim.Payloa
 
 func (d *ShardedDispatcher) onForward(dst *parsim.Shard, _ int, p parsim.Payload) {
 	r := d.roles[dst.ID()].r
-	r.pre = false
 	r.receiveForward(p.Ref.(*runtime.Batch), int(p.A))
 }
 
 func (d *ShardedDispatcher) onInject(dst *parsim.Shard, _ int, p parsim.Payload) {
 	r := d.roles[dst.ID()].r
-	r.pre = false
 	r.receiveInject(p.Ref.(*runtime.Batch))
 }
 

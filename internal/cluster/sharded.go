@@ -134,10 +134,6 @@ type region struct {
 	down   bool
 	parked []func()
 
-	// pre: the running hub event precedes the liveness sweep a per-period
-	// loop would run at its instant (fault.go, after).
-	pre bool
-
 	// peerLast is the last beacon-receipt instant per region; a ring
 	// predecessor silent past suspLimit is suspected, and this region —
 	// its ring successor — adopts its nodes. Adoption is sticky for the
@@ -442,9 +438,8 @@ func (d *ShardedDispatcher) Submit(b *runtime.Batch) error {
 		return err
 	}
 	r := d.sprayTarget(b.Arrival)
-	tr := r.track(b, b.Arrival)
-	tr.pre = d.faults == nil // armed before the first liveness sweep
-	r.hub.Engine().At(b.Arrival, func() { r.arrive(tr) })
+	r.track(b, b.Arrival)
+	r.hub.Engine().At(b.Arrival, func() { r.dispatch(b, 0, nil) })
 	return nil
 }
 
@@ -487,10 +482,6 @@ func (d *ShardedDispatcher) Inject(b *runtime.Batch) error {
 		// Every hub frozen: fall through — region 0 parks the dispatch.
 	}
 	r0.track(b, r0.hub.Engine().Now())
-	// A front end (internal/serve) injects from events armed before the
-	// run or a batching budget ahead: they precede the liveness sweep at
-	// their instant (fault.go).
-	r0.pre = true
 	r0.dispatch(b, 0, nil)
 	return nil
 }
@@ -596,27 +587,13 @@ func (r *region) nodeSummary(i int, rt runtime.Summary) NodeSummary {
 
 // track opens a batch's tracker on this region's hub: from here the
 // region owns the batch's accounting until exactly one settle.
-func (r *region) track(b *runtime.Batch, at event.Time) *tracker {
-	tr := &tracker{b: b}
-	r.trk[b.ID] = tr
+func (r *region) track(b *runtime.Batch, at event.Time) {
+	r.trk[b.ID] = &tracker{b: b}
 	r.pending++
 	row(r.tenants, b.Tenant).submitted++
 	if at > r.lastArrival {
 		r.lastArrival = at
 	}
-	return tr
-}
-
-// arrive dispatches a submitted batch at its arrival instant. Arrivals
-// are armed before the run, so an arrival precedes the liveness sweep at
-// its instant (fault.go), unless that is the first sweep and was armed
-// before it.
-func (r *region) arrive(tr *tracker) {
-	if r.faults != nil {
-		p := r.faults.heartbeat()
-		r.pre = tr.b.Arrival > p || tr.b.Arrival == p && tr.pre
-	}
-	r.dispatch(tr.b, 0, nil)
 }
 
 // finish moves a batch to a terminal state exactly once.
@@ -707,8 +684,7 @@ func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 		if attempt < r.adm.MaxRetries {
 			r.retries++
 			delay := retryDelay(r.adm.backoff(), attempt)
-			pre := r.timerPre(delay)
-			r.after(delay, func() { r.pre = pre; r.dispatch(b, attempt+1, avoid) })
+			r.hub.Engine().After(delay, func() { r.dispatch(b, attempt+1, avoid) })
 			return
 		}
 		r.settle(tr, OutcomeShed, "", runtime.BatchResult{})
@@ -724,8 +700,7 @@ func (r *region) dispatch(b *runtime.Batch, attempt int, avoid *Node) {
 		v.breaker.OnPick()
 		if dl := r.faults.Deadline; dl > 0 {
 			gen := tr.gen
-			tr.pre = r.timerPre(dl)
-			r.after(dl, func() { r.pre = tr.pre; r.onDeadline(tr, gen) })
+			r.hub.Engine().After(dl, func() { r.onDeadline(tr, gen) })
 		}
 	}
 	if r.estimating {

@@ -345,15 +345,12 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 	idx := r.idx
 	var tick func()
 	tick = func() {
-		// The first tick is armed after the first sweep, so a tick precedes
-		// the sweep at its instant only if armed more than a period ahead.
-		r.pre = r.faults != nil && d.summaryEvery > r.faults.heartbeat()
 		if r.down {
 			// A frozen hub beacons nothing — that silence is exactly what
 			// its ring successor's suspicion clock measures. The loop
 			// keeps re-arming so beacons resume at revival.
 			if r.ticking() {
-				r.after(d.summaryEvery, tick)
+				r.hub.Engine().After(d.summaryEvery, tick)
 			}
 			return
 		}
@@ -395,7 +392,7 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 			}
 		}
 		if !idle {
-			r.after(d.summaryEvery, tick)
+			r.hub.Engine().After(d.summaryEvery, tick)
 		}
 	}
 	r.hub.Engine().At(d.summaryEvery, tick)
@@ -407,17 +404,14 @@ func (d *ShardedDispatcher) armBeacon(r *region) {
 // for the run (beliefs may heal, routing stays safe: every booking's
 // echo carries its home). The adopted views start with a fresh liveness
 // stamp so the adopter's sweep gives their heartbeats time to arrive,
-// and count heartbeats from the first sweep after the adoption — the
-// one at this instant if the beacon tick runs before it (fault.go).
+// and count heartbeats from the first sweep at or after the adoption:
+// a sweep at this instant runs after the beacon tick (fault.go).
 func (r *region) adopt(pi int) {
 	r.adopted[pi] = true
 	r.takeovers++
 	r.note("adopt hub%d", pi)
 	now := r.hub.Engine().Now()
 	from := gridCeil(now, r.faults.heartbeat())
-	if from == now && !r.pre {
-		from += r.faults.heartbeat()
-	}
 	n := len(r.views)
 	for _, a := range r.adoptees[pi] {
 		a.view.lastBeat, a.view.beatFrom = now, from
@@ -488,11 +482,7 @@ func (d *ShardedDispatcher) armFabricFaults(fc FaultConfig) {
 	for _, h := range fc.Plan.HubCrashes {
 		r := d.regions[h.Region]
 		r.hub.Engine().At(h.At, func() { r.down = true; r.hubCrashes++ })
-		r.hub.Engine().At(h.Recover, func() {
-			r.down = false
-			r.pre = h.Recover > fc.heartbeat() // armed after the first sweep
-			r.reviveSweep()
-		})
+		r.hub.Engine().At(h.Recover, func() { r.down = false; r.reviveSweep() })
 		r.freezes = append(r.freezes, outage{h.At, true}, outage{h.Recover, false})
 		if h.Recover > maxT {
 			maxT = h.Recover

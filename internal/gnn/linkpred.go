@@ -9,19 +9,13 @@ import (
 	"mlimp/internal/tensor"
 )
 
-// Link prediction: the ogbl-* tasks the paper's GNNs serve. The model
-// scores a candidate edge (u, v) by the dot product of the two node
-// embeddings produced by the GCN over the query's subgraph — the
-// "prediction MLP" of Figure 13's post-processing, reduced to its dot
-// kernel. EvalLinkAUC measures how well the fixed-point pipeline
-// separates true edges from random non-edges, which is how we verify
-// that 16-bit quantisation preserves task quality end to end.
-
-// EdgeScore is the link-prediction score for local node indices u, v of
-// an embedding matrix (higher = more likely an edge).
-func EdgeScore(emb *tensor.Dense, u, v int) fixed.Num {
-	return fixed.Dot(emb.Row(u), emb.Row(v))
-}
+// Link prediction: the ogbl-* tasks the paper's GNNs serve. A candidate
+// edge (u, v) is scored by the cosine similarity of the two node
+// embeddings the GCN produces over the query's subgraph (quant.go), and
+// the AUC of those scores over true edges and random non-edges
+// (SampleLinkExamples) measures how well the fixed-point pipeline
+// separates them, which is how QuantizationStudy and CheckAccuracy
+// verify that 16-bit quantisation preserves task quality end to end.
 
 // LinkExample is one scored candidate.
 type LinkExample struct {
@@ -105,24 +99,6 @@ func SampleLinkExamples(rng *rand.Rand, sg *graph.Subgraph, n int) []LinkExample
 		negWanted--
 	}
 	return out
-}
-
-// EvalLinkAUC runs GCN inference on each subgraph and scores sampled
-// link examples, returning the pooled AUC. feats gives the input
-// features per subgraph node (generated deterministically from the
-// global node id so the same node always has the same features).
-func EvalLinkAUC(rng *rand.Rand, m *Model, subgraphs []*graph.Subgraph, examplesPer int) float64 {
-	var scores []float64
-	var labels []bool
-	for _, sg := range subgraphs {
-		feats := NodeFeatures(sg, m.Layers[0].In)
-		emb := m.Infer(sg, feats)
-		for _, ex := range SampleLinkExamples(rng, sg, examplesPer) {
-			scores = append(scores, EdgeScore(emb, ex.U, ex.V).Float())
-			labels = append(labels, ex.Label)
-		}
-	}
-	return AUC(scores, labels)
 }
 
 // NodeFeatures generates deterministic pseudo-features for a subgraph's
