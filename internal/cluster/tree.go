@@ -129,10 +129,13 @@ func (r *region) receiveInject(b *runtime.Batch) {
 	r.dispatch(b, 0, nil)
 }
 
-// ring returns the region's ring neighbours (one when R == 2). A
-// one-region tree never asks: its region has no peers.
+// ring returns the region's ring neighbours (one when R == 2, none in a
+// one-region tree).
 func (d *ShardedDispatcher) ring(idx int) []*region {
 	n := len(d.regions)
+	if n == 1 {
+		return nil
+	}
 	right := d.regions[(idx+1)%n]
 	left := d.regions[(idx+n-1)%n]
 	if left == right {
@@ -211,21 +214,18 @@ func (r *region) receiveForward(b *runtime.Batch, fwds int) {
 	r.dispatch(b, 0, nil)
 }
 
-// prepare wires the terminal-state observer and, on a multi-region
-// tree, declares the fleet's communication edges and arms the belief
-// beacons — the step that switches the parsim driver into per-shard
-// conservative horizons. Runs once, immediately before the driver.
+// prepare wires the terminal-state observer, declares the fleet's
+// communication edges to the parsim driver and, on a multi-region tree,
+// arms the belief beacons. Runs once, immediately before the driver.
 func (d *ShardedDispatcher) prepare() {
 	d.wireDone()
-	if len(d.regions) == 1 {
-		return
-	}
 	hubs := len(d.regions)
 	prompt := parsim.EdgeLatency{Fixed: DefaultHop}
 	beacon := parsim.EdgeLatency{Fixed: DefaultHop, Grid: d.summaryEvery}
-	if d.faults != nil {
+	if d.faults != nil || hubs == 1 {
 		// Fault mode needs one-region promptness: completion echoes race
-		// deadlines, and heartbeats are computed over these edges.
+		// deadlines, and heartbeats are computed over these edges. A
+		// one-region tree has no beacon grid at all: its echoes are prompt.
 		beacon = prompt
 	}
 	for _, r := range d.regions {
@@ -288,6 +288,9 @@ func (d *ShardedDispatcher) prepare() {
 			}
 			r.adoptees[p.idx] = as
 		}
+	}
+	if hubs == 1 {
+		return // a ring of one has no peers to beacon to
 	}
 	for _, r := range d.regions {
 		d.armBeacon(r)
