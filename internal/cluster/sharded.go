@@ -18,10 +18,11 @@ import (
 // dispatch, batch start/completion, eviction, abort — travels
 // through the driver's mailboxes as a typed message (messages.go) with
 // a fixed network-hop latency. The hop is the fabric's minimum
-// cross-shard latency and therefore the PDES lookahead: shards advance
-// [T, T+hop) windows concurrently, and with a fixed seed the run is
-// byte-identical for any worker count (see event/parsim). A flat fleet
-// is simply the one-region tree.
+// cross-shard latency and therefore the PDES lookahead: every edge the
+// fleet declares to the driver costs at least one hop, shards advance
+// concurrently to their per-shard horizons, and with a fixed seed the
+// run is byte-identical for any worker count (see event/parsim). A flat
+// fleet is simply the one-region tree: a hub–node star of one-hop edges.
 //
 // A hub never touches live node state. It routes against *views* —
 // per-node proxies holding a mirror scheduling system, the booking
@@ -284,7 +285,7 @@ func NewShardedDispatcher(policy Policy, adm Admission, sc ShardConfig, cfgs ...
 		panic(err.Error())
 	}
 	d := &ShardedDispatcher{
-		drv:          parsim.NewDriver(DefaultHop, sc.Workers),
+		drv:          parsim.NewDriver(sc.Workers),
 		summaryEvery: sc.summaryEvery(),
 		policy:       policy,
 		seen:         map[int]bool{},
@@ -390,15 +391,9 @@ func (d *ShardedDispatcher) wireNode(sn *shardNode) {
 	}
 }
 
-// Workers returns the driver's worker count.
-func (d *ShardedDispatcher) Workers() int { return d.drv.Workers() }
-
 // WindowStats returns the parsim driver's window statistics after Run —
 // the measured parallelism the simulation exposed.
 func (d *ShardedDispatcher) WindowStats() parsim.Stats { return d.drv.Stats() }
-
-// Hop returns the cross-shard network latency (the PDES lookahead).
-func (d *ShardedDispatcher) Hop() event.Time { return DefaultHop }
 
 // Nodes returns the real (execution-side) nodes in configuration order.
 // Between construction and Run their state is safe to read; during Run

@@ -14,10 +14,10 @@ import (
 // a hub over a contiguous slice of the nodes: admission, routing,
 // booking tokens, deadlines, breakers, and liveness all run
 // region-locally. A flat fleet is the one-region tree, and takes none of
-// the cross-region machinery below: it declares no edges (the driver
-// keeps its uniform hop windows), arms no beacon (a ring of one has no
-// peers), routes through the caller's policy instance, and rejects hub
-// crashes. What crosses regions is deliberately thin and window-local:
+// the cross-region machinery below: it declares only its hub–node star
+// of one-hop edges, arms no beacon (a ring of one has no peers), routes
+// through the caller's policy instance, and rejects hub crashes. What
+// crosses regions is deliberately thin and window-local:
 //
 //   - arrivals are sprayed round-robin over the regions at Submit time
 //     (the Tesseract lesson: no coordinator shard on the fast path);
@@ -32,9 +32,9 @@ import (
 //     same beacon grid, batching a whole period's completions into one
 //     canonical mailbox merge.
 //
-// The grid edges are what make the tree scale: declaring them to the
-// parsim driver (SetEdge) switches it to per-shard conservative
-// horizons, so two regions that only talk through a beacon edge are
+// The grid edges are what make the tree scale: the parsim driver runs
+// every shard to its own conservative horizon over the declared edges
+// (SetEdge), so two regions that only talk through a beacon edge are
 // provably independent for a whole period at a time and their node
 // shards execute dense local work — the Algorithm-2 scheduling passes —
 // in the same window instead of serialising into hop-wide slices.

@@ -21,7 +21,7 @@ const (
 // and the hub answers each report, so every window carries a handful of
 // cross-shard messages while most shards stay runnable.
 func buildBarrierFleet(workers int) *Driver {
-	d := NewDriver(hop, workers)
+	d := NewDriver(workers)
 	answer := d.Handle(func(*Shard, int, Payload) {})
 	report := d.Handle(func(hub *Shard, _ int, p Payload) {
 		n := p.Ref.(*Shard)

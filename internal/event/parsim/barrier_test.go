@@ -105,28 +105,28 @@ func twinEdges(rng *rand.Rand, n, avoid int) (edges []declEdge, src []bool) {
 	return edges, src
 }
 
-// buildRandom wires a seeded random fleet. With horizons it declares a
+// buildRandom wires a seeded random fleet. Without mesh it declares a
 // random directed graph over mixed Fixed/Grid classes — some shards have
 // no in-edges (unreachable), some no out-edges, some pairs are declared
-// twice with a different latency — and messages flow only on declared
-// edges; without, it is a flat fleet on the uniform lookahead. With
-// twins (horizons only) a twin block (see twinEdges) replaces the random
-// out-edges of its sources. Either way, random pairs carry stacked
+// twice with a different latency; with mesh it is a flat fleet, every
+// pair one hop apart (declareMesh). Messages flow only on declared
+// edges. With twins (random graphs only) a twin block (see twinEdges)
+// replaces the random out-edges of its sources. Either way, random pairs carry stacked
 // edge-fault windows, and every shard runs a budgeted program of local
 // events and sends on a hop-quantised clock, so equal-time ties are
 // common. Each event logs the window it ran in and its shard's limit,
 // so the logs pin the per-window active sets and limits as well as the
 // per-shard execution order.
-func buildRandom(seed int64, horizons, twins bool, workers int) *randFleet {
+func buildRandom(seed int64, mesh, twins bool, workers int) *randFleet {
 	rng := rand.New(rand.NewSource(seed))
 	n := 3 + rng.Intn(14)
-	f := &randFleet{d: NewDriver(hop, workers), logs: make([][]string, n)}
+	f := &randFleet{d: NewDriver(workers), logs: make([][]string, n)}
 	d := f.d
 	for i := 0; i < n; i++ {
 		f.shard = append(f.shard, d.AddShard())
 	}
 	out := make([][]int, n) // declared destinations per source
-	if horizons {
+	if !mesh {
 		classes := randClasses[:2+rng.Intn(len(randClasses)-1)]
 		deaf := rng.Intn(n) // no in-edges: only its own events reach it
 		mute := rng.Intn(n) // no out-edges
@@ -169,12 +169,9 @@ func buildRandom(seed int64, horizons, twins bool, workers int) *randFleet {
 			}
 		}
 	} else {
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if u != v {
-					out[u] = append(out[u], v)
-				}
-			}
+		f.decl = declareMesh(d)
+		for _, e := range f.decl {
+			out[e.src] = append(out[e.src], e.dst)
 		}
 	}
 	for k := rng.Intn(4); k > 0; k-- {
@@ -268,17 +265,17 @@ func (f *randFleet) digest(end event.Time) string {
 		len(f.shard), len(f.decl), end, f.d.Stats(), f.d.Stats().Hist, h.Sum64())
 }
 
-// goldenSeeds are the random fleets horizons.golden pins, in both modes.
+// goldenSeeds are the random fleets horizons.golden pins, in both shapes.
 const goldenSeeds = 24
 
 func goldenLines(t *testing.T, workers int) string {
 	t.Helper()
 	var b strings.Builder
-	for _, horizons := range []bool{true, false} {
+	for _, mesh := range []bool{false, true} {
 		for seed := int64(1); seed <= goldenSeeds; seed++ {
-			f := buildRandom(seed, horizons, false, workers)
+			f := buildRandom(seed, mesh, false, workers)
 			end := f.d.Run()
-			fmt.Fprintf(&b, "seed=%d horizons=%v %s\n", seed, horizons, f.digest(end))
+			fmt.Fprintf(&b, "seed=%d mesh=%v %s\n", seed, mesh, f.digest(end))
 		}
 	}
 	return b.String()
@@ -327,7 +324,7 @@ func TestBarrierGolden(t *testing.T) {
 func TestRandomFleetsExerciseTheBarrier(t *testing.T) {
 	var dropped, delayed, multi, deaf int
 	for seed := int64(1); seed <= goldenSeeds; seed++ {
-		f := buildRandom(seed, true, false, 1)
+		f := buildRandom(seed, false, false, 1)
 		f.d.Run()
 		st := f.d.Stats()
 		dropped += st.Dropped
@@ -358,7 +355,7 @@ func TestRandomFleetsExerciseTheBarrier(t *testing.T) {
 func TestTwinBlocksShareGroups(t *testing.T) {
 	var shared, sharedGrid, crossClass int
 	for seed := int64(1); seed <= goldenSeeds; seed++ {
-		d := buildRandom(seed, true, true, 1).d
+		d := buildRandom(seed, false, true, 1).d
 		d.prepare()
 		users := make([]int, len(d.groups))
 		for _, g := range d.outGroups {

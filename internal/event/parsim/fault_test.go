@@ -11,8 +11,9 @@ import (
 // shard a sends n messages one per hop, the edge drops with the given
 // probability over [at, until), and b logs each arrival instant.
 func buildLossy(workers, n int, f EdgeFault, reliable bool) (*Driver, *[]event.Time) {
-	d := NewDriver(hop, workers)
+	d := NewDriver(workers)
 	a, b := d.AddShard(), d.AddShard()
+	declareMesh(d)
 	d.AddEdgeFault(a, b, f)
 	got := &[]event.Time{}
 	arrive := d.Handle(func(dst *Shard, _ int, _ Payload) { *got = append(*got, dst.Engine().Now()) })
@@ -106,13 +107,13 @@ func TestSendReliableBypassesDropButPaysDelay(t *testing.T) {
 	}
 }
 
-// TestEdgeFaultDelayHorizonSafe injects delay on a declared edge in
-// horizon mode: the delay pushes arrivals later than the declared
-// latency, which is always conservative-safe, and the run stays
-// byte-identical across worker counts.
+// TestEdgeFaultDelayHorizonSafe injects delay on a declared edge: the
+// delay pushes arrivals later than the declared latency, which is always
+// conservative-safe, and the run stays byte-identical across worker
+// counts.
 func TestEdgeFaultDelayHorizonSafe(t *testing.T) {
 	build := func(workers int) (*Driver, *[]event.Time) {
-		d := NewDriver(hop, workers)
+		d := NewDriver(workers)
 		a, b := d.AddShard(), d.AddShard()
 		d.SetEdge(a, b, EdgeLatency{Fixed: hop})
 		d.SetEdge(b, a, EdgeLatency{Fixed: hop})
@@ -164,8 +165,9 @@ func TestEdgeFaultDelayHorizonSafe(t *testing.T) {
 func TestEdgeFaultWindowsStack(t *testing.T) {
 	// Two stacked windows on one edge: a delay-only fault plus a
 	// full-drop window later. Both apply, in AddEdgeFault order.
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a, b := d.AddShard(), d.AddShard()
+	declareMesh(d)
 	d.AddEdgeFault(a, b, EdgeFault{Delay: hop})
 	d.AddEdgeFault(a, b, EdgeFault{At: 10 * hop, DropProb: 1, Seed: 3})
 	var got []event.Time
@@ -193,29 +195,31 @@ func TestAddEdgeFaultPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a, b := d.AddShard(), d.AddShard()
 	expectPanic("self-edge", func() { d.AddEdgeFault(a, a, EdgeFault{DropProb: 1}) })
 	expectPanic("bad prob", func() { d.AddEdgeFault(a, b, EdgeFault{DropProb: 1.5}) })
 	expectPanic("negative delay", func() { d.AddEdgeFault(a, b, EdgeFault{Delay: -1}) })
 	expectPanic("injects nothing", func() { d.AddEdgeFault(a, b, EdgeFault{}) })
-	foreign := NewDriver(hop, 1).AddShard()
+	foreign := NewDriver(1).AddShard()
 	expectPanic("foreign shard", func() { d.AddEdgeFault(a, foreign, EdgeFault{DropProb: 1}) })
 	d.Run()
 	expectPanic("after Run", func() { d.AddEdgeFault(a, b, EdgeFault{DropProb: 1}) })
 }
 
 // TestFateMatchesSend pins Fate to the path Send takes: over stacked
-// lossy and slow windows, in uniform and declared-edge mode, the fate
-// of each send's departure under its pair sequence number (1, 2, ...)
+// lossy and slow windows, on a one-hop mesh and on a slower edge, the
+// fate of each send's departure under its pair sequence number (1, 2, ...)
 // names exactly the messages that arrive and when. Fate counts nothing
 // in Stats (Delivered counts the arrivals), and a key outside the
 // sequence range draws its own coins.
 func TestFateMatchesSend(t *testing.T) {
-	for _, horizons := range []bool{false, true} {
-		d := NewDriver(hop, 1)
+	for _, mesh := range []bool{true, false} {
+		d := NewDriver(1)
 		a, b := d.AddShard(), d.AddShard()
-		if horizons {
+		if mesh {
+			declareMesh(d)
+		} else {
 			d.SetEdge(a, b, EdgeLatency{Fixed: 2 * hop})
 		}
 		d.AddEdgeFault(a, b, EdgeFault{DropProb: 0.4, Delay: 3 * hop, Seed: 42})
@@ -239,17 +243,17 @@ func TestFateMatchesSend(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(*got, want) {
-			t.Fatalf("horizons=%v: sends arrived at %v, Fate predicts %v", horizons, *got, want)
+			t.Fatalf("mesh=%v: sends arrived at %v, Fate predicts %v", mesh, *got, want)
 		}
 		if len(want) == 0 || len(want) == n {
-			t.Fatalf("horizons=%v: drop=0.4 delivered %d of %d (want a strict subset)", horizons, len(want), n)
+			t.Fatalf("mesh=%v: drop=0.4 delivered %d of %d (want a strict subset)", mesh, len(want), n)
 		}
 		if s := d.Stats(); s.Dropped != n-len(want) || s.Delivered != len(want) {
-			t.Errorf("horizons=%v: Stats dropped=%d delivered=%d after Fate calls, want %d and %d",
-				horizons, s.Dropped, s.Delivered, n-len(want), len(want))
+			t.Errorf("mesh=%v: Stats dropped=%d delivered=%d after Fate calls, want %d and %d",
+				mesh, s.Dropped, s.Delivered, n-len(want), len(want))
 		}
 		if !differ {
-			t.Errorf("horizons=%v: keys outside the sequence range drew the same %d coins", horizons, n)
+			t.Errorf("mesh=%v: keys outside the sequence range drew the same %d coins", mesh, n)
 		}
 	}
 }
@@ -257,7 +261,7 @@ func TestFateMatchesSend(t *testing.T) {
 // TestEdgeFaults: EdgeFaults lists a pair's windows in declaration
 // order, per direction, and nothing for a pair without any.
 func TestEdgeFaults(t *testing.T) {
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a, b, c := d.AddShard(), d.AddShard(), d.AddShard()
 	w1 := EdgeFault{DropProb: 0.5, Seed: 1}
 	w2 := EdgeFault{At: 5 * hop, Until: 9 * hop, Delay: hop, Seed: 1}

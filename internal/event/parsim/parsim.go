@@ -1,16 +1,20 @@
 // Package parsim parallelises the deterministic event engine across
 // shards: a conservative parallel discrete-event simulation (PDES)
-// driver in the Chandy–Misra tradition, specialised to the fixed-
-// lookahead case. Each shard owns a private event.Engine; the driver
-// advances all shards through a sequence of simulation windows
-// [T, T+lookahead), where T is the globally earliest pending event and
-// the lookahead is the minimum latency of any cross-shard interaction
-// (the dispatch/network hop of internal/cluster, bounded below by the
-// DDR4 round trip of internal/mainmem). Within a window the shards are
-// causally independent — any event a shard executes at time t can only
-// influence another shard at t+lookahead or later, which is strictly
-// beyond the window — so the shards may run concurrently without any
-// locking of simulation state.
+// driver in the Chandy–Misra tradition. Each shard owns a private
+// event.Engine, and shards interact only through messages on declared
+// edges (SetEdge). An edge has a minimum delivery latency: a fixed
+// network hop (the dispatch hop of internal/cluster, bounded below by
+// the DDR4 round trip of internal/mainmem), optionally quantised to a
+// beacon grid for summarised state that only leaves at multiples of a
+// period. At each barrier the driver computes, per shard, the earliest
+// instant any other shard could possibly influence it — earliest-event
+// propagation over the declared edge latencies, settled in one
+// label-setting pass — and lets every shard run to its own horizon.
+// Within a window the shards are causally independent, so they may run
+// concurrently without any locking of simulation state. Shards one hop
+// apart advance in windows about a hop wide; shards that only talk
+// through a slow beacon edge execute events minutes of simulated time
+// apart in one window instead of serialising into hop-wide slices.
 //
 // Cross-shard events are data, not closures: a message is (delivery
 // time, source shard, handler ID, payload). Handlers are registered once
@@ -21,41 +25,31 @@
 // allocates nothing, and a message can be logged or compared like any
 // other value. Messages travel through per-(src,dst) SPSC mailboxes:
 // only the source shard's executing goroutine appends, and only the
-// driver drains, at the window barrier, on one goroutine. Determinism
-// is a contract, not an accident: at every barrier the driver merges
+// driver drains, at the window barrier, on one goroutine.
+//
+// Determinism is a contract, not an accident. Window structure depends
+// only on simulated time and the declared edges, never on OS
+// scheduling, so a run with 1 worker and a run with N workers execute
+// byte-identical event sequences. At every barrier the driver merges
 // each destination's incoming messages in (at, src shard, send order)
-// order before handing them to the destination, which gives every
-// message a canonical position in the destination's (at, seq) total
-// order. The merged order depends only on simulated time and shard
-// topology — never on OS scheduling — so a run with 1 worker and a run
-// with N workers execute byte-identical event sequences. Send order
-// realises the "global seq ranges per shard per window" tie-break:
-// within one delivery timestamp, messages order by source shard ID,
-// then by the order the source sent them.
+// order: within one delivery timestamp, messages order by source shard
+// ID, then by the order the source sent them. That canonical order holds
+// among the mail one barrier delivers. Each merged message is queued on
+// the destination's engine in merge order, and the engine runs
+// same-instant events in the order they were queued, so same-instant
+// mail that different barriers deliver runs in barrier order. Output can
+// therefore depend on the window structure: declaring other edges, or
+// adding events that move a barrier, may reorder same-instant messages
+// from different barriers, while the worker count never does.
 //
 // Delivery keeps the engine's plain func events. Each merged message is
 // copied into an envelope — a delivery slot the destination shard owns
 // and reuses — and the envelope's prebuilt run func is scheduled on the
 // engine at the message's time, in merge order. Each message is thus one
-// engine event inserted at its merge position, so the engine's (at,
-// insertion seq) order runs mail in canonical order, also when a later
-// barrier delivers an earlier timestamp than mail already waiting. When
-// it runs, the envelope returns to its shard's free list and calls the
-// handler.
-//
-// Uniform lookahead is the right model when every shard pair is one
-// network hop apart — the flat hub fabric. Hierarchical fabrics have
-// structured latencies: dispatch edges are prompt (one hop), while
-// summarised state flows upward on a beacon grid (a sub-hub only emits
-// load beliefs at multiples of a summary period). Declaring those edges
-// (SetEdge) switches the driver to per-shard conservative horizons: at
-// each barrier it computes, per shard, the earliest instant any other
-// shard could possibly influence it — earliest-event propagation over
-// the declared edge latencies, settled in one label-setting pass — and
-// lets every shard run to its own horizon. Events that are minutes of
-// simulated time apart on shards that only talk through a slow beacon
-// edge then execute in one window instead of serialising into hop-wide
-// slices.
+// engine event inserted at its merge position, so a later barrier may
+// deliver an earlier timestamp than mail already waiting and it still
+// runs first. When it runs, the envelope returns to its shard's free
+// list and calls the handler.
 //
 // The barrier costs what the window carries. Active shards are handed
 // to workers-1 persistent helpers by one wake each and one barrier per
@@ -243,11 +237,12 @@ func (s *Shard) Engine() *event.Engine { return s.eng }
 
 // Send delivers message h with payload p to dst at absolute time at:
 // h's handler then runs on dst's engine at that instant. It must be
-// called from an event executing on s (or before Run), and at must
-// respect the conservative lookahead contract: at >= s.Engine().Now() +
-// lookahead. Violating the contract would let a window's output land
-// inside the same window on another shard — the causality error
-// conservative PDES exists to prevent — so it panics.
+// called from an event executing on s (or before Run), on a declared
+// edge, and at must respect the edge's bound: at >= s.EarliestTo(dst).
+// Violating the bound would let a window's output land inside the same
+// window on another shard — the causality error conservative PDES
+// exists to prevent — so it panics, as a send on an undeclared pair
+// does.
 func (s *Shard) Send(dst *Shard, at event.Time, h Handler, p Payload) {
 	s.send(dst, at, h, p, false)
 }
@@ -268,11 +263,11 @@ func (s *Shard) send(dst *Shard, at event.Time, h Handler, p Payload, reliable b
 	if h <= 0 || int(h) > len(s.drv.handlers) {
 		panic(fmt.Sprintf("parsim: send of unregistered handler %d", h))
 	}
-	if min := s.EarliestTo(dst); at < min {
+	l := s.edge(dst)
+	if min := s.drv.classes[l.class-1].arrival(s.eng.Now()); at < min {
 		panic(fmt.Sprintf("parsim: send %d->%d at %d violates edge bound %d from now %d",
 			s.id, dst.id, at, min, s.eng.Now()))
 	}
-	l := s.link(dst.id)
 	// The sequence advances per attempt, dropped or not: it is the drop
 	// coin's key, so consecutive attempts must draw independently.
 	l.seq++
@@ -297,8 +292,8 @@ func (s *Shard) send(dst *Shard, at event.Time, h Handler, p Payload, reliable b
 }
 
 // link returns the pair record for destination dst, widening the row to
-// the current fleet first if needed (declarations and setup-time sends
-// land before Run sizes every row for the final fleet).
+// the current fleet first if needed (declarations land before Run sizes
+// every row for the final fleet).
 func (s *Shard) link(dst int) *link {
 	if dst >= len(s.links) {
 		s.growRow(len(s.drv.shards))
@@ -344,18 +339,9 @@ func (d *Driver) fate(l *link, src, dst int, depart event.Time, key uint64, reli
 // keys for messages a caller computes instead of sending should stay
 // clear of that range.
 func (d *Driver) Fate(src, dst *Shard, depart event.Time, key uint64) (arrive event.Time, lost bool) {
-	var l *link
-	if dst.id < len(src.links) {
-		l = &src.links[dst.id]
-	}
-	arrive = depart + d.lookahead
-	if d.horizons {
-		if l == nil || l.class == 0 {
-			panic(fmt.Sprintf("parsim: no edge declared from shard %d to %d", src.id, dst.id))
-		}
-		arrive = d.classes[l.class-1].arrival(depart)
-	}
-	if l != nil && l.faults != 0 {
+	l := src.edge(dst)
+	arrive = d.classes[l.class-1].arrival(depart)
+	if l.faults != 0 {
 		delay, _, lost := d.fate(l, src.id, dst.id, depart, key, false)
 		return arrive + delay, lost
 	}
@@ -377,24 +363,25 @@ func (d *Driver) EdgeFaults(src, dst *Shard) []EdgeFault {
 }
 
 // SendAfter sends message h with payload p to dst, delivered d after
-// the sending shard's current time. d must be at least the driver's
-// lookahead.
+// the sending shard's current time; Send's contract applies.
 func (s *Shard) SendAfter(dst *Shard, d event.Time, h Handler, p Payload) {
 	s.Send(dst, s.eng.Now()+d, h, p)
 }
 
 // EarliestTo returns the earliest timestamp a message from s may carry
-// to dst right now — the Send contract. With declared edges this is the
-// edge's arrival bound (and sending on an undeclared pair panics: the
-// horizon computation proved shards independent assuming messages only
-// flow on declared edges); otherwise it is now + the uniform lookahead.
+// to dst right now — the Send contract: the declared edge's arrival
+// bound.
 func (s *Shard) EarliestTo(dst *Shard) event.Time {
-	if !s.drv.horizons {
-		return s.eng.Now() + s.drv.lookahead
-	}
+	return s.drv.classes[s.edge(dst).class-1].arrival(s.eng.Now())
+}
+
+// edge returns the pair record of the declared edge from s to dst. It
+// panics on an undeclared pair: the horizon computation proves shards
+// independent assuming messages only flow on declared edges.
+func (s *Shard) edge(dst *Shard) *link {
 	if dst.id < len(s.links) {
-		if c := s.links[dst.id].class; c != 0 {
-			return s.drv.classes[c-1].arrival(s.eng.Now())
+		if l := &s.links[dst.id]; l.class != 0 {
+			return l
 		}
 	}
 	panic(fmt.Sprintf("parsim: no edge declared from shard %d to %d", s.id, dst.id))
@@ -402,11 +389,10 @@ func (s *Shard) EarliestTo(dst *Shard) event.Time {
 
 // Driver owns the shards and advances them window by window.
 type Driver struct {
-	lookahead event.Time
-	workers   int
-	shards    []*Shard
-	ran       bool
-	stats     Stats
+	workers int
+	shards  []*Shard
+	ran     bool
+	stats   Stats
 
 	// handlers[h-1] runs message kind h (see Handle). Registration ends
 	// at Run; during Run every goroutine only reads it.
@@ -415,15 +401,13 @@ type Driver struct {
 	// Declared-edge state. classes holds each distinct declared latency
 	// once; links name their class by index. faults holds the stacked
 	// fault windows of each faulty pair, named likewise.
-	horizons bool
-	classes  []EdgeLatency
-	faults   [][]EdgeFault
+	classes []EdgeLatency
+	faults  [][]EdgeFault
 
-	// Horizon-pass state (horizon mode), built once at Run. The out-
-	// edges are a two-level CSR over interned groups: source u's latency-
-	// class groups are groups[outGroups[k]] for k in
-	// groupStart[u]:groupStart[u+1], and a group's destinations are
-	// adj[lo:hi]. Sources with the same class and destination list share
+	// Horizon-pass state, built once at Run. The out-edges are a
+	// two-level CSR over interned groups: source u's latency-class groups
+	// are groups[outGroups[k]] for k in groupStart[u]:groupStart[u+1],
+	// and a group's destinations are adj[lo:hi]. Sources with the same class and destination list share
 	// one group. relaxed[g] is the pass in which group g last relaxed.
 	// minFixed is the least Fixed latency of any class.
 	// bound/horizon/settled and the heap are the per-barrier scratch.
@@ -439,8 +423,8 @@ type Driver struct {
 	settled    []bool
 	heap       boundHeap
 
-	// next[i] is shard i's earliest pending event time, inf if none, in
-	// both modes: filled at Run, then kept exact by barrier.
+	// next[i] is shard i's earliest pending event time, inf if none:
+	// filled at Run, then kept exact by barrier.
 	next []event.Time
 
 	// Window state shared with the helper pool (workers-1 persistent
@@ -471,18 +455,15 @@ type group struct {
 	lo, hi int32
 }
 
-// NewDriver returns a driver that advances shards in windows of the
-// given lookahead using the given number of workers. workers <= 1 runs
-// every window on the calling goroutine — the serial fallback, which
-// executes the exact same canonical event order with zero goroutines.
-func NewDriver(lookahead event.Time, workers int) *Driver {
-	if lookahead <= 0 {
-		panic("parsim: lookahead must be positive")
-	}
+// NewDriver returns a driver that advances shards using the given
+// number of workers. workers <= 1 runs every window on the calling
+// goroutine — the serial fallback, which executes the exact same
+// canonical event order with zero goroutines.
+func NewDriver(workers int) *Driver {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Driver{lookahead: lookahead, workers: workers}
+	return &Driver{workers: workers}
 }
 
 // Stats describes a finished run's window structure — the driver-level
@@ -551,12 +532,6 @@ func (d *Driver) record(active int) {
 // Stats returns the run's window statistics (zero before Run).
 func (d *Driver) Stats() Stats { return d.stats }
 
-// Lookahead returns the window width.
-func (d *Driver) Lookahead() event.Time { return d.lookahead }
-
-// Workers returns the configured worker count.
-func (d *Driver) Workers() int { return d.workers }
-
 // AddShard creates a new shard. All shards must be added before Run.
 func (d *Driver) AddShard() *Shard {
 	if d.ran {
@@ -587,12 +562,11 @@ func (d *Driver) Handle(fn func(dst *Shard, src int, p Payload)) Handler {
 	return Handler(len(d.handlers))
 }
 
-// SetEdge declares a directed communication edge with its latency class
-// and switches the driver to per-shard conservative horizons. Once any
-// edge is declared, messages may only flow on declared edges — the
-// horizon computation's independence proofs assume exactly that — and
-// every edge used by the simulation must be declared before Run.
-// Declaring the same (src, dst) pair again replaces its latency.
+// SetEdge declares a directed communication edge with its latency
+// class. Messages may only flow on declared edges — the horizon
+// computation's independence proofs assume exactly that — and every
+// edge used by the simulation must be declared before Run. Declaring
+// the same (src, dst) pair again replaces its latency.
 func (d *Driver) SetEdge(src, dst *Shard, lat EdgeLatency) {
 	if d.ran {
 		panic("parsim: SetEdge after Run")
@@ -609,7 +583,6 @@ func (d *Driver) SetEdge(src, dst *Shard, lat EdgeLatency) {
 	if lat.Grid < 0 {
 		panic("parsim: negative edge Grid")
 	}
-	d.horizons = true
 	c := slices.Index(d.classes, lat)
 	if c < 0 {
 		c = len(d.classes)
@@ -646,11 +619,15 @@ func (d *Driver) AddEdgeFault(src, dst *Shard, f EdgeFault) {
 	d.faults[l.faults-1] = append(d.faults[l.faults-1], f)
 }
 
-// Run drains every shard: windows open at the globally earliest pending
-// event and close lookahead later; active shards execute concurrently
-// (up to the worker count); the barrier then merges mailboxes in
-// canonical order. It returns the latest shard time once no events or
-// in-flight messages remain. Run may be called once.
+// Run drains every shard, window by window. Each barrier computes, per
+// shard, a conservative horizon — the earliest instant any message
+// could still reach it — and every shard with an event strictly before
+// its own horizon executes up to it (see computeHorizons); active shards
+// run concurrently, up to the worker count, and the barrier then merges
+// mailboxes in canonical order. All inputs are simulated-time facts, so
+// the window structure (and Stats) is byte-identical at every worker
+// count. Run returns the latest shard time once no events or in-flight
+// messages remain. Run may be called once.
 func (d *Driver) Run() event.Time {
 	d.prepare()
 	d.deliver(d.shards) // mail sent before Run
@@ -658,17 +635,25 @@ func (d *Driver) Run() event.Time {
 		d.startPool()
 		defer d.stopPool()
 	}
-	if d.horizons {
-		d.runHorizons()
-	} else {
-		d.runUniform()
+	active := make([]*Shard, 0, len(d.shards))
+	for d.computeHorizons() {
+		active = active[:0]
+		for i, s := range d.shards {
+			if d.next[i] < d.horizon[i] {
+				s.limit = d.horizon[i] - 1 // runShard's bound is inclusive
+				active = append(active, s)
+			}
+		}
+		d.record(len(active))
+		d.runWindow(active)
+		d.barrier(active)
 	}
 	return d.finish()
 }
 
 // prepare freezes the fleet: it sizes every link row for the final
-// shard count and, in horizon mode, builds the out-edge CSR and the
-// horizon pass's scratch.
+// shard count and builds the out-edge CSR and the horizon pass's
+// scratch.
 func (d *Driver) prepare() {
 	if d.ran {
 		panic("parsim: Run called twice")
@@ -683,9 +668,6 @@ func (d *Driver) prepare() {
 	d.next = make([]event.Time, n)
 	for i, s := range d.shards {
 		d.next[i] = s.nextAt()
-	}
-	if !d.horizons {
-		return
 	}
 	d.groupStart = make([]int32, n+1)
 	// Open-addressed intern table over (class, destination list) hashes:
@@ -748,52 +730,6 @@ func (d *Driver) finish() event.Time {
 		d.stats.Delayed += s.delayed
 	}
 	return end
-}
-
-// runUniform is the flat-fabric window loop: every window opens at the
-// globally earliest pending event and closes a uniform lookahead later.
-func (d *Driver) runUniform() {
-	active := make([]*Shard, 0, len(d.shards))
-	for {
-		start := slices.Min(d.next)
-		if start == inf {
-			break
-		}
-		deadline := start + d.lookahead - 1
-		active = active[:0]
-		for i, t := range d.next {
-			if t <= deadline {
-				s := d.shards[i]
-				s.limit = deadline
-				active = append(active, s)
-			}
-		}
-		d.record(len(active))
-		d.runWindow(active)
-		d.barrier(active)
-	}
-}
-
-// runHorizons is the declared-edge window loop. Each barrier computes,
-// per shard, a conservative horizon — the earliest instant any message
-// could still reach it — and lets every shard execute all events
-// strictly before its own horizon (see computeHorizons). All inputs are
-// simulated-time facts, so the window structure (and Stats) is byte-
-// identical at every worker count.
-func (d *Driver) runHorizons() {
-	active := make([]*Shard, 0, len(d.shards))
-	for d.computeHorizons() {
-		active = active[:0]
-		for i, s := range d.shards {
-			if d.next[i] < d.horizon[i] {
-				s.limit = d.horizon[i] - 1 // runShard's bound is inclusive
-				active = append(active, s)
-			}
-		}
-		d.record(len(active))
-		d.runWindow(active)
-		d.barrier(active)
-	}
 }
 
 // barrier closes a window: it refreshes the next-event time of every

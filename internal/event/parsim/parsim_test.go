@@ -12,6 +12,22 @@ import (
 
 const hop = 10 * event.Microsecond
 
+// declareMesh declares every ordered pair of d's shards as a one-hop
+// edge — the flat fleet, every shard one network hop from every other —
+// and returns the declarations. Call it once every shard is added.
+func declareMesh(d *Driver) []declEdge {
+	var decl []declEdge
+	for _, u := range d.shards {
+		for _, v := range d.shards {
+			if u != v {
+				d.SetEdge(u, v, EdgeLatency{Fixed: hop})
+				decl = append(decl, declEdge{src: u.id, dst: v.id, lat: EdgeLatency{Fixed: hop}})
+			}
+		}
+	}
+	return decl
+}
+
 // trace records (shard, at, label) triples in execution order per shard;
 // per-shard traces are the observable artefact two runs must agree on.
 type trace struct {
@@ -26,12 +42,13 @@ func (tr *trace) log(shard int, at event.Time, label string) {
 // spoke fires rounds of local events and sends acks to the hub, the hub
 // replies, bounded by depth. Returns the driver and the trace.
 func buildPingPong(nShards, depth, workers int) (*Driver, *trace) {
-	d := NewDriver(hop, workers)
+	d := NewDriver(workers)
 	tr := &trace{perShard: make([][]string, nShards)}
 	shards := make([]*Shard, nShards)
 	for i := range shards {
 		shards[i] = d.AddShard()
 	}
+	declareMesh(d)
 	hub := shards[0]
 	// A pong carries the round it answers; a ping, the round it starts.
 	var ping, pong Handler
@@ -88,7 +105,7 @@ func TestWorkerCountEquivalence(t *testing.T) {
 // them by source shard regardless of worker count.
 func TestDeliveryOrderAtTies(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		d := NewDriver(hop, workers)
+		d := NewDriver(workers)
 		hub := d.AddShard()
 		var order []int
 		arrive := d.Handle(func(_ *Shard, src int, _ Payload) { order = append(order, src) })
@@ -98,6 +115,7 @@ func TestDeliveryOrderAtTies(t *testing.T) {
 			// All spokes execute at t=0 and send for delivery at exactly hop.
 			sp.Engine().At(0, func() { sp.Send(hub, hop, arrive, Payload{}) })
 		}
+		declareMesh(d)
 		d.Run()
 		if len(order) != n {
 			t.Fatalf("workers=%d: delivered %d of %d", workers, len(order), n)
@@ -113,8 +131,9 @@ func TestDeliveryOrderAtTies(t *testing.T) {
 // TestPerPairFIFO checks that two messages from one shard to another at
 // the same delivery time run in send order.
 func TestPerPairFIFO(t *testing.T) {
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a, b := d.AddShard(), d.AddShard()
+	declareMesh(d)
 	var got []string
 	labels := []string{"first", "second"}
 	arrive := d.Handle(func(_ *Shard, _ int, p Payload) { got = append(got, labels[p.A]) })
@@ -129,8 +148,9 @@ func TestPerPairFIFO(t *testing.T) {
 }
 
 func TestSetupSendsDeliveredWithoutLocalEvents(t *testing.T) {
-	d := NewDriver(hop, 2)
+	d := NewDriver(2)
 	a, b := d.AddShard(), d.AddShard()
+	declareMesh(d)
 	fired := false
 	a.Send(b, hop, d.Handle(func(*Shard, int, Payload) { fired = true }), Payload{})
 	end := d.Run()
@@ -143,8 +163,9 @@ func TestSetupSendsDeliveredWithoutLocalEvents(t *testing.T) {
 }
 
 func TestLookaheadViolationPanics(t *testing.T) {
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a, b := d.AddShard(), d.AddShard()
+	declareMesh(d)
 	nop := d.Handle(func(*Shard, int, Payload) {})
 	a.Engine().At(hop, func() {
 		defer func() {
@@ -158,7 +179,7 @@ func TestLookaheadViolationPanics(t *testing.T) {
 }
 
 func TestRunTwicePanics(t *testing.T) {
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	d.AddShard()
 	d.Run()
 	defer func() {
@@ -170,7 +191,7 @@ func TestRunTwicePanics(t *testing.T) {
 }
 
 func TestEmptyRun(t *testing.T) {
-	d := NewDriver(hop, 4)
+	d := NewDriver(4)
 	for i := 0; i < 3; i++ {
 		d.AddShard()
 	}
@@ -179,17 +200,27 @@ func TestEmptyRun(t *testing.T) {
 	}
 }
 
-// TestZeroLookaheadRejected: a non-positive lookahead would make every
-// window empty-width; the constructor must reject it outright.
-func TestZeroLookaheadRejected(t *testing.T) {
-	for _, la := range []event.Time{0, -hop} {
+// TestSetEdgeRejectsBadEdges: an edge must advance time (positive Fixed)
+// for the horizon pass to make progress, so SetEdge rejects a zero or
+// negative Fixed, a negative Grid, a self edge and a foreign shard.
+func TestSetEdgeRejectsBadEdges(t *testing.T) {
+	d := NewDriver(1)
+	a, b := d.AddShard(), d.AddShard()
+	foreign := NewDriver(1).AddShard()
+	for name, call := range map[string]func(){
+		"zero Fixed":     func() { d.SetEdge(a, b, EdgeLatency{}) },
+		"negative Fixed": func() { d.SetEdge(a, b, EdgeLatency{Fixed: -hop}) },
+		"negative Grid":  func() { d.SetEdge(a, b, EdgeLatency{Fixed: hop, Grid: -hop}) },
+		"self edge":      func() { d.SetEdge(a, a, EdgeLatency{Fixed: hop}) },
+		"foreign shard":  func() { d.SetEdge(a, foreign, EdgeLatency{Fixed: hop}) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("lookahead %d accepted", la)
+					t.Errorf("SetEdge with %s did not panic", name)
 				}
 			}()
-			NewDriver(la, 1)
+			call()
 		}()
 	}
 }
@@ -223,7 +254,7 @@ func TestSingleShardMatchesSerialEngine(t *testing.T) {
 	ref.Run()
 
 	var sharded []string
-	d := NewDriver(hop, 4)
+	d := NewDriver(4)
 	s := d.AddShard()
 	program(s.Engine(), &sharded)
 	end := d.Run()
@@ -243,9 +274,10 @@ func TestSingleShardMatchesSerialEngine(t *testing.T) {
 func TestThreeWayFanInTies(t *testing.T) {
 	var want []string
 	for _, workers := range []int{1, 2, 4} {
-		d := NewDriver(hop, workers)
+		d := NewDriver(workers)
 		dst := d.AddShard()
 		srcs := []*Shard{d.AddShard(), d.AddShard(), d.AddShard()}
+		declareMesh(d)
 		var got []string
 		arrive := d.Handle(func(_ *Shard, _ int, p Payload) {
 			got = append(got, fmt.Sprintf("s%d-%c", p.A, 'a'+p.B))
@@ -281,7 +313,7 @@ func TestThreeWayFanInTies(t *testing.T) {
 // local work; hubs exchange summaries each beacon.
 func buildHierarchy(regions, spokesPer, rounds, workers int) (*Driver, *trace) {
 	const beacon = 50 * hop
-	d := NewDriver(hop, workers)
+	d := NewDriver(workers)
 	n := regions * (1 + spokesPer)
 	tr := &trace{perShard: make([][]string, n)}
 	hubs := make([]*Shard, regions)
@@ -386,10 +418,10 @@ func TestHorizonBeatsUniformWindows(t *testing.T) {
 	}
 }
 
-// TestUndeclaredEdgeSendPanics: once any edge is declared, messages may
-// only flow on declared pairs.
+// TestUndeclaredEdgeSendPanics: messages may only flow on declared
+// pairs, whatever other pairs declare.
 func TestUndeclaredEdgeSendPanics(t *testing.T) {
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a, b, c := d.AddShard(), d.AddShard(), d.AddShard()
 	d.SetEdge(a, b, EdgeLatency{Fixed: hop})
 	nop := d.Handle(func(*Shard, int, Payload) {})
@@ -404,13 +436,35 @@ func TestUndeclaredEdgeSendPanics(t *testing.T) {
 	d.Run()
 }
 
+// TestEdgelessDriverPanics: a driver with no declared edge has no pair
+// to send on; Send, EarliestTo and Fate all panic on any pair.
+func TestEdgelessDriverPanics(t *testing.T) {
+	d := NewDriver(1)
+	a, b := d.AddShard(), d.AddShard()
+	nop := d.Handle(func(*Shard, int, Payload) {})
+	for name, call := range map[string]func(){
+		"Send":       func() { a.Send(b, hop, nop, Payload{}) },
+		"EarliestTo": func() { a.EarliestTo(b) },
+		"Fate":       func() { d.Fate(a, b, 0, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an undeclared pair did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 // TestSendAcrossDriversPanics: a shard may only send to shards of its
 // own driver.
 func TestSendAcrossDriversPanics(t *testing.T) {
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a := d.AddShard()
 	nop := d.Handle(func(*Shard, int, Payload) {})
-	foreign := NewDriver(hop, 1).AddShard()
+	foreign := NewDriver(1).AddShard()
 	defer func() {
 		if recover() == nil {
 			t.Error("Send to another driver's shard did not panic")
@@ -421,28 +475,22 @@ func TestSendAcrossDriversPanics(t *testing.T) {
 
 // TestSetupMailSurvivesRowGrowth: mail queued before Run stays queued
 // when later AddShard/SetEdge calls widen the sender's link row, and is
-// delivered by the first barrier, in both modes.
+// delivered by the first barrier.
 func TestSetupMailSurvivesRowGrowth(t *testing.T) {
-	for _, horizons := range []bool{false, true} {
-		d := NewDriver(hop, 1)
-		a, b := d.AddShard(), d.AddShard()
-		if horizons {
-			d.SetEdge(a, b, EdgeLatency{Fixed: hop})
-		}
-		var got []string
-		labels := []string{"b", "c", "b2"}
-		arrive := d.Handle(func(_ *Shard, _ int, p Payload) { got = append(got, labels[p.A]) })
-		a.Send(b, hop, arrive, Payload{A: 0})
-		c := d.AddShard()
-		if horizons {
-			d.SetEdge(a, c, EdgeLatency{Fixed: 2 * hop})
-		}
-		a.Send(c, 2*hop, arrive, Payload{A: 1})
-		a.Send(b, hop, arrive, Payload{A: 2})
-		d.Run()
-		if want := []string{"b", "b2", "c"}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("horizons=%v: delivered %v, want %v", horizons, got, want)
-		}
+	d := NewDriver(1)
+	a, b := d.AddShard(), d.AddShard()
+	d.SetEdge(a, b, EdgeLatency{Fixed: hop})
+	var got []string
+	labels := []string{"b", "c", "b2"}
+	arrive := d.Handle(func(_ *Shard, _ int, p Payload) { got = append(got, labels[p.A]) })
+	a.Send(b, hop, arrive, Payload{A: 0})
+	c := d.AddShard()
+	d.SetEdge(a, c, EdgeLatency{Fixed: 2 * hop})
+	a.Send(c, 2*hop, arrive, Payload{A: 1})
+	a.Send(b, hop, arrive, Payload{A: 2})
+	d.Run()
+	if want := []string{"b", "b2", "c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
 	}
 }
 
@@ -451,7 +499,7 @@ func TestSetupMailSurvivesRowGrowth(t *testing.T) {
 // tick, and sends exactly on the grid depart immediately.
 func TestGridEdgeBoundsDepartures(t *testing.T) {
 	const grid = 10 * hop
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a, b := d.AddShard(), d.AddShard()
 	d.SetEdge(a, b, EdgeLatency{Fixed: hop, Grid: grid})
 	var arrivals []event.Time
@@ -473,11 +521,12 @@ func TestGridEdgeBoundsDepartures(t *testing.T) {
 // rounds, counters verified against the closed-form total.
 func TestParallelStress(t *testing.T) {
 	const nShards, rounds = 16, 200
-	d := NewDriver(hop, 8)
+	d := NewDriver(8)
 	shards := make([]*Shard, nShards)
 	for i := range shards {
 		shards[i] = d.AddShard()
 	}
+	declareMesh(d)
 	var fired atomic.Int64
 	// nShards tokens circulate a ring; every hop fires one event on the
 	// shard holding the token, and the token carries its round.
@@ -503,19 +552,19 @@ func TestParallelStress(t *testing.T) {
 // in, its shard's run count, and the driver's wake count so far.
 type poolMark struct{ window, runs, wakes int }
 
-// buildPoolFleet wires a seeded fleet of 2-16 shards, on the uniform
-// lookahead or a full mesh of prompt and slow edges, where every shard
+// buildPoolFleet wires a seeded fleet of 2-16 shards on a full mesh of
+// one-hop edges, or of prompt and slow edges mixed, where every shard
 // runs a budgeted program of local events and sends to random peers.
 // Every event appends a poolMark to its shard's list.
-func buildPoolFleet(seed int64, horizons bool, workers int) (*Driver, [][]poolMark) {
+func buildPoolFleet(seed int64, mixed bool, workers int) (*Driver, [][]poolMark) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(15)
-	d := NewDriver(hop, workers)
+	d := NewDriver(workers)
 	shards := make([]*Shard, n)
 	for i := range shards {
 		shards[i] = d.AddShard()
 	}
-	if horizons {
+	if mixed {
 		for _, u := range shards {
 			for _, v := range shards {
 				if u != v {
@@ -523,6 +572,8 @@ func buildPoolFleet(seed int64, horizons bool, workers int) (*Driver, [][]poolMa
 				}
 			}
 		}
+	} else {
+		declareMesh(d)
 	}
 	marks := make([][]poolMark, n)
 	budget := make([]int, n)
@@ -564,11 +615,11 @@ func buildPoolFleet(seed int64, horizons bool, workers int) (*Driver, [][]poolMa
 // shard.
 func TestPoolRunsEachActiveShardOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, horizons := range []bool{true, false} {
+		for _, mixed := range []bool{true, false} {
 			for seed := int64(1); seed <= 40; seed++ {
-				d, marks := buildPoolFleet(seed, horizons, workers)
+				d, marks := buildPoolFleet(seed, mixed, workers)
 				d.Run()
-				where := fmt.Sprintf("workers=%d horizons=%v seed=%d", workers, horizons, seed)
+				where := fmt.Sprintf("workers=%d mixed=%v seed=%d", workers, mixed, seed)
 				st := d.Stats()
 				active := make([]int, st.Windows+1)
 				wakes := make([]int, st.Windows+1)
@@ -624,8 +675,9 @@ func TestPoolRunsEachActiveShardOnce(t *testing.T) {
 // barrier delivery and its handler run allocate nothing — the payload
 // reference included.
 func TestWarmSendAllocatesNothing(t *testing.T) {
-	d := NewDriver(hop, 1)
+	d := NewDriver(1)
 	a, b := d.AddShard(), d.AddShard()
+	declareMesh(d)
 	var sum int64
 	h := d.Handle(func(_ *Shard, _ int, p Payload) { sum += p.A + p.B })
 	ref := &struct{ n int }{}
@@ -655,7 +707,7 @@ func TestWarmSendAllocatesNothing(t *testing.T) {
 // still run first. c logs each message with the window its sender sent
 // it in.
 func buildLateEarlier(workers int) (*Driver, []declEdge, *[]string) {
-	d := NewDriver(hop, workers)
+	d := NewDriver(workers)
 	b, a, c := d.AddShard(), d.AddShard(), d.AddShard()
 	decl := []declEdge{
 		{src: a.id, dst: c.id, lat: EdgeLatency{Fixed: hop, Grid: 10 * hop}},

@@ -125,21 +125,11 @@ func refRun(d *Driver, decl []declEdge) event.Time {
 			break
 		}
 		active = active[:0]
-		if d.horizons {
-			_, horizon := refFixpoint(next, edges)
-			for i, s := range d.shards {
-				if next[i] < horizon[i] {
-					s.limit = horizon[i] - 1
-					active = append(active, s)
-				}
-			}
-		} else {
-			deadline := slices.Min(next) + d.lookahead - 1
-			for i, s := range d.shards {
-				if next[i] <= deadline {
-					s.limit = deadline
-					active = append(active, s)
-				}
+		_, horizon := refFixpoint(next, edges)
+		for i, s := range d.shards {
+			if next[i] < horizon[i] {
+				s.limit = horizon[i] - 1
+				active = append(active, s)
 			}
 		}
 		d.record(len(active))
@@ -148,9 +138,10 @@ func refRun(d *Driver, decl []declEdge) event.Time {
 	return d.finish()
 }
 
-// TestBarrierMatchesReference runs every seeded random fleet, in both
-// modes (horizon fleets with and without a twin block) and at workers
-// 1/2/4, once with the driver's barrier and once with the reference
+// TestBarrierMatchesReference runs every seeded random fleet, in every
+// shape (random graphs with and without a twin block, and the one-hop
+// mesh) and at workers 1/2/4, once with the driver's barrier and once
+// with the reference
 // barrier: every shard's execution log (which pins each window's active
 // set and limits), the Stats (histogram, drops and delays included) and
 // the end time must agree.
@@ -159,15 +150,15 @@ func TestBarrierMatchesReference(t *testing.T) {
 	if testing.Short() {
 		seeds = 40
 	}
-	shapes := []struct{ horizons, twins bool }{{true, false}, {true, true}, {false, false}}
+	shapes := []struct{ mesh, twins bool }{{false, false}, {false, true}, {true, false}}
 	for seed := int64(1); seed <= seeds; seed++ {
 		for _, sh := range shapes {
 			for _, workers := range []int{1, 2, 4} {
-				got := buildRandom(seed, sh.horizons, sh.twins, workers)
+				got := buildRandom(seed, sh.mesh, sh.twins, workers)
 				gotEnd := got.d.Run()
-				ref := buildRandom(seed, sh.horizons, sh.twins, workers)
+				ref := buildRandom(seed, sh.mesh, sh.twins, workers)
 				refEnd := refRun(ref.d, ref.decl)
-				where := fmt.Sprintf("seed=%d horizons=%v twins=%v workers=%d", seed, sh.horizons, sh.twins, workers)
+				where := fmt.Sprintf("seed=%d mesh=%v twins=%v workers=%d", seed, sh.mesh, sh.twins, workers)
 				for s := range ref.logs {
 					if !reflect.DeepEqual(got.logs[s], ref.logs[s]) {
 						t.Fatalf("%s: shard %d log diverges from the reference:\n got %v\nwant %v",
@@ -194,7 +185,7 @@ func TestHorizonsMatchFixpoint(t *testing.T) {
 	for seed := int64(1); seed <= 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
-		d := NewDriver(hop, 1)
+		d := NewDriver(1)
 		shards := make([]*Shard, n)
 		for i := range shards {
 			shards[i] = d.AddShard()

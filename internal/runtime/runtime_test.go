@@ -391,7 +391,7 @@ func TestSharedBatchTwoShards(t *testing.T) {
 		for i, j := range b.Jobs {
 			before[i] = *j
 		}
-		drv := parsim.NewDriver(event.Microsecond, workers)
+		drv := parsim.NewDriver(workers)
 		var done [2]BatchResult
 		for i := range done {
 			r := mustNewOn(t, drv.AddShard().Engine(), sched.NewSystem(isa.Targets...), sched.NewGlobal())
