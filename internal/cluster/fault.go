@@ -427,9 +427,11 @@ func (sn *shardNode) upAfter(t event.Time) event.Time {
 // those sweeps: a period in which no verdict changes costs no event.
 //
 // The chain keeps the end of a sweep loop that ran every period. Such a
-// loop stopped for good at the first grid instant at which ticking() was
-// false, which cannot come before the region's last arrival is due; the
-// chain jumps until then and steps every period after it.
+// loop stopped at the first grid instant at which ticking() was false,
+// which cannot come before the region's last arrival is due; the chain
+// jumps until then and steps every period after it. A stopped chain
+// restarts when the region takes on work again — a forwarded or re-homed
+// batch (wakeLiveness) — so the nodes running that work are swept.
 //
 // One tie rule orders the sweep: it runs after every other hub event at
 // its instant, including those that such events arm for the same
@@ -464,8 +466,8 @@ func (r *region) startLiveness() {
 // livenessEvent is the chain's event. While another hub event is still
 // pending at its instant it re-arms behind it, so it runs last there.
 // Then it sweeps the views whose verdict may change now and arms the
-// next event — or ends the chain for good once ticking() is false. A
-// frozen hub sweeps nothing: its revival sweep re-plans every view.
+// next event — or stops the chain once ticking() is false. A frozen hub
+// sweeps nothing: its revival sweep re-plans every view.
 func (r *region) livenessEvent() {
 	eng, period := r.hub.Engine(), r.faults.heartbeat()
 	now := eng.Now()
@@ -481,8 +483,7 @@ func (r *region) livenessEvent() {
 		r.sweep(now)
 	}
 	if !r.ticking() {
-		r.lvStopped = true
-		return
+		return // stopped: lvAt stays never
 	}
 	next := now + period
 	if next < r.lastArrival {
@@ -500,33 +501,51 @@ func (r *region) livenessEvent() {
 // pending one: that event belongs to an older epoch, whose events do
 // nothing.
 func (r *region) armLiveness(at event.Time) {
-	if r.lvFire == nil || r.lvPending {
+	if r.lvFire == nil || r.lvAt != never {
 		r.lvEpoch++
 		epoch := r.lvEpoch
 		r.lvFire = func() {
 			if r.lvEpoch == epoch {
-				r.lvPending = false
+				r.lvAt = never
 				r.livenessEvent()
 			}
 		}
 	}
-	r.lvAt, r.lvPending = at, true
+	r.lvAt = at
 	r.hub.Engine().At(at, r.lvFire)
 }
 
 // replanLiveness plans views [from:] after they joined or were reset
-// (adoption, revival sweep) and moves the chain's next event earlier if
-// one of them needs it.
+// (adoption, revival sweep) and moves a running chain's next event
+// earlier if one of them needs it.
 func (r *region) replanLiveness(from int) {
+	if at := r.planViews(from); r.lvAt != never && at < r.lvAt {
+		r.armLiveness(at)
+	}
+}
+
+// wakeLiveness restarts a stopped chain when the region takes on work
+// again: every view is planned afresh from now, and the chain resumes at
+// the first sweep that changes a verdict (none, if no heartbeat can).
+func (r *region) wakeLiveness() {
+	if r.faults == nil || r.lvAt != never {
+		return
+	}
+	if at := r.planViews(0); at != never {
+		r.armLiveness(at)
+	}
+}
+
+// planViews plans views [from:] from now and returns the earliest sweep
+// any of them needs.
+func (r *region) planViews(from int) event.Time {
 	now := r.hub.Engine().Now()
 	at := never
 	for i := from; i < len(r.views); i++ {
 		r.views[i].nextSweep = r.planBeats(i, now)
 		at = min(at, r.views[i].nextSweep)
 	}
-	if !r.lvStopped && at < r.lvAt {
-		r.armLiveness(at)
-	}
+	return at
 }
 
 // sweep runs the verdicts due now, in view order: a node silent past the

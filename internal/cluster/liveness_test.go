@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -351,6 +352,63 @@ func TestSweepRunsLastAtItsInstant(t *testing.T) {
 		ws, wv := run(w)
 		if ws.String() != s.String() || strings.Join(wv, "\n") != strings.Join(verdicts, "\n") {
 			t.Errorf("workers=%d diverges from workers=1:\n%s%q\nvs\n%s%q", w, ws, wv, s, verdicts)
+		}
+	}
+}
+
+// TestForwardWakesStoppedLiveness: a region whose liveness chain has
+// stopped restarts it when a forwarded batch reaches it. Region 1's
+// only batch finishes early, so its chain stops at the first sweep
+// (250 µs). At 1 ms region 0's one node is full (QueueCap 1), and
+// region 0 forwards a batch to region 1; its node b crashes 1 µs after
+// that batch starts, and stays down until 20 ms. With no deadline and no
+// retries, only a sweep can free the batch: hub1 declares b dead at
+// 2 ms and sheds the batch. A chain that stayed stopped would leave it
+// stranded until b revives (and, with b down for good, Run would never
+// return).
+func TestForwardWakesStoppedLiveness(t *testing.T) {
+	run := func(workers int) (Summary, []string) {
+		d := NewShardedDispatcher(NewLeastOutstanding(), Admission{QueueCap: 1},
+			ShardConfig{Workers: workers, Hubs: 2}, fullNode("a"), fullNode("b"))
+		plan := &fault.Plan{Seed: 1, Crashes: []fault.Crash{
+			{Node: "b", At: 1041 * event.Microsecond, Recover: 20 * event.Millisecond},
+		}}
+		if err := d.EnableFaults(FaultConfig{Plan: plan}); err != nil {
+			t.Fatal(err)
+		}
+		// Submission order sprays regions 0, 1, 0: a long batch keeps node
+		// a busy past 1 ms, region 1 gets one short batch at 0, and the
+		// batch at 1 ms finds region 0 full.
+		long := mkBatch(0, 900*event.Microsecond, 1)
+		long.Jobs[0] = mkJob(0, 50_000_000)
+		for _, b := range []*runtime.Batch{long, mkBatch(1, 0, 3), mkBatch(2, event.Millisecond, 3)} {
+			if err := d.Submit(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var log []string
+		d.noteLiveness = func(_ int, line string) { log = append(log, line) }
+		d.OnDone(func(di DoneInfo) {
+			log = append(log, fmt.Sprintf("%d batch %d %v", di.At, di.Batch.ID, di.Outcome))
+		})
+		return d.Run(), log
+	}
+	s, log := run(1)
+	conserved(t, s)
+	if s.Completed != 2 || s.Shed != 1 {
+		t.Errorf("completed=%d shed=%d, want 2 and the forwarded batch shed", s.Completed, s.Shed)
+	}
+	const dead = "2000000000 hub1 dead b silent=960000000 evict=[2]"
+	if !slices.Contains(log, dead) {
+		t.Errorf("log = %q, want %q", log, dead)
+	}
+	if want := fmt.Sprintf("%d batch 2 %v", 2*event.Millisecond, OutcomeShed); !slices.Contains(log, want) {
+		t.Errorf("log = %q, want %q: the batch settles before b revives", log, want)
+	}
+	for _, w := range []int{2, 4, 8} {
+		ws, wl := run(w)
+		if ws.String() != s.String() || strings.Join(wl, "\n") != strings.Join(log, "\n") {
+			t.Errorf("workers=%d diverges from workers=1:\n%s%q\nvs\n%s%q", w, ws, wl, s, log)
 		}
 	}
 }

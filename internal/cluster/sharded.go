@@ -149,15 +149,13 @@ type region struct {
 
 	relays records[DoneInfo] // carries this hub's settles to region 0 (tree.go)
 
-	// Liveness chain (fault.go): lvAt is its next event's instant while
-	// lvPending; lvStopped ends it for the run. lvFire is the current
+	// Liveness chain (fault.go): lvAt is its next event's instant, never
+	// while no event is pending (the chain stopped). lvFire is the current
 	// epoch's event func. freezes is the hub's freeze plan in run order.
-	lvAt      event.Time
-	lvPending bool
-	lvStopped bool
-	lvEpoch   int
-	lvFire    func()
-	freezes   []outage
+	lvAt    event.Time
+	lvEpoch int
+	lvFire  func()
+	freezes []outage
 
 	hubCrashes int // freeze windows applied to this hub
 	takeovers  int // ring-predecessor regions this hub adopted

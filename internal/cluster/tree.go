@@ -126,6 +126,7 @@ func (r *region) receiveInject(b *runtime.Batch) {
 		return
 	}
 	r.track(b, r.hub.Engine().Now())
+	r.wakeLiveness()
 	r.dispatch(b, 0, nil)
 }
 
@@ -211,6 +212,7 @@ func (r *region) receiveForward(b *runtime.Batch, fwds int) {
 	r.trk[b.ID] = &tracker{b: b, fwds: fwds}
 	r.pending++
 	r.taken++
+	r.wakeLiveness()
 	r.dispatch(b, 0, nil)
 }
 
