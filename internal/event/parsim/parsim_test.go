@@ -395,10 +395,10 @@ func TestHorizonWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestHorizonBeatsUniformWindows: the point of declared edges — spokes
-// in different regions only interact through the slow beacon grid, so
-// horizon mode must pack far more shards per window than hop-wide
-// uniform windows would.
+// TestHorizonBeatsUniformWindows: the point of per-shard horizons —
+// spokes in different regions only interact through the slow beacon
+// grid, so the driver must pack far more shards per window than hop-wide
+// windows would.
 func TestHorizonBeatsUniformWindows(t *testing.T) {
 	d, _ := buildHierarchy(4, 3, 20, 1)
 	d.Run()
